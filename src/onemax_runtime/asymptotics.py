@@ -38,7 +38,7 @@ from functools import lru_cache
 
 from scipy.integrate import quad
 
-from .backends import NumericError, check_n
+from .backends import DomainError, NumericError, check_n
 from .drift import normalized_drift
 from .hitting import runtime_profile
 
@@ -84,9 +84,9 @@ def s_r(r: int, z: float) -> float:
     appears in its corrections. Special values: S0(1) = e - 1, S1(1) = e.
     """
     if r not in (0, 1):
-        raise ValueError(f"series order r must be 0 or 1, got {r}")
+        raise DomainError(f"series order r must be 0 or 1, got {r}")
     if not 0.0 <= z <= 1.0:
-        raise ValueError(f"series argument z = {z} outside [0, 1]")
+        raise DomainError(f"series argument z = {z} outside [0, 1]")
     total = 0.0
     zl = 1.0
     wj = 1.0
@@ -127,9 +127,9 @@ def _s1_minus_z(z: float) -> float:
 def bessel_i(nu: int, x: float) -> float:
     """Modified Bessel function I_nu(x) for nu in {0, 1}, x >= 0, by series."""
     if nu not in (0, 1):
-        raise ValueError(f"Bessel order nu must be 0 or 1, got {nu}")
+        raise DomainError(f"Bessel order nu must be 0 or 1, got {nu}")
     if x < 0.0:
-        raise ValueError(f"Bessel argument must be nonnegative, got {x}")
+        raise DomainError(f"Bessel argument must be nonnegative, got {x}")
     h = 0.5 * x
     term = h if nu else 1.0
     total = 0.0
@@ -155,7 +155,7 @@ def _i1_ratio(wsq: float) -> float:
 
 def _check_alpha(alpha: float) -> float:
     if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha = {alpha} outside [0, 1]")
+        raise DomainError(f"alpha = {alpha} outside [0, 1]")
     return alpha
 
 
@@ -209,7 +209,7 @@ def evaluate_expansion(n: int, k: int) -> ExpansionEval:
     """
     check_n(n)
     if not 1 <= k <= n:
-        raise ValueError(f"state k = {k} outside [1, {n}]")
+        raise DomainError(f"state k = {k} outside [1, {n}]")
     alpha = k / n
     s0v = s_r(0, alpha)
     s1v = s_r(1, alpha)
@@ -224,12 +224,12 @@ def evaluate_expansion(n: int, k: int) -> ExpansionEval:
 def _check_expansion_domain(n: int, k: int, order: int, eps) -> None:
     check_n(n)
     if order not in (0, 1, 2):
-        raise ValueError(f"expansion order must be 0, 1 or 2, got {order}")
+        raise DomainError(f"expansion order must be 0, 1 or 2, got {order}")
     eps = Fraction(eps)
     if not 0 < eps < 1:
-        raise ValueError(f"validity threshold eps = {eps} outside (0, 1)")
+        raise DomainError(f"validity threshold eps = {eps} outside (0, 1)")
     if k < 1 or Fraction(k) > (1 - eps) * n:
-        raise ValueError(
+        raise DomainError(
             f"state k = {k} outside the expansion's validity range "
             f"1 <= k <= (1 - {eps}) * {n}"
         )
@@ -345,7 +345,7 @@ def figure1_rows(n_lo: int, n_hi: int, threads: int | None = 1) -> list[tuple]:
     check_n(n_lo)
     check_n(n_hi)
     if n_hi < n_lo:
-        raise ValueError(f"empty size range {n_lo}:{n_hi}")
+        raise DomainError(f"empty size range {n_lo}:{n_hi}")
 
     def one(n: int) -> list[tuple]:
         rows = []
@@ -387,7 +387,7 @@ def figure2_rows(n_lo: int, n_hi: int, threads: int | None = 1) -> list[tuple]:
     check_n(n_lo)
     check_n(n_hi)
     if n_hi < n_lo:
-        raise ValueError(f"empty size range {n_lo}:{n_hi}")
+        raise DomainError(f"empty size range {n_lo}:{n_hi}")
 
     def one(n: int) -> tuple:
         k0 = n // 2

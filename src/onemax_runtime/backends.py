@@ -4,7 +4,8 @@ Every quantity in this package can be computed in one of two scalar backends.
 The float backend uses IEEE double arithmetic and numpy vectorization; the
 rational backend uses ``fractions.Fraction`` throughout and is exact but slow,
 so table builders cap it (default n <= 64) and raise :class:`CapacityError`
-beyond the cap.
+beyond the cap. Invalid arguments raise :class:`DomainError`, so that a caller
+can tell its own mistakes from faults inside a computation.
 """
 
 from __future__ import annotations
@@ -29,7 +30,11 @@ _T = TypeVar("_T")
 _U = TypeVar("_U")
 
 
-class CapacityError(ValueError):
+class DomainError(ValueError):
+    """Raised when an argument lies outside the domain of a computation."""
+
+
+class CapacityError(DomainError):
     """Raised when the rational backend is asked for more than its cap."""
 
 
@@ -39,16 +44,16 @@ class NumericError(ArithmeticError):
 
 def check_backend(backend: str) -> str:
     if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+        raise DomainError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     return backend
 
 
 def check_n(n: int) -> int:
     """Validate a problem size. The smallest supported instance is n = 2."""
     if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, got {n!r}")
+        raise DomainError(f"n must be an integer, got {n!r}")
     if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+        raise DomainError(f"n must be at least 2, got {n}")
     return n
 
 
@@ -94,12 +99,21 @@ def resolve_threads(threads: int | None) -> int:
     """Thread count for grid sweeps: flag value, else env override, else cores."""
     env = os.environ.get(THREADS_ENV_VAR)
     if threads is None and env is not None:
-        threads = int(env)
+        try:
+            threads = int(env)
+        except ValueError:
+            raise DomainError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
     if threads is None:
         threads = os.cpu_count() or 1
     if threads < 1:
-        raise ValueError(f"threads must be positive, got {threads}")
+        raise DomainError(f"threads must be positive, got {threads}")
     return threads
+
+
+def worker_count(threads: int | None, n_items: int) -> int:
+    """Pool size for n_items tasks: the requested threads, never more than
+    there are tasks or cores."""
+    return max(1, min(resolve_threads(threads), n_items, os.cpu_count() or 1))
 
 
 def thread_map(fn: Callable[[_T], _U], items: Sequence[_T], threads: int | None) -> list[_U]:
@@ -107,8 +121,8 @@ def thread_map(fn: Callable[[_T], _U], items: Sequence[_T], threads: int | None)
 
     Collection is ordered, so output is identical for any thread count.
     """
-    threads = resolve_threads(threads)
-    if threads == 1 or len(items) <= 1:
+    workers = worker_count(threads, len(items))
+    if workers == 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

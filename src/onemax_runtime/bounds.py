@@ -35,6 +35,7 @@ import numpy as np
 from .backends import (
     DEFAULT_RATIONAL_CAP,
     FLOAT,
+    DomainError,
     RATIONAL,
     Scalar,
     check_backend,
@@ -45,13 +46,20 @@ from .backends import (
 from .drift import (
     DriftTable,
     TransitionKernel,
+    _drift_table,
     _kernel_row_rational,
     build_drift_table,
     build_kernel,
     drift,
     normalized_drift,
 )
-from .hitting import CORRIDOR_C1, CORRIDOR_C2, _profile_from_parts, harmonic
+from .hitting import (
+    CORRIDOR_C1,
+    CORRIDOR_C2,
+    _harmonic_prefix,
+    _inverse_drift_prefix,
+    _profile_from_parts,
+)
 
 __all__ = [
     "CheckRecord",
@@ -104,27 +112,30 @@ class BoundReport:
         raise KeyError(f"no check named {check_id!r}")
 
 
-def _q_values(drift_table: DriftTable, up_to: int) -> list:
-    zero = Fraction(0) if drift_table.backend == RATIONAL else 0.0
-    q = [zero]
-    for k in range(1, up_to + 1):
-        q.append(q[-1] + 1 / drift_table.delta[k])
-    return q
+def _eta(kernel: TransitionKernel, q, k: int) -> Scalar:
+    """eta(k) = sum_d p(k, k - d) (q(k) - q(k - d)), from row k of the kernel."""
+    if kernel.backend == RATIONAL:
+        row = kernel.rows[k]
+        return sum((row[l] * (q[k] - q[l]) for l in range(k)), Fraction(0))
+    d_max = min(k, kernel.band.shape[1] - 1)
+    drops = q[k] - np.array(q[k - d_max : k][::-1])
+    return math.fsum((kernel.band[k, 1 : d_max + 1] * drops).tolist())
+
+
+def _check_same_n(kernel: TransitionKernel, drift_table: DriftTable) -> None:
+    if kernel.n != drift_table.n:
+        raise DomainError(
+            f"kernel has n = {kernel.n} but drift table has n = {drift_table.n}"
+        )
 
 
 def eta(kernel: TransitionKernel, drift_table: DriftTable, k: int) -> Scalar:
     """Expected one-step drop of the inverse-drift sum from state k."""
-    if kernel.n != drift_table.n:
-        raise ValueError(
-            f"kernel has n = {kernel.n} but drift table has n = {drift_table.n}"
-        )
+    _check_same_n(kernel, drift_table)
     if k < 1 or k > kernel.max_state:
-        raise ValueError(f"state k = {k} outside [1, {kernel.max_state}]")
-    q = _q_values(drift_table, k)
-    row = kernel.rows[k]
-    if kernel.backend == RATIONAL:
-        return sum((row[l] * (q[k] - q[l]) for l in range(k)), Fraction(0))
-    return math.fsum(row[l] * (q[k] - q[l]) for l in range(k))
+        raise DomainError(f"state k = {k} outside [1, {kernel.max_state}]")
+    q = _inverse_drift_prefix(drift_table.delta[: k + 1], drift_table.backend)
+    return _eta(kernel, q, k)
 
 
 def eta_star(
@@ -136,12 +147,14 @@ def eta_star(
 ) -> Scalar:
     """Extremum of eta over the state range k_lo..k_hi (inclusive)."""
     if mode not in ("max", "min"):
-        raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
+        raise DomainError(f"mode must be 'max' or 'min', got {mode!r}")
     if k_lo < 1 or k_hi > kernel.max_state or k_lo > k_hi:
-        raise ValueError(
+        raise DomainError(
             f"state range [{k_lo}, {k_hi}] invalid for max_state {kernel.max_state}"
         )
-    values = [eta(kernel, drift_table, k) for k in range(k_lo, k_hi + 1)]
+    _check_same_n(kernel, drift_table)
+    q = _inverse_drift_prefix(drift_table.delta[: k_hi + 1], drift_table.backend)
+    values = [_eta(kernel, q, k) for k in range(k_lo, k_hi + 1)]
     return max(values) if mode == "max" else min(values)
 
 
@@ -196,6 +209,23 @@ def _decide(check: _Check, n: int, backend: str, rational_cap: int) -> CheckReco
     )
 
 
+def _float_tail_ratios(n: int, band: np.ndarray) -> list[float]:
+    """P[the step from k drops at least l] / ((k/n)^l / l!) for every state
+    k >= 1 and every l whose tail is positive.
+
+    The tails are running sums over the band from its far end, which adds
+    the entries in the order a full row's cumulative sum does.
+    """
+    width = band.shape[1] - 1
+    tails = np.cumsum(band[1:, :0:-1], axis=1)[:, ::-1]
+    l = np.arange(1, width + 1)
+    log_kn = np.array([math.log(k / n) for k in range(1, len(band))])
+    log_fact = np.array([math.lgamma(x + 1) for x in range(1, width + 1)])
+    positive = tails > 0.0
+    log_bound = l * log_kn[:, None] - log_fact
+    return np.exp(np.log(tails[positive]) - log_bound[positive]).tolist()
+
+
 def _exact_delta_sandwich_upper(n: int) -> bool:
     return all(drift(n, k, RATIONAL) <= Fraction(k, n) for k in range(1, n + 1))
 
@@ -213,7 +243,7 @@ def _exact_dstar_sandwich(n: int, upper: bool) -> bool:
 
 def _exact_eta_unit(n: int) -> bool:
     table = build_drift_table(n, RATIONAL)
-    q = _q_values(table, n)
+    q = _inverse_drift_prefix(table.delta, RATIONAL)
     for k in range(1, n + 1):
         row = _kernel_row_rational(n, k)
         val = sum((row[l] * (q[k] - q[l]) for l in range(k)), Fraction(0))
@@ -240,22 +270,16 @@ def verify_inequalities(
 
     rational = backend == RATIONAL
     kernel = build_kernel(n, backend, rational_cap=rational_cap)
-    table = build_drift_table(n, backend, rational_cap=rational_cap)
-    q = _q_values(table, n)
-    profile = _profile_from_parts(n, backend, kernel.rows, table.delta)
+    table = _drift_table(n, backend, kernel.band)
+    profile = _profile_from_parts(kernel, table.delta)
     g = profile.g
+    q = profile.q
     half = n // 2
     e = math.e
     one = Fraction(1) if rational else 1.0
 
-    eta_vals: list = [Fraction(0) if rational else 0.0]
-    for k in range(1, n + 1):
-        row = kernel.rows[k]
-        if rational:
-            eta_vals.append(sum((row[l] * (q[k] - q[l]) for l in range(k)), Fraction(0)))
-        else:
-            qk = q[k]
-            eta_vals.append(math.fsum(row[l] * (qk - q[l]) for l in range(k)))
+    eta_vals = [Fraction(0) if rational else 0.0]
+    eta_vals += [_eta(kernel, q, k) for k in range(1, n + 1)]
 
     delta = table.delta
     dstar = table.delta_star
@@ -304,10 +328,10 @@ def verify_inequalities(
         )
     )
 
-    tail_ratios: list = []
-    for k in range(1, n + 1):
-        row = kernel.rows[k]
-        if rational:
+    if rational:
+        tail_ratios: list = []
+        for k in range(1, n + 1):
+            row = kernel.rows[k]
             factor = Fraction(1)
             step = Fraction(n, k)
             cum = sum(row)
@@ -315,25 +339,20 @@ def verify_inequalities(
                 cum -= row[k - l + 1]
                 factor *= l * step
                 tail_ratios.append(cum * factor)
-        else:
-            cums = np.cumsum(row)
-            logkn = math.log(k / n)
-            for l in range(1, k + 1):
-                t = float(cums[k - l])
-                if t <= 0.0:
-                    continue
-                logbound = l * logkn - math.lgamma(l + 1)
-                tail_ratios.append(math.exp(math.log(t) - logbound))
+    else:
+        tail_ratios = _float_tail_ratios(n, kernel.band)
     checks.append(_Check("tail-factorial", 1, n, "le", one, tail_ratios))
 
+    # One value per k, the largest ratio over l: the pairs are O(n^2), so
+    # they are formed a row at a time to keep memory O(n).
     diff_upper_ratios: list[float] = []
     coef = 2.0 * e * e * n * n / (n - 1)
+    inv_arr = np.array([0.0] + [float(x) for x in invd[1:]])
     for k in range(2, n + 1):
-        fk = float(invd[k])
-        for l in range(1, k):
-            lhs = float(invd[k - l]) - fk
-            rhs = coef * l / (k * (k - l))
-            diff_upper_ratios.append(lhs / rhs)
+        l = np.arange(1, k)
+        lhs = inv_arr[k - l] - inv_arr[k]
+        rhs = coef * l / (k * (k - l))
+        diff_upper_ratios.append(float((lhs / rhs).max()))
     checks.append(_Check("inv-drift-diff-upper", 2, n, "le", 1.0, diff_upper_ratios))
 
     diff_lower_ratios: list[float] = []
@@ -402,10 +421,11 @@ def verify_inequalities(
         checks.append(_Check("corridor-lower", half, half, "ge", 0.0, None))
         checks.append(_Check("corridor-upper", half, half, "le", 0.0, None))
 
+    harmonics = _harmonic_prefix(n)
     checks.append(
         _Check(
             "q-harmonic-envelope", 1, n, "le", 1.0,
-            [float(q[k]) / (e * n * harmonic(k)) for k in range(1, n + 1)],
+            [float(q[k]) / (e * n * harmonics[k]) for k in range(1, n + 1)],
         )
     )
 

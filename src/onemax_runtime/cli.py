@@ -11,8 +11,8 @@ Six subcommands cover the library end to end:
 
 Tables go to stdout (or ``--out``) as CSV or JSON; diagnostics go to stderr.
 Exit status: 0 on success, 2 on usage or domain errors (including rational
-capacity), 1 on numeric failures. Output for a fixed command line is
-byte-identical across runs. Rational values render as "p/q" in CSV and as
+capacity), 1 on numeric failures and any other internal fault. Output for a
+fixed command line is byte-identical across runs. Rational values render as "p/q" in CSV and as
 {"num": p, "den": q} objects in JSON; floats render with ``--precision``
 significant digits (default 15).
 """
@@ -20,6 +20,7 @@ significant digits (default 15).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -33,13 +34,33 @@ from .asymptotics import (
     figure2_rows,
     runtime_estimate,
 )
-from .backends import BACKENDS, FLOAT, CapacityError, NumericError
+from .backends import BACKENDS, FLOAT, DomainError, NumericError
 from .bounds import verify_inequalities
 from .drift import build_drift_table, normalized_drift
 from .hitting import CORRIDOR_C1, CORRIDOR_C2, runtime_profile
 from .simulate import ENGINE_STATECHAIN, ENGINES, UNIFORM_START, SimConfig, run
 
 __all__ = ["main"]
+
+
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's limit on int-to-str digits while output renders.
+
+    Exact values near the rational cap have numerators and denominators with
+    more than the default 4300 digits. The limit guards the parsing of
+    untrusted text, which rendering is not, so it is restored afterwards.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # interpreters before the limit existed
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _fmt_cell(value, precision: int) -> str:
@@ -64,6 +85,7 @@ def _json_value(value, precision: int):
     return value
 
 
+@_unlimited_int_digits()
 def _emit_table(columns, rows, args) -> None:
     if args.format == "json":
         payload = [
@@ -81,6 +103,7 @@ def _emit_table(columns, rows, args) -> None:
     _write_out(text, args.out)
 
 
+@_unlimited_int_digits()
 def _emit_object(obj, args) -> None:
     text = json.dumps(obj, indent=2) + "\n"
     _write_out(text, args.out)
@@ -115,7 +138,7 @@ def _cmd_runtime(args) -> None:
     n = args.n
     start = args.start if args.start is not None else n // 2
     if not 0 <= start <= n:
-        raise ValueError(f"start {start} outside [0, {n}]")
+        raise DomainError(f"start {start} outside [0, {n}]")
     prof = runtime_profile(n, args.backend, up_to=start)
     g = prof.g[start]
     q = prof.q[start]
@@ -192,13 +215,16 @@ def _cmd_bounds(args) -> None:
 
 
 def _cmd_asym(args) -> None:
-    eps = Fraction(args.eps)
+    try:
+        eps = Fraction(args.eps)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"eps must be a rational number, got {args.eps!r}") from None
     rows = []
     for n in args.n:
         est = runtime_estimate(n)
         k_hi = math.floor((1 - eps) * n)
         if k_hi < 1:
-            raise ValueError(f"eps = {eps} leaves no valid state for n = {n}")
+            raise DomainError(f"eps = {eps} leaves no valid state for n = {n}")
         for k in range(1, k_hi + 1):
             exact = normalized_drift(n, k)
             approx = expansion_delta_star(n, k, order=args.order, eps=eps)
@@ -233,10 +259,13 @@ def _cmd_asym(args) -> None:
 def _parse_range(spec: str) -> tuple[int, int]:
     parts = spec.split(":")
     if len(parts) != 2:
-        raise ValueError(f"size range must look like LO:HI, got {spec!r}")
-    lo, hi = int(parts[0]), int(parts[1])
+        raise DomainError(f"size range must look like LO:HI, got {spec!r}")
+    try:
+        lo, hi = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise DomainError(f"size range must look like LO:HI, got {spec!r}") from None
     if lo < 2 or hi < lo:
-        raise ValueError(f"size range {spec!r} must satisfy 2 <= LO <= HI")
+        raise DomainError(f"size range {spec!r} must satisfy 2 <= LO <= HI")
     return lo, hi
 
 
@@ -269,8 +298,11 @@ def _parse_start(spec: str):
     if spec == UNIFORM_START:
         return UNIFORM_START
     if spec.startswith("fixed:"):
-        return int(spec.split(":", 1)[1])
-    raise ValueError(f"start must be 'uniform' or 'fixed:K', got {spec!r}")
+        try:
+            return int(spec.split(":", 1)[1])
+        except ValueError:
+            pass
+    raise DomainError(f"start must be 'uniform' or 'fixed:K', got {spec!r}")
 
 
 def _cmd_sim(args) -> None:
@@ -391,10 +423,17 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"onemax-runtime: numeric error: {exc}", file=sys.stderr)
         return 1
-    except (CapacityError, ValueError) as exc:
+    except DomainError as exc:
         print(f"onemax-runtime: error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"onemax-runtime: internal error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"onemax-runtime: i/o error: {exc}", file=sys.stderr)
         return 1
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,14 +22,29 @@ All operations take a ``backend`` flag: ``"float"`` for IEEE doubles with
 numpy vectorization, ``"rational"`` for exact ``fractions.Fraction``
 arithmetic. Builders cap the rational backend (default n <= 64) because exact
 kernels grow quadratically many Fractions with denominators of order n^n.
+
+The float kernel is a band. Its entries decay like p(k, k-d) <= (k/n)^d / d!,
+so a row holds only D + 1 numbers, band[k, d] = p(k, k - d) for d = 0..D,
+where column 0 is the stay probability. The width D is the smallest one for
+which that bound puts every entry with d > D below 2^-1078, so the dropped
+entries are exactly the ones that are 0.0 in double precision anyway: at
+most about 180 columns for any n, about 160 for starts k <= n/2. Each row is
+the same correlation of the two flip-count pmfs that a full row would use,
+cut to the first D + 41 terms of Bin(k, 1/n) and the first 41 of
+Bin(n-k, 1/n). Every omitted term carries a factor below 1/41! of a kept
+one, far under one ulp, so the band entries equal full-row entries bit for
+bit (checked at n up to 2048). The improvement probability s_k is the row sum over d >= 1, the drift
+is the row's first moment, and the hitting times, eta and the transition
+tails read the same rows; memory is O(n D) instead of O(n^2).
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Union
 
 import numpy as np
 
@@ -37,6 +52,7 @@ from .backends import (
     DEFAULT_RATIONAL_CAP,
     FLOAT,
     RATIONAL,
+    DomainError,
     Scalar,
     check_backend,
     check_n,
@@ -59,22 +75,25 @@ __all__ = [
 
 def _check_state(n: int, k: int, hi: int) -> int:
     if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"state must be an integer, got {k!r}")
+        raise DomainError(f"state must be an integer, got {k!r}")
     if k < 0 or k > hi:
-        raise ValueError(f"state k = {k} outside [0, {hi}] for n = {n}")
+        raise DomainError(f"state k = {k} outside [0, {hi}] for n = {n}")
     return k
 
 
-def _binom_pmf_float(m: int, n: int) -> np.ndarray:
-    """Pmf of Bin(m, 1/n) as a float vector of length m + 1.
+def _binom_pmf_float(m: int, n: int, terms: int | None = None) -> np.ndarray:
+    """Pmf of Bin(m, 1/n) as a float vector: all m + 1 terms, or the first
+    ``terms`` of them.
 
     Built by the ratio recurrence pmf[i] = pmf[i-1] * (m-i+1) / (i (n-1)),
-    which is stable because every factor is positive and the mass decays.
+    which is stable because every factor is positive and the mass decays. A
+    truncated pmf is a prefix of the full one, bit for bit.
     """
-    out = np.empty(m + 1)
+    size = m + 1 if terms is None else min(m + 1, terms)
+    out = np.empty(size)
     out[0] = pow_base(1.0 - 1.0 / n, m)
-    if m:
-        i = np.arange(1.0, m + 1)
+    if size > 1:
+        i = np.arange(1.0, size)
         out[1:] = out[0] * np.cumprod((m - i + 1.0) / (i * (n - 1.0)))
     return out
 
@@ -200,23 +219,81 @@ def normalized_drift_gf(n: int, k: int) -> Fraction:
     return prod[deg]
 
 
-def _kernel_row_float(n: int, k: int) -> np.ndarray:
-    """Accepted-step law from state k, float: row[j] = p(k, j), j = 0..k.
+# Terms of Bin(n-k, 1/n) kept per band entry, and the extra terms of
+# Bin(k, 1/n) beyond the band they pair with. The first omitted product
+# carries a factor below 1/41! of a kept one.
+_PAIR_TERMS = 40
 
-    The off-diagonal entries are the cross-correlation of the two flip-count
-    pmfs, p(k, k-d) = sum_l pa[d+l] pb[l]; the diagonal is the complement, so
-    each row sums to one exactly.
+
+def _band_width(n: int, max_state: int) -> int:
+    """Smallest D such that every p(k, k-d) with d > D, k <= max_state, is 0.0.
+
+    The pmf recurrence computes Bin(k, 1/n)(d) as (1-1/n)^k times a product
+    below (k/(n-1))^d / d!, and p(k, k-d) sums such terms of index >= d. Once
+    that bound drops below 2^-1078, a factor 8 under half the smallest
+    subnormal, the term and everything after it rounds to zero.
     """
-    pa = _binom_pmf_float(k, n)
-    pb = _binom_pmf_float(n - k, n)
-    row = np.zeros(k + 1)
-    if k:
-        c = np.correlate(pa, pb, mode="full")
-        lag0 = len(pb) - 1
-        d = np.arange(1, k + 1)
-        row[k - d] = c[lag0 + d]
-    row[k] = 1.0 - row[:k].sum()
-    return row
+    if max_state == 0:
+        return 0
+    log_ratio = math.log(max_state / (n - 1))
+    floor = -1078.0 * math.log(2.0)
+    d = 1
+    while d < max_state and (d + 1) * log_ratio - math.lgamma(d + 2) > floor:
+        d += 1
+    return d
+
+
+def _float_band(n: int, states: Sequence[int]) -> np.ndarray:
+    """Accepted-step law of the given states as a band, float.
+
+    Row i holds band[i, d] = p(k, k - d) for k = states[i] and d = 0..D; the
+    off-diagonal entries are the correlation of the two flip-count pmfs,
+    p(k, k-d) = sum_l pa[d+l] pb[l], and column 0 is the complement of their
+    compensated sum. The array is read-only.
+    """
+    width = _band_width(n, max(states))
+    band = np.zeros((len(states), width + 1))
+    for row, k in zip(band, states):
+        if k:
+            pa = _binom_pmf_float(k, n, width + _PAIR_TERMS + 1)
+            pb = _binom_pmf_float(n - k, n, _PAIR_TERMS + 1)
+            jumps = np.correlate(pa, pb, mode="full")[len(pb):]
+            d_max = min(k, width)
+            row[1 : d_max + 1] = jumps[:d_max]
+        row[0] = 1.0 - math.fsum(row[1:].tolist())
+    band.setflags(write=False)
+    return band
+
+
+def _band_improvement(band: np.ndarray) -> list[float]:
+    """s_k = P[an accepted step moves from k], the row sum over d >= 1."""
+    return [math.fsum(row[1:].tolist()) for row in band]
+
+
+def _band_drift(band: np.ndarray) -> list[float]:
+    """The drift of each row: its first moment sum_d d p(k, k - d)."""
+    d = np.arange(band.shape[1], dtype=float)
+    return [math.fsum((d * row).tolist()) for row in band]
+
+
+class _BandRows(Sequence):
+    """Full kernel rows p(k, 0..k), expanded from a band on access."""
+
+    def __init__(self, band: np.ndarray):
+        self._band = band
+
+    def __len__(self) -> int:
+        return len(self._band)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        k = range(len(self))[k]
+        d_max = min(k, self._band.shape[1] - 1)
+        row = np.zeros(k + 1)
+        row[k - d_max :] = self._band[k, d_max::-1]
+        row.setflags(write=False)
+        return row
 
 
 def _kernel_row_rational(n: int, k: int) -> list[Fraction]:
@@ -246,7 +323,8 @@ def transition_prob(n: int, k: int, j: int, backend: str = FLOAT) -> Scalar:
         return Fraction(0) if backend == RATIONAL else 0.0
     if backend == RATIONAL:
         return _kernel_row_rational(n, k)[j]
-    return float(_kernel_row_float(n, k)[j])
+    band = _float_band(n, [k])[0]
+    return float(band[k - j]) if k - j < len(band) else 0.0
 
 
 def transition_tail(n: int, k: int, j: int, backend: str = FLOAT) -> Scalar:
@@ -259,7 +337,7 @@ def transition_tail(n: int, k: int, j: int, backend: str = FLOAT) -> Scalar:
         return Fraction(1) if backend == RATIONAL else 1.0
     if backend == RATIONAL:
         return sum(_kernel_row_rational(n, k)[: j + 1], Fraction(0))
-    return float(_kernel_row_float(n, k)[: j + 1].sum())
+    return math.fsum(_float_band(n, [k])[0, k - j :].tolist())
 
 
 @dataclass(frozen=True)
@@ -281,14 +359,17 @@ class DriftTable:
 class TransitionKernel:
     """Accepted-step law rows p(k, .) for k = 0..max_state.
 
-    ``rows[k]`` has length k + 1 and sums to one. Float rows are read-only
-    numpy vectors; rational rows are tuples of Fractions.
+    ``rows[k]`` has length k + 1 and sums to one. Rational rows are tuples of
+    Fractions. A float kernel is stored as ``band``, with band[k, d] =
+    p(k, k - d) for d = 0..D (see the module notes); its ``rows`` are
+    read-only numpy vectors expanded from the band on access.
     """
 
     n: int
     backend: str
     max_state: int
-    rows: tuple
+    rows: Sequence
+    band: np.ndarray | None = None
 
 
 def build_drift_table(
@@ -300,7 +381,16 @@ def build_drift_table(
     check_n(n)
     check_backend(backend)
     check_rational_cap(n, backend, rational_cap)
-    delta = tuple(drift(n, k, backend) for k in range(n + 1))
+    band = None if backend == RATIONAL else _float_band(n, range(n + 1))
+    return _drift_table(n, backend, band)
+
+
+def _drift_table(n: int, backend: str, band: np.ndarray | None) -> DriftTable:
+    """Drift table whose float drift column is the first moment of ``band``."""
+    if band is None:
+        delta = tuple(drift(n, k, RATIONAL) for k in range(n + 1))
+    else:
+        delta = tuple(_band_drift(band))
     delta_star = tuple(normalized_drift(n, k, backend) for k in range(n + 2))
     return DriftTable(n=n, backend=backend, delta=delta, delta_star=delta_star)
 
@@ -325,11 +415,8 @@ def build_kernel(
     _check_state(n, max_state, n)
     if backend == RATIONAL:
         rows = tuple(tuple(_kernel_row_rational(n, k)) for k in range(max_state + 1))
-    else:
-        frows = []
-        for k in range(max_state + 1):
-            r = _kernel_row_float(n, k)
-            r.setflags(write=False)
-            frows.append(r)
-        rows = tuple(frows)
-    return TransitionKernel(n=n, backend=backend, max_state=max_state, rows=rows)
+        return TransitionKernel(n=n, backend=backend, max_state=max_state, rows=rows)
+    band = _float_band(n, range(max_state + 1))
+    return TransitionKernel(
+        n=n, backend=backend, max_state=max_state, rows=_BandRows(band), band=band
+    )

@@ -29,17 +29,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+
+import numpy as np
 
 from .backends import (
     DEFAULT_RATIONAL_CAP,
     FLOAT,
+    DomainError,
     RATIONAL,
     Scalar,
     check_backend,
     check_n,
     check_rational_cap,
 )
-from .drift import DriftTable, TransitionKernel, _kernel_row_float, drift
+from .drift import (
+    DriftTable,
+    TransitionKernel,
+    _band_drift,
+    _band_improvement,
+    build_kernel,
+    drift,
+)
 
 __all__ = [
     "CORRIDOR_C1",
@@ -73,7 +84,7 @@ def harmonic(m: int) -> float:
     is below 1/(252 m^6), far under double precision there.
     """
     if m < 0:
-        raise ValueError(f"harmonic number needs m >= 0, got {m}")
+        raise DomainError(f"harmonic number needs m >= 0, got {m}")
     if m <= 10**6:
         return math.fsum(1.0 / i for i in range(1, m + 1))
     from .asymptotics import EULER_GAMMA
@@ -87,27 +98,50 @@ def harmonic(m: int) -> float:
     )
 
 
-def _profile_from_parts(n: int, backend: str, rows, delta) -> HittingProfile:
-    up_to = len(rows) - 1
-    if backend == RATIONAL:
+def _harmonic_prefix(m: int) -> list[float]:
+    """H_0..H_m by one compensated running sum, each within an ulp or two."""
+    out = [0.0]
+    total = carry = 0.0
+    for i in range(1, m + 1):
+        term = 1.0 / i
+        step = total + term
+        carry += (total - step) + term  # exact: total >= term after i = 1
+        total = step
+        out.append(total + carry)
+    return out
+
+
+def _inverse_drift_prefix(delta, backend: str) -> list:
+    """q(k) = sum_{j=1..k} 1/delta(j) for every k of a drift column."""
+    zero = Fraction(0) if backend == RATIONAL else 0.0
+    return list(accumulate((1 / d for d in delta[1:]), initial=zero))
+
+
+def _band_hitting_times(band: np.ndarray) -> list[float]:
+    """g(k) from the band recurrence of order D, one compensated sum per row."""
+    improve = _band_improvement(band)
+    width = band.shape[1] - 1
+    g = np.zeros(len(band))
+    for k in range(1, len(band)):
+        d_max = min(k - 1, width)
+        hit = math.fsum((band[k, 1 : d_max + 1] * g[k - d_max : k][::-1]).tolist())
+        g[k] = (1.0 + hit) / improve[k]
+    return g.tolist()
+
+
+def _profile_from_parts(kernel: TransitionKernel, delta) -> HittingProfile:
+    up_to = kernel.max_state
+    if kernel.backend == RATIONAL:
         g: list = [Fraction(0)]
-        q: list = [Fraction(0)]
         for k in range(1, up_to + 1):
-            row = rows[k]
+            row = kernel.rows[k]
             denom = sum(row[:k])
             hit = sum(row[j] * g[j] for j in range(1, k))
             g.append((1 + hit) / denom)
-            q.append(q[-1] + 1 / delta[k])
     else:
-        g = [0.0]
-        q = [0.0]
-        for k in range(1, up_to + 1):
-            row = rows[k]
-            denom = math.fsum(row[:k])
-            hit = math.fsum(row[j] * g[j] for j in range(1, k))
-            g.append((1.0 + hit) / denom)
-            q.append(q[-1] + 1.0 / delta[k])
-    return HittingProfile(n=n, backend=backend, g=tuple(g), q=tuple(q))
+        g = _band_hitting_times(kernel.band)
+    q = _inverse_drift_prefix(delta[: up_to + 1], kernel.backend)
+    return HittingProfile(n=kernel.n, backend=kernel.backend, g=tuple(g), q=tuple(q))
 
 
 def hitting_profile(kernel: TransitionKernel, drift_table: DriftTable) -> HittingProfile:
@@ -117,17 +151,15 @@ def hitting_profile(kernel: TransitionKernel, drift_table: DriftTable) -> Hittin
     denominators of the inverse-drift sums.
     """
     if kernel.n != drift_table.n:
-        raise ValueError(
+        raise DomainError(
             f"kernel has n = {kernel.n} but drift table has n = {drift_table.n}"
         )
     if kernel.backend != drift_table.backend:
-        raise ValueError(
+        raise DomainError(
             f"kernel backend {kernel.backend!r} does not match "
             f"drift table backend {drift_table.backend!r}"
         )
-    return _profile_from_parts(
-        kernel.n, kernel.backend, kernel.rows, drift_table.delta
-    )
+    return _profile_from_parts(kernel, drift_table.delta)
 
 
 def runtime_profile(
@@ -140,8 +172,9 @@ def runtime_profile(
 
     Equivalent to composing :func:`~onemax_runtime.drift.build_kernel` and
     :func:`~onemax_runtime.drift.build_drift_table` with
-    :func:`hitting_profile`, but stops at ``up_to`` (default n), which keeps
-    sweeps over many problem sizes quadratic per size.
+    :func:`hitting_profile`, but stops at ``up_to`` (default n). The float
+    drift column is the first moment of the kernel band, so the work is
+    O(up_to D) for the band width D.
     """
     check_n(n)
     check_backend(backend)
@@ -149,21 +182,19 @@ def runtime_profile(
     if up_to is None:
         up_to = n
     if up_to < 0 or up_to > n:
-        raise ValueError(f"up_to = {up_to} outside [0, {n}]")
+        raise DomainError(f"up_to = {up_to} outside [0, {n}]")
+    kernel = build_kernel(n, backend, max_state=up_to, rational_cap=rational_cap)
     if backend == RATIONAL:
-        from .drift import _kernel_row_rational
-
-        rows = [tuple(_kernel_row_rational(n, k)) for k in range(up_to + 1)]
+        delta = [drift(n, k, RATIONAL) for k in range(up_to + 1)]
     else:
-        rows = [_kernel_row_float(n, k) for k in range(up_to + 1)]
-    delta = [drift(n, k, backend) for k in range(up_to + 1)]
-    return _profile_from_parts(n, backend, rows, delta)
+        delta = _band_drift(kernel.band)
+    return _profile_from_parts(kernel, delta)
 
 
 def inverse_drift_sum(drift_table: DriftTable, k0: int) -> Scalar:
     """q(k0) = sum_{j=1..k0} 1/delta(j) from a prebuilt drift table."""
     if k0 < 0 or k0 > drift_table.n:
-        raise ValueError(f"start k0 = {k0} outside [0, {drift_table.n}]")
+        raise DomainError(f"start k0 = {k0} outside [0, {drift_table.n}]")
     if drift_table.backend == RATIONAL:
         return sum((1 / drift_table.delta[j] for j in range(1, k0 + 1)), Fraction(0))
     return math.fsum(1.0 / drift_table.delta[j] for j in range(1, k0 + 1))
@@ -179,9 +210,9 @@ def closed_form_g(n: int, k: int) -> Fraction:
     """
     check_n(n)
     if k not in (0, 1, 2, 3):
-        raise ValueError(f"closed forms exist for starts 0..3, got k = {k}")
+        raise DomainError(f"closed forms exist for starts 0..3, got k = {k}")
     if k == 3 and n < 3:
-        raise ValueError(f"start k = 3 needs n >= 3, got n = {n}")
+        raise DomainError(f"start k = 3 needs n >= 3, got n = {n}")
     if k == 0:
         return Fraction(0)
     pf = Fraction(n, n - 1) ** n

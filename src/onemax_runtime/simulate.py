@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import check_n, thread_map
+from .backends import DomainError, check_n, thread_map
 
 __all__ = [
     "CHUNK_SIZE",
@@ -76,19 +76,19 @@ class SimConfig:
         if isinstance(self.start, bool) or (
             isinstance(self.start, int) and not 0 <= self.start <= self.n
         ):
-            raise ValueError(f"start {self.start!r} outside [0, {self.n}]")
+            raise DomainError(f"start {self.start!r} outside [0, {self.n}]")
         if isinstance(self.start, str) and self.start != UNIFORM_START:
-            raise ValueError(f"start must be an integer or 'uniform', got {self.start!r}")
+            raise DomainError(f"start must be an integer or 'uniform', got {self.start!r}")
         if not isinstance(self.start, (int, str)):
-            raise ValueError(f"start must be an integer or 'uniform', got {self.start!r}")
+            raise DomainError(f"start must be an integer or 'uniform', got {self.start!r}")
         if self.replicates < 1:
-            raise ValueError(f"replicates must be positive, got {self.replicates}")
+            raise DomainError(f"replicates must be positive, got {self.replicates}")
         if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit an unsigned 64-bit integer, got {self.seed}")
+            raise DomainError(f"seed must fit an unsigned 64-bit integer, got {self.seed}")
         if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
+            raise DomainError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
+            raise DomainError(f"max_iters must be positive, got {self.max_iters}")
 
 
 @dataclass(frozen=True)

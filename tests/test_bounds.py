@@ -3,8 +3,10 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+import onemax_runtime.bounds as bounds_mod
 from onemax_runtime import (
     build_drift_table,
     build_kernel,
@@ -12,6 +14,24 @@ from onemax_runtime import (
     eta_star,
     verify_inequalities,
 )
+from onemax_runtime.backends import pow_base
+
+
+def full_row_float(n, k):
+    """Kernel row p(k, 0..k) from untruncated float flip-count pmfs."""
+
+    def pmf(m):
+        out = np.empty(m + 1)
+        out[0] = pow_base(1.0 - 1.0 / n, m)
+        i = np.arange(1.0, m + 1)
+        out[1:] = out[0] * np.cumprod((m - i + 1.0) / (i * (n - 1.0)))
+        return out
+
+    pa, pb = pmf(k), pmf(n - k)
+    jumps = np.correlate(pa, pb, mode="full")[len(pb) - 1 :]
+    row = jumps[::-1].copy()
+    row[k] = 1.0 - row[:k].sum()
+    return row
 
 ALL_CHECK_IDS = {
     "delta-diff-lower",
@@ -135,6 +155,41 @@ def test_equality_points_survive_float_noise():
             rec = report.check(cid)
             assert rec.passed, rec
             assert abs(rec.observed) < 1e-12
+
+
+def test_tail_factorial_covers_every_positive_tail(monkeypatch):
+    """The band evaluates the same (k, l) pairs as full rows: all with a
+    positive tail P[step from k drops at least l]."""
+    n = 128
+    expected = 0
+    for k in range(1, n + 1):
+        cums = np.cumsum(full_row_float(n, k))
+        expected += sum(1 for l in range(1, k + 1) if cums[k - l] > 0.0)
+
+    seen = {}
+    decide = bounds_mod._decide
+
+    def spy(check, *args):
+        seen[check.check_id] = len(check.values)
+        return decide(check, *args)
+
+    monkeypatch.setattr(bounds_mod, "_decide", spy)
+    report = verify_inequalities(n)
+    assert seen["tail-factorial"] == expected
+    assert report.check("tail-factorial").passed
+
+
+def test_eta_matches_full_row_sum():
+    n = 40
+    kern = build_kernel(n)
+    table = build_drift_table(n)
+    q = [0.0]
+    for k in range(1, n + 1):
+        q.append(q[-1] + 1.0 / table.delta[k])
+    for k in range(1, n + 1):
+        row = full_row_float(n, k)
+        expected = math.fsum(row[l] * (q[k] - q[l]) for l in range(k))
+        assert eta(kern, table, k) == pytest.approx(expected, rel=1e-14)
 
 
 def test_records_expose_auditable_slack():

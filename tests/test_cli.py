@@ -1,11 +1,17 @@
 """Command-line contract: schemas, rendering, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from onemax_runtime.backends import NumericError
 from onemax_runtime.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 DRIFT2_RATIONAL = """\
 k,delta,delta_star,lower_bound,upper_bound
@@ -222,6 +228,41 @@ def test_numeric_error_exit_code(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "bounds", "8")
     assert code == 1
     assert "numeric error" in err
+
+
+def test_internal_value_error_exits_1(monkeypatch, capsys):
+    import onemax_runtime.cli as cli_mod
+
+    def boom(n, backend):
+        raise ValueError("synthetic internal fault")
+
+    monkeypatch.setattr(cli_mod, "verify_inequalities", boom)
+    code, _, err = run_cli(capsys, "bounds", "8")
+    assert code == 1
+    assert "synthetic internal fault" in err
+
+
+def test_exact_values_beyond_the_int_digit_limit(capsys):
+    """Denominators of g at n = 64 from the full start exceed 4300 digits."""
+    reference = ROOT / "perfbench" / "reference" / "runtime_64_start64_rational.out"
+    code, out, err = run_cli(capsys, "runtime", "64", "--start", "64", "--backend", "rational")
+    assert code == 0, err
+    assert out == reference.read_text()
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "onemax_runtime", "runtime", "16"],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().split("\n")
+    assert lines[0] == "n,k,g_exact,q_sum,q_minus_c1_logn,q_minus_c2_logn,in_corridor"
+    assert lines[1].startswith("16,8,")
 
 
 def test_unknown_subcommand_exits_2():

@@ -1,6 +1,7 @@
 """Drift values, transition kernel, and the identities tying them together."""
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -13,10 +14,27 @@ from onemax_runtime import (
     drift,
     normalized_drift,
     normalized_drift_gf,
+    runtime_profile,
     transition_prob,
     transition_tail,
 )
 from onemax_runtime.backends import pow_base
+
+
+def float_pmf(m, n):
+    """Pmf of Bin(m, 1/n), all m + 1 terms, by the float ratio recurrence."""
+    out = np.empty(m + 1)
+    out[0] = pow_base(1.0 - 1.0 / n, m)
+    i = np.arange(1.0, m + 1)
+    out[1:] = out[0] * np.cumprod((m - i + 1.0) / (i * (n - 1.0)))
+    return out
+
+
+def full_jump_row(n, k):
+    """jumps[d] = p(k, k - d) for d = 1..k from untruncated flip-count pmfs."""
+    pa = float_pmf(k, n)
+    pb = float_pmf(n - k, n)
+    return np.correlate(pa, pb, mode="full")[len(pb) - 1 :]
 
 
 def brute_kernel_row(n, k):
@@ -176,6 +194,30 @@ def test_rational_cap_enforced():
 
 def test_normalized_drift_allows_n_plus_one():
     assert normalized_drift(5, 6, "rational") == F(6, 5) ** 5 * F(6, 5)
+
+
+@pytest.mark.parametrize("n", [8, 64, 512])
+def test_band_matches_full_rows(n):
+    """Band entries equal full rows to 1e-13 relative (absolutely below the
+    smallest normal double), and nothing outside the band is positive."""
+    band = build_kernel(n).band
+    width = band.shape[1] - 1
+    tiny = np.finfo(float).tiny
+    for k in range(1, n + 1):
+        full = full_jump_row(n, k)
+        d_max = min(k, width)
+        np.testing.assert_allclose(band[k, 1 : d_max + 1], full[1 : d_max + 1], rtol=1e-13, atol=tiny)
+        assert not band[k, d_max + 1 :].any()
+        dropped = math.fsum(full[width + 1 :].tolist())
+        assert dropped <= 2.0**-60 * math.fsum(full[1:].tolist())
+        assert not full[width + 1 :].any()
+        assert band[k, 0] == pytest.approx(1.0 - math.fsum(full[1:].tolist()), abs=1e-15)
+
+
+def test_band_recurrence_matches_exact_hitting_time():
+    n, half = 94, 47
+    exact = runtime_profile(n, "rational", up_to=half, rational_cap=n).g[half]
+    assert abs(runtime_profile(n, up_to=half).g[half] / float(exact) - 1) < 1e-14
 
 
 def test_pow_base_accuracy():

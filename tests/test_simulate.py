@@ -1,6 +1,7 @@
 """Monte Carlo engines: law, determinism, truncation accounting."""
 
 import math
+import os
 from math import comb
 
 import numpy as np
@@ -16,6 +17,7 @@ from onemax_runtime import (
     step_bitstring,
     step_statechain,
 )
+from onemax_runtime.backends import THREADS_ENV_VAR, DomainError, worker_count
 
 
 def test_default_budget_formula():
@@ -77,6 +79,21 @@ def test_run_is_deterministic_and_thread_invariant():
     assert s1 == s2
     s3, t3 = run(SimConfig(n=15, start=7, replicates=3 * 8192 + 17, seed=100))
     assert not (t1 == t3).all()
+
+
+def test_worker_count_is_bounded_by_tasks_and_cores(monkeypatch):
+    cores = os.cpu_count() or 1
+    assert worker_count(10**6, 3) == min(3, cores)
+    assert worker_count(10**6, 10**6) == cores
+    assert worker_count(1, 50) == 1
+    assert worker_count(4, 0) == 1
+    monkeypatch.setenv(THREADS_ENV_VAR, str(10**6))
+    assert worker_count(None, 2) == min(2, cores)
+    with pytest.raises(DomainError):
+        worker_count(0, 5)
+    monkeypatch.setenv(THREADS_ENV_VAR, "many")
+    with pytest.raises(DomainError):
+        worker_count(None, 5)
 
 
 def test_fixed_start_mean_matches_exact_expectation():
