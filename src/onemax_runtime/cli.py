@@ -7,7 +7,8 @@ Six subcommands cover the library end to end:
 * ``bounds``   the full inequality verification report,
 * ``asym``     expansion values and closed-form runtime estimates,
 * ``figures``  the two standard diagnostic grids as flat tables,
-* ``sim``      Monte Carlo runs of the actual algorithm.
+* ``sim``      Monte Carlo runs: the jump chain (default), the zero-count
+               chain step by step, or actual bit strings.
 
 Tables go to stdout (or ``--out``) as CSV or JSON; diagnostics go to stderr.
 Exit status: 0 on success, 2 on usage or domain errors (including rational
@@ -36,9 +37,9 @@ from .asymptotics import (
 )
 from .backends import BACKENDS, FLOAT, DomainError, NumericError
 from .bounds import verify_inequalities
-from .drift import build_drift_table, normalized_drift
+from .drift import _normalized_drift_float, build_drift_table
 from .hitting import CORRIDOR_C1, CORRIDOR_C2, runtime_profile
-from .simulate import ENGINE_STATECHAIN, ENGINES, UNIFORM_START, SimConfig, run
+from .simulate import ENGINE_JUMP, ENGINES, UNIFORM_START, SimConfig, run
 
 __all__ = ["main"]
 
@@ -225,8 +226,8 @@ def _cmd_asym(args) -> None:
         k_hi = math.floor((1 - eps) * n)
         if k_hi < 1:
             raise DomainError(f"eps = {eps} leaves no valid state for n = {n}")
-        for k in range(1, k_hi + 1):
-            exact = normalized_drift(n, k)
+        column = _normalized_drift_float(n, range(1, k_hi + 1))
+        for k, exact in enumerate(column, start=1):
             approx = expansion_delta_star(n, k, order=args.order, eps=eps)
             rows.append(
                 (
@@ -402,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", default=UNIFORM_START, metavar="fixed:K|uniform")
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--engine", choices=ENGINES, default=ENGINE_STATECHAIN)
+    p.add_argument("--engine", choices=ENGINES, default=ENGINE_JUMP)
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--threads", type=int, default=None, metavar="N")
     p.add_argument(

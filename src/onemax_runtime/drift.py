@@ -44,6 +44,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -168,21 +169,42 @@ def normalized_drift(n: int, k: int, backend: str = FLOAT) -> Scalar:
                 inner += (l - j) * v
             total += u * inner
         return total
-    u = np.empty(k + 1)
-    u[0] = 1.0
-    if k:
-        i = np.arange(1.0, k + 1)
-        u[1:] = np.cumprod((k - i + 1.0) / (i * n))
-    v = np.empty(m + 1)
-    v[0] = 1.0
-    if m:
-        j = np.arange(1.0, m + 1)
-        v[1:] = np.cumprod((m - j + 1.0) / (j * n))
-    cv0 = np.cumsum(v)
-    cv1 = np.cumsum(v * np.arange(len(v)))
-    l = np.arange(1, k + 1)
-    idx = np.minimum(l - 1, m)
-    return float(np.dot(u[1:], l * cv0[idx] - cv1[idx]))
+    return _normalized_drift_float(n, [k])[0]
+
+
+# States per block of the vectorized normalized drift: bounds its scratch
+# arrays at a few MB for any n.
+_DRIFT_BLOCK = 512
+
+
+def _normalized_drift_float(n: int, states: Sequence[int]) -> list[float]:
+    """Float normalized drift of each state in ``states`` (all in 1..n + 1).
+
+    With u_l = C(k, l) n^-l and v_j = C(m, j) n^-j, m = n + 1 - k, the value
+    is sum_l u_l (l cv0[l-1] - cv1[l-1]) over the prefix sums cv0, cv1 of v_j
+    and j v_j, j <= m. Both sequences decay like x^l / l! with
+    x <= (n + 1)/(n - 1), so past the band width for state n + 1 their
+    cumulative products are exact zeros: they are cut there, which leaves
+    every value bit for bit as the full O(n) sums give it. Blocks of states
+    run as 2-D cumulative products, which are sequential along each row; the
+    final sum stays one dot product per state, cut to the state's own length,
+    so its summation order is that of the single-state sum.
+    """
+    width = _band_width(n, n + 1)
+    i = np.arange(1.0, width + 1)
+    out = []
+    for lo in range(0, len(states), _DRIFT_BLOCK):
+        ks = np.asarray(states[lo : lo + _DRIFT_BLOCK], dtype=float)[:, None]
+        m = n + 1.0 - ks
+        u = np.cumprod((ks - i + 1.0) / (i * n), axis=1)
+        v = np.ones((len(ks), width))
+        v[:, 1:] = np.cumprod((m - i[:-1] + 1.0) / (i[:-1] * n), axis=1)
+        # v_j is an exact (signed) zero for j > m, so the prefix sums stop at m.
+        terms = i * np.cumsum(v, axis=1) - np.cumsum(v * (i - 1.0), axis=1)
+        for row_u, row_t, k in zip(u, terms, ks[:, 0].astype(int).tolist()):
+            size = min(k, width)
+            out.append(float(np.dot(row_u[:size], row_t[:size])))
+    return out
 
 
 def _poly_mul(a: list[Fraction], b: list[Fraction], cap: int) -> list[Fraction]:
@@ -225,6 +247,7 @@ def normalized_drift_gf(n: int, k: int) -> Fraction:
 _PAIR_TERMS = 40
 
 
+@lru_cache(maxsize=256)
 def _band_width(n: int, max_state: int) -> int:
     """Smallest D such that every p(k, k-d) with d > D, k <= max_state, is 0.0.
 
@@ -389,9 +412,10 @@ def _drift_table(n: int, backend: str, band: np.ndarray | None) -> DriftTable:
     """Drift table whose float drift column is the first moment of ``band``."""
     if band is None:
         delta = tuple(drift(n, k, RATIONAL) for k in range(n + 1))
+        delta_star = tuple(normalized_drift(n, k, RATIONAL) for k in range(n + 2))
     else:
         delta = tuple(_band_drift(band))
-    delta_star = tuple(normalized_drift(n, k, backend) for k in range(n + 2))
+        delta_star = (0.0, *_normalized_drift_float(n, range(1, n + 2)))
     return DriftTable(n=n, backend=backend, delta=delta, delta_star=delta_star)
 
 

@@ -1,36 +1,62 @@
 """Monte Carlo reference: actually run the (1+1) EA on OneMax.
 
-Two engines produce the same law by different routes. The bitstring engine
-keeps real bit vectors and flips each bit with probability 1/n; the state
-chain engine samples only the two flip counts (zeros flipped, ones flipped)
-per step, which is the marginal the analysis works with. Agreement between
-them, and with the exact kernel, is what the equivalence tests check.
+Three engines produce the same law by different routes:
+
+* ``bitstring`` keeps real bit vectors and flips each bit with probability
+  1/n: the algorithm itself, one vectorized round per mutation step;
+* ``statechain`` samples only the two flip counts (zeros flipped, ones
+  flipped) per step, which is the marginal the analysis works with, again
+  one round per mutation step;
+* ``jump`` (the default) runs once per accepted improvement. It uses the
+  first-accepted-jump decomposition behind the hitting-time recurrence: from
+  state k the chain waits a Geometric(s_k) number of steps, s_k the
+  probability that a step moves, then jumps to k - d with probability
+  p(k, k - d) / s_k. Both laws are read from the float kernel band
+  (``drift._float_band``), so a run costs about k0 rounds instead of about
+  e n ln n.
+
+Agreement between the engines, and with the exact kernel and hitting times,
+is what the equivalence tests check; the two per-step engines stay as
+independent checks of the jump engine.
+
+The jump engine's conditional jump law is stored as one sorted array: row k
+holds k + P[jump <= d | move] for d = 1..D, so a single ``searchsorted`` of
+k + u places every lane in its own row. The offset k costs the row's
+cumulative probabilities the low bits of their mantissa, so jump
+probabilities are resolved to about k 2^-53, far below what any feasible
+number of replicates can see.
 
 Replicates are processed in fixed chunks of 8192, each chunk driven by its
 own counter-based Philox stream spawned from the seed. The chunk layout is
 part of the contract: results are byte-identical for a given (seed, n,
 start, engine, replicates, max_iters) regardless of how chunks are scheduled,
-and within a chunk everything is vectorized.
+and within a chunk everything is vectorized. A uniform start has Bin(n, 1/2)
+zero bits: the bitstring engine draws every bit, the other two engines draw
+the count with the same call.
 
 Runs that have not hit the optimum after ``max_iters`` steps are recorded at
-``max_iters`` and counted in ``truncated``; truncation is data, not an
-exception, but a nonzero count means the mean is biased low and the
-experiment should be redone with a larger budget. The default budget
-100 e n (log n + 1) makes truncation astronomically unlikely.
+``max_iters`` and counted in ``truncated``; a run that hits it at exactly
+``max_iters`` steps is not truncated. Truncation is data, not an exception,
+but a nonzero count means the mean is biased low and the experiment should
+be redone with a larger budget. The default budget 100 e n (log n + 1) makes
+truncation astronomically unlikely.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .backends import DomainError, check_n, thread_map
+from .drift import _band_improvement, _float_band
 
 __all__ = [
     "CHUNK_SIZE",
     "ENGINE_BITSTRING",
+    "ENGINE_JUMP",
     "ENGINE_STATECHAIN",
     "UNIFORM_START",
     "SimConfig",
@@ -45,7 +71,8 @@ CHUNK_SIZE = 8192
 
 ENGINE_BITSTRING = "bitstring"
 ENGINE_STATECHAIN = "statechain"
-ENGINES = (ENGINE_BITSTRING, ENGINE_STATECHAIN)
+ENGINE_JUMP = "jump"
+ENGINES = (ENGINE_BITSTRING, ENGINE_STATECHAIN, ENGINE_JUMP)
 
 UNIFORM_START = "uniform"
 
@@ -68,7 +95,7 @@ class SimConfig:
     start: int | str
     replicates: int
     seed: int
-    engine: str = ENGINE_STATECHAIN
+    engine: str = ENGINE_JUMP
     max_iters: int | None = None
 
     def __post_init__(self) -> None:
@@ -130,13 +157,16 @@ def step_statechain(n: int, k: int, rng: np.random.Generator) -> int:
     return k
 
 
+def _start_states(n: int, start: int | str, m: int, rng: np.random.Generator) -> np.ndarray:
+    if start == UNIFORM_START:
+        return rng.binomial(n, 0.5, size=m).astype(np.int64)
+    return np.full(m, start, dtype=np.int64)
+
+
 def _chunk_statechain(
     n: int, start: int | str, m: int, rng: np.random.Generator, max_iters: int
 ) -> tuple[np.ndarray, int]:
-    if start == UNIFORM_START:
-        k = rng.binomial(n, 0.5, size=m).astype(np.int64)
-    else:
-        k = np.full(m, start, dtype=np.int64)
+    k = _start_states(n, start, m, rng)
     times = np.full(m, max_iters, dtype=np.int64)
     idx = np.nonzero(k > 0)[0]
     times[k == 0] = 0
@@ -156,6 +186,60 @@ def _chunk_statechain(
             idx = idx[keep]
             k = k[keep]
     return times, int(idx.size)
+
+
+@dataclass(frozen=True)
+class _JumpTables:
+    """The jump chain of states 0..kmax, read from the float kernel band.
+
+    ``improve[k]`` is s_k. ``cdf`` is flat with ``width`` entries per state:
+    entry k * width + d - 1 is k + P[jump <= d | move from k] for d = 1..width,
+    and every row ends at exactly k + 1, so the array is sorted and a value in
+    [k, k + 1] falls into row k.
+    """
+
+    improve: np.ndarray
+    cdf: np.ndarray
+    width: int
+
+
+def _jump_tables(n: int, kmax: int) -> _JumpTables:
+    band = _float_band(n, range(kmax + 1))
+    cdf = np.cumsum(band[:, 1:], axis=1)
+    cdf[0] = 1.0  # state 0 never moves; the row only keeps the array sorted
+    cdf /= cdf[:, -1:]
+    cdf += np.arange(kmax + 1)[:, None]
+    return _JumpTables(np.array(_band_improvement(band)), cdf.ravel(), band.shape[1] - 1)
+
+
+def _chunk_jump(
+    tables: _JumpTables,
+    n: int,
+    start: int | str,
+    m: int,
+    rng: np.random.Generator,
+    max_iters: int,
+) -> tuple[np.ndarray, int]:
+    k = _start_states(n, start, m, rng)
+    times = np.full(m, max_iters, dtype=np.int64)
+    idx = np.nonzero(k > 0)[0]
+    times[k == 0] = 0
+    k = k[idx]
+    t = np.zeros(idx.size, dtype=np.int64)
+    truncated = 0
+    while idx.size:
+        t += rng.geometric(tables.improve[k])
+        row = k * tables.width
+        pos = np.searchsorted(tables.cdf, k + rng.random(k.size))
+        # u rounding k + u down to k lands on the last entry of row k - 1.
+        k = k - 1 - np.maximum(pos - row, 0)
+        over = t > max_iters
+        done = (k == 0) & ~over
+        times[idx[done]] = t[done]
+        truncated += int(over.sum())
+        keep = ~(over | done)
+        idx, k, t = idx[keep], k[keep], t[keep]
+    return times, truncated
 
 
 def _chunk_bitstring(
@@ -202,7 +286,13 @@ def run(config: SimConfig, threads: int | None = 1) -> tuple[RunStats, np.ndarra
     n = config.n
     reps = config.replicates
     max_iters = config.max_iters if config.max_iters is not None else default_max_iters(n)
-    chunk_fn = _chunk_bitstring if config.engine == ENGINE_BITSTRING else _chunk_statechain
+    if config.engine == ENGINE_JUMP:
+        kmax = n if config.start == UNIFORM_START else config.start
+        chunk_fn = partial(_chunk_jump, _jump_tables(n, kmax))
+    elif config.engine == ENGINE_BITSTRING:
+        chunk_fn = _chunk_bitstring
+    else:
+        chunk_fn = _chunk_statechain
     nchunks = (reps + CHUNK_SIZE - 1) // CHUNK_SIZE
     streams = np.random.SeedSequence(config.seed).spawn(nchunks)
 

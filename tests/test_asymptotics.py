@@ -4,6 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+import scipy.integrate
 import scipy.special
 
 from onemax_runtime import (
@@ -27,6 +28,7 @@ from onemax_runtime import (
     t1,
     t2,
 )
+from onemax_runtime.asymptotics import _c0_integrand
 
 
 @pytest.mark.parametrize("nu", [0, 1])
@@ -72,6 +74,16 @@ def test_constants():
     assert C2_ET == 0.59789875
     assert EULER_GAMMA == pytest.approx(0.5772156649015329, rel=1e-15)
     assert CORRECTION_SERIES_COEFFS == (F(1, 2), F(9, 8), F(31, 16))
+
+
+def test_constant_c0_matches_adaptive_quadrature():
+    """Fixed Gauss-Legendre against scipy's adaptive quad (a test-only reference)."""
+    val, _ = scipy.integrate.quad(
+        _c0_integrand, 0.0, 0.5, epsabs=1e-13, epsrel=1e-13, limit=200
+    )
+    assert abs(constant_c0() - (EULER_GAMMA - math.log(2.0) + val)) <= 1e-14
+    # The same integral in 30-digit arithmetic (mpmath quad over the series).
+    assert abs(constant_c0() - -0.696227215489845461683966987236) <= 2e-16
 
 
 def test_expansion_orders_improve():

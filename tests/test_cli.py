@@ -1,6 +1,7 @@
 """Command-line contract: schemas, rendering, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -176,6 +177,24 @@ def test_sim_rerun_is_byte_identical(capsys):
     assert first == threaded
 
 
+def test_sim_default_engine_is_jump(capsys):
+    argv = ("sim", "--n", "20", "--start", "fixed:10", "--reps", "3000", "--seed", "4")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    default = json.loads(out)
+    assert default["engine"] == "jump"
+    _, explicit, _ = run_cli(capsys, *argv, "--engine", "jump")
+    assert explicit == out
+    code, out, _ = run_cli(capsys, *argv, "--engine", "statechain")
+    assert code == 0
+    chain = json.loads(out)
+    assert chain["engine"] == "statechain"
+    assert chain["samples"] == 3000
+    assert abs(default["mean"] - chain["mean"]) <= 5 * math.hypot(
+        default["std_error"], chain["std_error"]
+    )
+
+
 def test_sim_samples_out(tmp_path, capsys):
     path = tmp_path / "samples.csv"
     code, _, _ = run_cli(
@@ -250,15 +269,20 @@ def test_exact_values_beyond_the_int_digit_limit(capsys):
     assert out == reference.read_text()
 
 
-def test_python_dash_m_runs_the_cli():
+def _run_python(*args):
+    """A fresh interpreter with this checkout's source first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "onemax_runtime", "runtime", "16"],
+    return subprocess.run(
+        [sys.executable, *args],
         env=env, capture_output=True, text=True, timeout=120, check=False,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _run_python("-m", "onemax_runtime", "runtime", "16")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().split("\n")
     assert lines[0] == "n,k,g_exact,q_sum,q_minus_c1_logn,q_minus_c2_logn,in_corridor"
@@ -269,3 +293,14 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_package_import_does_not_load_scipy():
+    """scipy is a test-only dependency: neither the import nor C0 loads it."""
+    proc = _run_python(
+        "-c",
+        "import sys; import onemax_runtime as om; print('scipy' in sys.modules); "
+        "om.constant_c0(); print('scipy' in sys.modules)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]

@@ -117,6 +117,31 @@ def test_float_matches_rational_to_1e13():
             assert abs(normalized_drift(n, k) / float(exact) - 1) < 1e-13
 
 
+def full_normalized_drift(n, k):
+    """The float normalized drift by its full O(n) sums, no cut."""
+    m = n + 1 - k
+    u = np.cumprod((k - np.arange(1.0, k + 1) + 1.0) / (np.arange(1.0, k + 1) * n))
+    v = np.ones(m + 1)
+    j = np.arange(1.0, m + 1)
+    v[1:] = np.cumprod((m - j + 1.0) / (j * n))
+    cv0 = np.cumsum(v)
+    cv1 = np.cumsum(v * np.arange(m + 1))
+    l = np.arange(1, k + 1)
+    idx = np.minimum(l - 1, m)
+    return float(np.dot(u, l * cv0[idx] - cv1[idx]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 512])
+def test_cut_normalized_drift_column_is_bit_identical_to_full_sums(n):
+    """Terms past the band width are exact zeros, so the cut changes nothing."""
+    column = build_drift_table(n).delta_star
+    assert column[0] == 0.0
+    for k in range(1, n + 2):
+        full = full_normalized_drift(n, k)
+        assert column[k] == full
+        assert normalized_drift(n, k) == full
+
+
 def test_kernel_rows_sum_to_one():
     kern = build_kernel(9, "rational")
     for row in kern.rows:

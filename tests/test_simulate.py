@@ -1,5 +1,6 @@
 """Monte Carlo engines: law, determinism, truncation accounting."""
 
+import dataclasses
 import math
 import os
 from math import comb
@@ -9,6 +10,8 @@ import pytest
 import scipy.stats
 
 from onemax_runtime import (
+    ENGINE_JUMP,
+    ENGINE_STATECHAIN,
     SimConfig,
     build_kernel,
     default_max_iters,
@@ -18,6 +21,7 @@ from onemax_runtime import (
     step_statechain,
 )
 from onemax_runtime.backends import THREADS_ENV_VAR, DomainError, worker_count
+from onemax_runtime.simulate import ENGINES
 
 
 def test_default_budget_formula():
@@ -142,6 +146,89 @@ def test_stats_shape():
     assert stats.samples == 2500 == samples.size
     assert stats.min <= stats.mean <= stats.max
     assert stats.std_error > 0
+
+
+def test_jump_mean_matches_exact_expectation():
+    n, k, reps = 30, 15, 40000
+    stats, _ = run(SimConfig(n=n, start=k, replicates=reps, seed=31, engine=ENGINE_JUMP))
+    g = float(runtime_profile(n, up_to=k).g[k])
+    assert stats.truncated == 0
+    assert abs(stats.mean - g) <= 5 * stats.std_error
+
+
+def test_jump_uniform_start_matches_binomial_mixture():
+    n, reps = 24, 60000
+    cfg = SimConfig(n=n, start="uniform", replicates=reps, seed=32, engine=ENGINE_JUMP)
+    stats, _ = run(cfg)
+    prof = runtime_profile(n)
+    mixture = sum(comb(n, k) * 2.0**-n * float(prof.g[k]) for k in range(n + 1))
+    assert stats.truncated == 0
+    assert abs(stats.mean - mixture) <= 5 * stats.std_error
+
+
+def test_jump_agrees_with_statechain():
+    cfg = SimConfig(n=20, start="uniform", replicates=30000, seed=33, engine=ENGINE_JUMP)
+    sj, _ = run(cfg)
+    ss, _ = run(dataclasses.replace(cfg, engine=ENGINE_STATECHAIN))
+    joint = math.hypot(sj.std_error, ss.std_error)
+    assert abs(sj.mean - ss.mean) <= 5 * joint
+
+
+def test_jump_hitting_time_law_matches_kernel():
+    """The whole distribution of T, not just its mean, against the exact chain."""
+    n, k, reps = 6, 5, 200000
+    _, samples = run(SimConfig(n=n, start=k, replicates=reps, seed=34, engine=ENGINE_JUMP))
+    rows = build_kernel(n).rows
+    dist = np.zeros(k + 1)
+    dist[k] = 1.0
+    pmf = []
+    for _ in range(samples.max()):
+        nxt = np.zeros(k + 1)
+        for j in range(1, k + 1):
+            nxt[: j + 1] += dist[j] * np.asarray(rows[j])
+        pmf.append(nxt[0])
+        nxt[0] = 0.0
+        dist = nxt
+    expected = np.array(pmf) * reps
+    counts = np.bincount(samples, minlength=len(pmf) + 1)[1:]
+    keep = expected >= 10
+    merged_obs = np.append(counts[keep], counts[~keep].sum())
+    merged_exp = np.append(expected[keep], reps - expected[keep].sum())
+    assert scipy.stats.chisquare(merged_obs, merged_exp).pvalue > 1e-4
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_every_engine_is_thread_invariant(engine):
+    cfg = SimConfig(n=15, start=7, replicates=3 * 8192 + 17, seed=99, engine=engine)
+    s1, t1 = run(cfg, threads=1)
+    s4, t4 = run(cfg, threads=4)
+    assert t1.tobytes() == t4.tobytes()
+    assert s1 == s4
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_every_engine_records_truncation_at_the_budget(engine):
+    cfg = SimConfig(n=20, start=10, replicates=500, seed=3, max_iters=3, engine=engine)
+    stats, samples = run(cfg)
+    assert stats.truncated == 500
+    assert (samples == 3).all()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_every_engine_starts_at_optimum_with_zero_steps(engine):
+    stats, samples = run(SimConfig(n=10, start=0, replicates=100, seed=1, engine=engine))
+    assert stats.truncated == 0
+    assert (samples == 0).all()
+
+
+def test_jump_run_ending_at_the_budget_is_not_truncated():
+    """From k = 1 a run is one Geometric(s_1) wait, whatever the budget."""
+    cfg = SimConfig(n=2, start=1, replicates=2000, seed=35, engine=ENGINE_JUMP)
+    _, free = run(cfg)
+    stats, capped = run(dataclasses.replace(cfg, max_iters=4))
+    assert (free == 4).any()
+    assert (capped == np.minimum(free, 4)).all()
+    assert stats.truncated == int((free > 4).sum())
 
 
 @pytest.mark.parametrize(
