@@ -38,14 +38,13 @@ from functools import lru_cache
 
 from numpy.polynomial.legendre import leggauss
 
-from .backends import DomainError, NumericError, check_n
+from .backends import DomainError, NumericError, check_n, resolve_threads
 from .drift import _normalized_drift_float
 from .hitting import runtime_profile
 
 __all__ = [
     "EULER_GAMMA",
     "C2_ET",
-    "CORRECTION_SERIES_COEFFS",
     "ExpansionEval",
     "RuntimeEstimate",
     "s_r",
@@ -67,11 +66,6 @@ __all__ = [
 EULER_GAMMA = 0.57721566490153286061
 
 C2_ET = 0.59789875
-
-# Recorded coefficients (d1, d2, d3) of the refinement series for the
-# inverse-drift correction terms. Stored verbatim as data; no evaluator is
-# attached because the normalization of the series is ambiguous.
-CORRECTION_SERIES_COEFFS = (Fraction(1, 2), Fraction(9, 8), Fraction(31, 16))
 
 _REL_TOL = 1e-17
 _MAX_TERMS = 400
@@ -351,6 +345,19 @@ def runtime_estimate(n: int) -> RuntimeEstimate:
     )
 
 
+def _check_grid(n_lo: int, n_hi: int, threads: int | None) -> None:
+    """Validate a grid's size range and thread count.
+
+    The grids are bound by the interpreter lock, so they run serially; the
+    thread count is still validated, as the command line promises.
+    """
+    check_n(n_lo)
+    check_n(n_hi)
+    if n_hi < n_lo:
+        raise DomainError(f"empty size range {n_lo}:{n_hi}")
+    resolve_threads(threads)
+
+
 def figure1_rows(n_lo: int, n_hi: int, threads: int | None = 1) -> list[tuple]:
     """Expansion quality grid: one row per (n, k), k = 1..n.
 
@@ -358,13 +365,9 @@ def figure1_rows(n_lo: int, n_hi: int, threads: int | None = 1) -> list[tuple]:
     approximations with their absolute errors, then the three inverse
     approximation errors |1/delta* - inverse approx|.
     """
-    check_n(n_lo)
-    check_n(n_hi)
-    if n_hi < n_lo:
-        raise DomainError(f"empty size range {n_lo}:{n_hi}")
-
-    def one(n: int) -> list[tuple]:
-        rows = []
+    _check_grid(n_lo, n_hi, threads)
+    rows = []
+    for n in range(n_lo, n_hi + 1):
         column = _normalized_drift_float(n, range(1, n + 1))
         for k, exact in enumerate(column, start=1):
             ev = evaluate_expansion(n, k)
@@ -386,11 +389,7 @@ def figure1_rows(n_lo: int, n_hi: int, threads: int | None = 1) -> list[tuple]:
                     abs(1.0 / exact - inv[2]),
                 )
             )
-        return rows
-
-    from .backends import thread_map
-
-    return [row for chunk in thread_map(one, range(n_lo, n_hi + 1), threads) for row in chunk]
+    return rows
 
 
 def figure2_rows(n_lo: int, n_hi: int, threads: int | None = 1) -> list[tuple]:
@@ -400,19 +399,13 @@ def figure2_rows(n_lo: int, n_hi: int, threads: int | None = 1) -> list[tuple]:
     (e/2) log n. The last column is flat in n, which is the visible form of
     the corridor.
     """
-    check_n(n_lo)
-    check_n(n_hi)
-    if n_hi < n_lo:
-        raise DomainError(f"empty size range {n_lo}:{n_hi}")
-
-    def one(n: int) -> tuple:
+    _check_grid(n_lo, n_hi, threads)
+    rows = []
+    for n in range(n_lo, n_hi + 1):
         k0 = n // 2
         prof = runtime_profile(n, up_to=k0)
         q = prof.q[k0]
         g = prof.g[k0]
         diff = q - g
-        return (n, q, g, diff, diff - 0.5 * math.e * math.log(n))
-
-    from .backends import thread_map
-
-    return thread_map(one, range(n_lo, n_hi + 1), threads)
+        rows.append((n, q, g, diff, diff - 0.5 * math.e * math.log(n)))
+    return rows

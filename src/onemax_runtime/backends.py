@@ -2,10 +2,15 @@
 
 Every quantity in this package can be computed in one of two scalar backends.
 The float backend uses IEEE double arithmetic and numpy vectorization; the
-rational backend uses ``fractions.Fraction`` throughout and is exact but slow,
-so table builders cap it (default n <= 64) and raise :class:`CapacityError`
-beyond the cap. Invalid arguments raise :class:`DomainError`, so that a caller
-can tell its own mistakes from faults inside a computation.
+rational backend uses ``fractions.Fraction`` and is exact but slow, so table
+builders cap it (default n <= 64) and raise :class:`CapacityError` beyond the
+cap. Both backends run the same code on the chain: the kernel band holds
+floats or Fractions, and the quantities read from it differ only in how a row
+is summed. Invalid arguments raise :class:`DomainError`, so that a caller can
+tell its own mistakes from faults inside a computation.
+
+Simulation runs its chunks on a thread pool sized by :func:`worker_count`;
+the result is the same for every thread count.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, TypeVar, Union
+from typing import Callable, Sequence, TypeVar, Union
 
 FLOAT = "float"
 RATIONAL = "rational"
@@ -65,10 +70,6 @@ def check_rational_cap(n: int, backend: str, cap: int = DEFAULT_RATIONAL_CAP) ->
         )
 
 
-def one_over_n(n: int, backend: str) -> Scalar:
-    return Fraction(1, n) if backend == RATIONAL else 1.0 / n
-
-
 def pow_base(base: float, m: int) -> float:
     """base**m for integer m >= 0, by binary exponentiation.
 
@@ -96,7 +97,7 @@ def pow_base(base: float, m: int) -> float:
 
 
 def resolve_threads(threads: int | None) -> int:
-    """Thread count for grid sweeps: flag value, else env override, else cores."""
+    """Requested thread count: flag value, else env override, else cores."""
     env = os.environ.get(THREADS_ENV_VAR)
     if threads is None and env is not None:
         try:

@@ -46,9 +46,9 @@ from .backends import (
 from .drift import (
     DriftTable,
     TransitionKernel,
+    _band_drift,
     _drift_table,
-    _kernel_row_rational,
-    build_drift_table,
+    _sum,
     build_kernel,
     drift,
     normalized_drift,
@@ -113,13 +113,10 @@ class BoundReport:
 
 
 def _eta(kernel: TransitionKernel, q, k: int) -> Scalar:
-    """eta(k) = sum_d p(k, k - d) (q(k) - q(k - d)), from row k of the kernel."""
-    if kernel.backend == RATIONAL:
-        row = kernel.rows[k]
-        return sum((row[l] * (q[k] - q[l]) for l in range(k)), Fraction(0))
+    """eta(k) = sum_d p(k, k - d) (q(k) - q(k - d)), from row k of the band."""
     d_max = min(k, kernel.band.shape[1] - 1)
     drops = q[k] - np.array(q[k - d_max : k][::-1])
-    return math.fsum((kernel.band[k, 1 : d_max + 1] * drops).tolist())
+    return _sum(kernel.band[k, 1 : d_max + 1] * drops)
 
 
 def _check_same_n(kernel: TransitionKernel, drift_table: DriftTable) -> None:
@@ -134,7 +131,7 @@ def eta(kernel: TransitionKernel, drift_table: DriftTable, k: int) -> Scalar:
     _check_same_n(kernel, drift_table)
     if k < 1 or k > kernel.max_state:
         raise DomainError(f"state k = {k} outside [1, {kernel.max_state}]")
-    q = _inverse_drift_prefix(drift_table.delta[: k + 1], drift_table.backend)
+    q = _inverse_drift_prefix(drift_table.delta[: k + 1])
     return _eta(kernel, q, k)
 
 
@@ -153,7 +150,7 @@ def eta_star(
             f"state range [{k_lo}, {k_hi}] invalid for max_state {kernel.max_state}"
         )
     _check_same_n(kernel, drift_table)
-    q = _inverse_drift_prefix(drift_table.delta[: k_hi + 1], drift_table.backend)
+    q = _inverse_drift_prefix(drift_table.delta[: k_hi + 1])
     values = [_eta(kernel, q, k) for k in range(k_lo, k_hi + 1)]
     return max(values) if mode == "max" else min(values)
 
@@ -242,14 +239,9 @@ def _exact_dstar_sandwich(n: int, upper: bool) -> bool:
 
 
 def _exact_eta_unit(n: int) -> bool:
-    table = build_drift_table(n, RATIONAL)
-    q = _inverse_drift_prefix(table.delta, RATIONAL)
-    for k in range(1, n + 1):
-        row = _kernel_row_rational(n, k)
-        val = sum((row[l] * (q[k] - q[l]) for l in range(k)), Fraction(0))
-        if val < 1:
-            return False
-    return True
+    kernel = build_kernel(n, RATIONAL, rational_cap=n)
+    q = _inverse_drift_prefix(_band_drift(kernel.band))
+    return all(_eta(kernel, q, k) >= 1 for k in range(1, n + 1))
 
 
 def verify_inequalities(
@@ -331,12 +323,12 @@ def verify_inequalities(
     if rational:
         tail_ratios: list = []
         for k in range(1, n + 1):
-            row = kernel.rows[k]
+            row = kernel.band[k]
             factor = Fraction(1)
             step = Fraction(n, k)
-            cum = sum(row)
+            cum = Fraction(1)
             for l in range(1, k + 1):
-                cum -= row[k - l + 1]
+                cum -= row[l - 1]
                 factor *= l * step
                 tail_ratios.append(cum * factor)
     else:
@@ -388,24 +380,11 @@ def verify_inequalities(
 
     eta_star_max = max(eta_vals[1 : half + 1])
     eta_star_min = min(eta_vals[2 : n + 1])
-    if rational:
-        lower_sum = sum(
-            (1 / (eta_star_max * delta[k]) for k in range(1, half + 1)), Fraction(0)
-        )
-        upper_sum = invd[1] + sum(
-            (1 / (eta_star_min * delta[k]) for k in range(2, half + 1)), Fraction(0)
-        )
-        theorem_vals = {"lower": [g[half] / lower_sum], "upper": [g[half] / upper_sum]}
-    else:
-        lower_sum = math.fsum(
-            1.0 / (eta_star_max * delta[k]) for k in range(1, half + 1)
-        )
-        upper_sum = invd[1] + math.fsum(
-            1.0 / (eta_star_min * delta[k]) for k in range(2, half + 1)
-        )
-        theorem_vals = {"lower": [g[half] / lower_sum], "upper": [g[half] / upper_sum]}
-    checks.append(_Check("theorem-lower", 1, half, "ge", one, theorem_vals["lower"]))
-    checks.append(_Check("theorem-upper", 1, half, "le", one, theorem_vals["upper"]))
+    delta_arr = np.array(delta)
+    lower_sum = _sum(1 / (eta_star_max * delta_arr[1 : half + 1]))
+    upper_sum = invd[1] + _sum(1 / (eta_star_min * delta_arr[2 : half + 1]))
+    checks.append(_Check("theorem-lower", 1, half, "ge", one, [g[half] / lower_sum]))
+    checks.append(_Check("theorem-upper", 1, half, "le", one, [g[half] / upper_sum]))
 
     if n >= 4:
         q_half = float(q[half])

@@ -21,21 +21,33 @@ Everything here is an explicit finite sum over mutation outcomes:
 All operations take a ``backend`` flag: ``"float"`` for IEEE doubles with
 numpy vectorization, ``"rational"`` for exact ``fractions.Fraction``
 arithmetic. Builders cap the rational backend (default n <= 64) because exact
-kernels grow quadratically many Fractions with denominators of order n^n.
+entries carry denominators of order n^n.
 
-The float kernel is a band. Its entries decay like p(k, k-d) <= (k/n)^d / d!,
-so a row holds only D + 1 numbers, band[k, d] = p(k, k - d) for d = 0..D,
-where column 0 is the stay probability. The width D is the smallest one for
-which that bound puts every entry with d > D below 2^-1078, so the dropped
-entries are exactly the ones that are 0.0 in double precision anyway: at
-most about 180 columns for any n, about 160 for starts k <= n/2. Each row is
+Both backends store the kernel as a band, band[i, d] = p(k, k - d) for
+k = states[i] and d = 0..D, where column 0 is the stay probability, and every
+quantity of the chain reads it: the improvement probability s_k is the row
+sum over d >= 1, the drift is the row's first moment, and the hitting times,
+eta and the transition tails read the same rows. The two bands differ only in
+their scalars, and one summation helper (``_sum``: ``math.fsum`` for floats,
+an exact sum for Fractions) is the single place that tells them apart.
+
+The exact band is a Fraction array of full width D = max(states). Each entry
+comes from the integer numerator
+
+    p(k, k-d) n^n = sum_l C(k, d+l) C(n-k, l) (n-1)^(n-d-2l),
+
+and column 0 is the integer complement n^n minus the row's other numerators.
+
+The float band is cut. Its entries decay like p(k, k-d) <= (k/n)^d / d!,
+so the width D is the smallest one for which that bound puts every entry
+with d > D below 2^-1078; the dropped entries are exactly the ones that are
+0.0 in double precision anyway: at most about 180 columns for any n, about
+160 for starts k <= n/2, so memory is O(n D) instead of O(n^2). Each row is
 the same correlation of the two flip-count pmfs that a full row would use,
 cut to the first D + 41 terms of Bin(k, 1/n) and the first 41 of
 Bin(n-k, 1/n). Every omitted term carries a factor below 1/41! of a kept
 one, far under one ulp, so the band entries equal full-row entries bit for
-bit (checked at n up to 2048). The improvement probability s_k is the row sum over d >= 1, the drift
-is the row's first moment, and the hitting times, eta and the transition
-tails read the same rows; memory is O(n D) instead of O(n^2).
+bit (checked at n up to 2048).
 """
 
 from __future__ import annotations
@@ -288,15 +300,52 @@ def _float_band(n: int, states: Sequence[int]) -> np.ndarray:
     return band
 
 
-def _band_improvement(band: np.ndarray) -> list[float]:
+def _exact_band(n: int, states: Sequence[int]) -> np.ndarray:
+    """Accepted-step law of the given states as a band of Fractions.
+
+    Same layout as the float band, at full width D = max(states). Row k is
+    built on integers over the common denominator n^n: the numerator of
+    p(k, k-d) is sum_l C(k, d+l) C(n-k, l) (n-1)^(n-d-2l), and that of the
+    stay probability is n^n minus the others. The array is read-only.
+    """
+    width = max(states)
+    scale = n**n
+    powers = [(n - 1) ** e for e in range(n + 1)]
+    band = np.empty((len(states), width + 1), dtype=object)
+    for i, k in enumerate(states):
+        nums = [0] * (width + 1)
+        for d in range(1, k + 1):
+            nums[d] = sum(
+                comb(k, d + l) * comb(n - k, l) * powers[n - d - 2 * l]
+                for l in range(min(k - d, n - k) + 1)
+            )
+        nums[0] = scale - sum(nums)
+        band[i] = [Fraction(x, scale) for x in nums]
+    band.setflags(write=False)
+    return band
+
+
+# The kernel band of given states, per backend: band = _BANDS[backend](n, states).
+_BANDS = {FLOAT: _float_band, RATIONAL: _exact_band}
+
+
+def _sum(values: np.ndarray):
+    """Sum of a vector read off a band: exact for Fractions, compensated
+    (``math.fsum``) for floats. The empty sum is the typed zero."""
+    if values.dtype == object:
+        return sum(values.tolist(), Fraction(0))
+    return math.fsum(values.tolist())
+
+
+def _band_improvement(band: np.ndarray) -> list:
     """s_k = P[an accepted step moves from k], the row sum over d >= 1."""
-    return [math.fsum(row[1:].tolist()) for row in band]
+    return [_sum(row[1:]) for row in band]
 
 
-def _band_drift(band: np.ndarray) -> list[float]:
+def _band_drift(band: np.ndarray) -> list:
     """The drift of each row: its first moment sum_d d p(k, k - d)."""
-    d = np.arange(band.shape[1], dtype=float)
-    return [math.fsum((d * row).tolist()) for row in band]
+    d = np.arange(band.shape[1])
+    return [_sum(d * row) for row in band]
 
 
 class _BandRows(Sequence):
@@ -313,21 +362,10 @@ class _BandRows(Sequence):
             return tuple(self[i] for i in range(*k.indices(len(self))))
         k = range(len(self))[k]
         d_max = min(k, self._band.shape[1] - 1)
-        row = np.zeros(k + 1)
+        row = np.zeros(k + 1, dtype=self._band.dtype)
         row[k - d_max :] = self._band[k, d_max::-1]
         row.setflags(write=False)
         return row
-
-
-def _kernel_row_rational(n: int, k: int) -> list[Fraction]:
-    pa = _binom_pmf_rational(k, n)
-    pb = _binom_pmf_rational(n - k, n)
-    row = [Fraction(0)] * (k + 1)
-    for d in range(1, k + 1):
-        lhi = min(k - d, n - k)
-        row[k - d] = sum(pa[d + l] * pb[l] for l in range(lhi + 1))
-    row[k] = 1 - sum(row[:k])
-    return row
 
 
 def transition_prob(n: int, k: int, j: int, backend: str = FLOAT) -> Scalar:
@@ -342,12 +380,8 @@ def transition_prob(n: int, k: int, j: int, backend: str = FLOAT) -> Scalar:
     check_backend(backend)
     _check_state(n, k, n)
     _check_state(n, j, n)
-    if j > k:
-        return Fraction(0) if backend == RATIONAL else 0.0
-    if backend == RATIONAL:
-        return _kernel_row_rational(n, k)[j]
-    band = _float_band(n, [k])[0]
-    return float(band[k - j]) if k - j < len(band) else 0.0
+    row = _BANDS[backend](n, [k])[0]
+    return _sum(row[k - j : k - j + 1] if j <= k else row[:0])
 
 
 def transition_tail(n: int, k: int, j: int, backend: str = FLOAT) -> Scalar:
@@ -356,11 +390,8 @@ def transition_tail(n: int, k: int, j: int, backend: str = FLOAT) -> Scalar:
     check_backend(backend)
     _check_state(n, k, n)
     _check_state(n, j, n)
-    if j >= k:
-        return Fraction(1) if backend == RATIONAL else 1.0
-    if backend == RATIONAL:
-        return sum(_kernel_row_rational(n, k)[: j + 1], Fraction(0))
-    return math.fsum(_float_band(n, [k])[0, k - j :].tolist())
+    row = _BANDS[backend](n, [k])[0]
+    return _sum(row[k - j :]) if j < k else 1 + _sum(row[:0])
 
 
 @dataclass(frozen=True)
@@ -382,17 +413,17 @@ class DriftTable:
 class TransitionKernel:
     """Accepted-step law rows p(k, .) for k = 0..max_state.
 
-    ``rows[k]`` has length k + 1 and sums to one. Rational rows are tuples of
-    Fractions. A float kernel is stored as ``band``, with band[k, d] =
-    p(k, k - d) for d = 0..D (see the module notes); its ``rows`` are
-    read-only numpy vectors expanded from the band on access.
+    ``band`` holds band[k, d] = p(k, k - d) in the backend's scalars (see the
+    module notes): floats cut to the width D, or Fractions at full width.
+    ``rows[k]`` is the read-only row p(k, 0..k), expanded from the band on
+    access; it has length k + 1 and sums to one (exactly, for Fractions).
     """
 
     n: int
     backend: str
     max_state: int
     rows: Sequence
-    band: np.ndarray | None = None
+    band: np.ndarray
 
 
 def build_drift_table(
@@ -404,18 +435,20 @@ def build_drift_table(
     check_n(n)
     check_backend(backend)
     check_rational_cap(n, backend, rational_cap)
-    band = None if backend == RATIONAL else _float_band(n, range(n + 1))
-    return _drift_table(n, backend, band)
+    return _drift_table(n, backend, _BANDS[backend](n, range(n + 1)))
 
 
-def _drift_table(n: int, backend: str, band: np.ndarray | None) -> DriftTable:
-    """Drift table whose float drift column is the first moment of ``band``."""
-    if band is None:
-        delta = tuple(drift(n, k, RATIONAL) for k in range(n + 1))
-        delta_star = tuple(normalized_drift(n, k, RATIONAL) for k in range(n + 2))
-    else:
-        delta = tuple(_band_drift(band))
-        delta_star = (0.0, *_normalized_drift_float(n, range(1, n + 2)))
+def _normalized_drift_column(n: int, backend: str) -> list:
+    """The normalized drift of the states 1..n + 1 in one backend."""
+    if backend == RATIONAL:
+        return [normalized_drift(n, k, RATIONAL) for k in range(1, n + 2)]
+    return _normalized_drift_float(n, range(1, n + 2))
+
+
+def _drift_table(n: int, backend: str, band: np.ndarray) -> DriftTable:
+    """Drift table whose drift column is the first moment of ``band``."""
+    delta = tuple(_band_drift(band))
+    delta_star = (delta[0], *_normalized_drift_column(n, backend))
     return DriftTable(n=n, backend=backend, delta=delta, delta_star=delta_star)
 
 
@@ -437,10 +470,7 @@ def build_kernel(
     if max_state is None:
         max_state = n
     _check_state(n, max_state, n)
-    if backend == RATIONAL:
-        rows = tuple(tuple(_kernel_row_rational(n, k)) for k in range(max_state + 1))
-        return TransitionKernel(n=n, backend=backend, max_state=max_state, rows=rows)
-    band = _float_band(n, range(max_state + 1))
+    band = _BANDS[backend](n, range(max_state + 1))
     return TransitionKernel(
         n=n, backend=backend, max_state=max_state, rows=_BandRows(band), band=band
     )

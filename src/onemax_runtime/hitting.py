@@ -37,7 +37,6 @@ from .backends import (
     DEFAULT_RATIONAL_CAP,
     FLOAT,
     DomainError,
-    RATIONAL,
     Scalar,
     check_backend,
     check_n,
@@ -48,8 +47,8 @@ from .drift import (
     TransitionKernel,
     _band_drift,
     _band_improvement,
+    _sum,
     build_kernel,
-    drift,
 )
 
 __all__ = [
@@ -111,36 +110,30 @@ def _harmonic_prefix(m: int) -> list[float]:
     return out
 
 
-def _inverse_drift_prefix(delta, backend: str) -> list:
-    """q(k) = sum_{j=1..k} 1/delta(j) for every k of a drift column."""
-    zero = Fraction(0) if backend == RATIONAL else 0.0
-    return list(accumulate((1 / d for d in delta[1:]), initial=zero))
+def _inverse_drift_prefix(delta) -> list:
+    """q(k) = sum_{j=1..k} 1/delta(j) for every k of a drift column.
+
+    The running sum starts from delta(0), which is the zero of the column's
+    scalar type.
+    """
+    return list(accumulate((1 / d for d in delta[1:]), initial=delta[0]))
 
 
-def _band_hitting_times(band: np.ndarray) -> list[float]:
-    """g(k) from the band recurrence of order D, one compensated sum per row."""
+def _band_hitting_times(band: np.ndarray) -> list:
+    """g(k) from the band recurrence of order D, one row sum per state."""
     improve = _band_improvement(band)
     width = band.shape[1] - 1
-    g = np.zeros(len(band))
+    g = band[:, 0] * 0  # zeros of the band's scalar type
     for k in range(1, len(band)):
         d_max = min(k - 1, width)
-        hit = math.fsum((band[k, 1 : d_max + 1] * g[k - d_max : k][::-1]).tolist())
-        g[k] = (1.0 + hit) / improve[k]
+        hit = _sum(band[k, 1 : d_max + 1] * g[k - d_max : k][::-1])
+        g[k] = (1 + hit) / improve[k]
     return g.tolist()
 
 
 def _profile_from_parts(kernel: TransitionKernel, delta) -> HittingProfile:
-    up_to = kernel.max_state
-    if kernel.backend == RATIONAL:
-        g: list = [Fraction(0)]
-        for k in range(1, up_to + 1):
-            row = kernel.rows[k]
-            denom = sum(row[:k])
-            hit = sum(row[j] * g[j] for j in range(1, k))
-            g.append((1 + hit) / denom)
-    else:
-        g = _band_hitting_times(kernel.band)
-    q = _inverse_drift_prefix(delta[: up_to + 1], kernel.backend)
+    g = _band_hitting_times(kernel.band)
+    q = _inverse_drift_prefix(delta[: kernel.max_state + 1])
     return HittingProfile(n=kernel.n, backend=kernel.backend, g=tuple(g), q=tuple(q))
 
 
@@ -172,8 +165,8 @@ def runtime_profile(
 
     Equivalent to composing :func:`~onemax_runtime.drift.build_kernel` and
     :func:`~onemax_runtime.drift.build_drift_table` with
-    :func:`hitting_profile`, but stops at ``up_to`` (default n). The float
-    drift column is the first moment of the kernel band, so the work is
+    :func:`hitting_profile`, but stops at ``up_to`` (default n). The drift
+    column is the first moment of the kernel band, so the float work is
     O(up_to D) for the band width D.
     """
     check_n(n)
@@ -184,20 +177,14 @@ def runtime_profile(
     if up_to < 0 or up_to > n:
         raise DomainError(f"up_to = {up_to} outside [0, {n}]")
     kernel = build_kernel(n, backend, max_state=up_to, rational_cap=rational_cap)
-    if backend == RATIONAL:
-        delta = [drift(n, k, RATIONAL) for k in range(up_to + 1)]
-    else:
-        delta = _band_drift(kernel.band)
-    return _profile_from_parts(kernel, delta)
+    return _profile_from_parts(kernel, _band_drift(kernel.band))
 
 
 def inverse_drift_sum(drift_table: DriftTable, k0: int) -> Scalar:
     """q(k0) = sum_{j=1..k0} 1/delta(j) from a prebuilt drift table."""
     if k0 < 0 or k0 > drift_table.n:
         raise DomainError(f"start k0 = {k0} outside [0, {drift_table.n}]")
-    if drift_table.backend == RATIONAL:
-        return sum((1 / drift_table.delta[j] for j in range(1, k0 + 1)), Fraction(0))
-    return math.fsum(1.0 / drift_table.delta[j] for j in range(1, k0 + 1))
+    return _inverse_drift_prefix(drift_table.delta[: k0 + 1])[k0]
 
 
 def closed_form_g(n: int, k: int) -> Fraction:

@@ -72,6 +72,13 @@ def test_runtime_from_optimum(capsys):
     assert code == 0
     row = out.strip().split("\n")[1].split(",")
     assert row[2] == "0"
+    code, out, _ = run_cli(
+        capsys, "runtime", "2", "--start", "0", "--backend", "rational", "--format", "json"
+    )
+    assert code == 0
+    (record,) = json.loads(out)
+    assert record["g_exact"] == {"num": 0, "den": 1}
+    assert record["q_sum"] == {"num": 0, "den": 1}
 
 
 def test_runtime_default_start_is_half(capsys):
@@ -145,6 +152,15 @@ def test_figures_second_grid(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "n,q_exact,g_exact,diff,diff_minus_half_e_log"
     assert len(lines) == 4
+
+
+def test_figures_bad_thread_count(capsys):
+    code, out, err = run_cli(
+        capsys, "figures", "--which", "2", "--n-range", "4:5", "--threads", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert "threads must be positive" in err
 
 
 def test_figures_bad_range(capsys):
@@ -261,10 +277,21 @@ def test_internal_value_error_exits_1(monkeypatch, capsys):
     assert "synthetic internal fault" in err
 
 
-def test_exact_values_beyond_the_int_digit_limit(capsys):
-    """Denominators of g at n = 64 from the full start exceed 4300 digits."""
-    reference = ROOT / "perfbench" / "reference" / "runtime_64_start64_rational.out"
-    code, out, err = run_cli(capsys, "runtime", "64", "--start", "64", "--backend", "rational")
+RATIONAL_REFERENCES = {
+    "runtime_64_rational": ("runtime", "64", "--backend", "rational"),
+    "runtime_64_start64_rational": ("runtime", "64", "--start", "64", "--backend", "rational"),
+    "bounds_48_rational": ("bounds", "48", "--backend", "rational"),
+    "drift_64_rational": ("drift", "64", "--backend", "rational"),
+}
+
+
+@pytest.mark.parametrize("name", RATIONAL_REFERENCES)
+def test_exact_values_beyond_the_int_digit_limit(capsys, name):
+    """The stored exact outputs, byte for byte. Denominators of g at n = 64
+    from the full start exceed 4300 digits."""
+    reference = ROOT / "perfbench" / "reference" / f"{name}.out"
+    argv = RATIONAL_REFERENCES[name]
+    code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert out == reference.read_text()
 

@@ -79,10 +79,14 @@ def test_kernel_row_n2_values():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_kernel_matches_brute_force_enumeration(n):
+    band = build_kernel(n, "rational").band
+    assert band.shape == (n + 1, n + 1)
     for k in range(n + 1):
         expected = brute_kernel_row(n, k)
         got = [transition_prob(n, k, j, "rational") for j in range(k + 1)]
         assert got == expected
+        assert list(band[k]) == [expected[k - d] if d <= k else 0 for d in range(n + 1)]
+        assert all(type(v) is F for v in band[k])
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 10])
@@ -146,6 +150,7 @@ def test_kernel_rows_sum_to_one():
     kern = build_kernel(9, "rational")
     for row in kern.rows:
         assert sum(row) == 1
+        assert all(type(v) is F for v in row)
     kern_f = build_kernel(40)
     for row in kern_f.rows:
         assert abs(float(np.sum(row)) - 1.0) < 1e-14
@@ -183,11 +188,13 @@ def test_transition_tail_is_cumulative_row():
             acc += transition_prob(n, k, j, "rational")
             assert transition_tail(n, k, j, "rational") == acc
     assert transition_tail(7, 3, 5, "rational") == 1
+    assert type(transition_tail(7, 3, 5, "rational")) is F
     assert transition_tail(7, 3, 6) == 1.0
 
 
 def test_upward_transitions_are_impossible():
     assert transition_prob(6, 2, 5, "rational") == 0
+    assert type(transition_prob(6, 2, 5, "rational")) is F
     assert transition_prob(6, 2, 5) == 0.0
 
 
@@ -237,6 +244,16 @@ def test_band_matches_full_rows(n):
         assert dropped <= 2.0**-60 * math.fsum(full[1:].tolist())
         assert not full[width + 1 :].any()
         assert band[k, 0] == pytest.approx(1.0 - math.fsum(full[1:].tolist()), abs=1e-15)
+
+
+def test_exact_band_matches_float_band():
+    n = 32
+    exact = build_kernel(n, "rational").band
+    band = build_kernel(n).band
+    width = band.shape[1] - 1
+    as_float = np.array([[float(v) for v in row[: width + 1]] for row in exact])
+    np.testing.assert_allclose(band, as_float, rtol=1e-13, atol=np.finfo(float).tiny)
+    assert all(float(v) == 0.0 for row in exact for v in row[width + 1 :])
 
 
 def test_band_recurrence_matches_exact_hitting_time():

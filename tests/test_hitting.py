@@ -99,14 +99,26 @@ def test_q_dominates_g():
         assert prof.q[k] > prof.g[k]
 
 
-def test_inverse_drift_sum_matches_profile():
-    n = 15
-    table = build_drift_table(n, "rational")
-    prof = runtime_profile(n, "rational")
+@pytest.mark.parametrize(
+    "n, backend", [(15, "rational"), (15, "float"), (64, "float"), (512, "float")]
+)
+def test_inverse_drift_sum_matches_profile(n, backend):
+    table = build_drift_table(n, backend)
+    prof = runtime_profile(n, backend)
     for k in range(n + 1):
         assert inverse_drift_sum(table, k) == prof.q[k]
     with pytest.raises(ValueError):
         inverse_drift_sum(table, n + 1)
+
+
+@pytest.mark.parametrize("n, up_to", [(2, 0), (9, 9), (20, 10)])
+def test_rational_values_are_fractions(n, up_to):
+    """Exact results are Fractions at every state, the optimum included."""
+    prof = runtime_profile(n, "rational", up_to=up_to)
+    assert all(type(v) is F for v in prof.g + prof.q)
+    assert len(prof.g) == len(prof.q) == up_to + 1
+    table = build_drift_table(n, "rational")
+    assert all(type(v) is F for v in table.delta + table.delta_star)
 
 
 def test_harmonic_values():
