@@ -3,7 +3,12 @@
 Three engines produce the same law by different routes:
 
 * ``bitstring`` keeps real bit vectors and flips each bit with probability
-  1/n: the algorithm itself, one vectorized round per mutation step;
+  1/n: the algorithm itself, one vectorized round per mutation step. A step
+  draws the number of flips c ~ Bin(n, 1/n), then c distinct uniform
+  positions, which is the same law; the child's zero count is read from the
+  parent's bits at those positions, and an accepted child flips exactly
+  them. A step with c = 0 is counted and changes nothing, so a round over m
+  running strings costs O(m c) work, c about 1, instead of O(m n);
 * ``statechain`` samples only the two flip counts (zeros flipped, ones
   flipped) per step, which is the marginal the analysis works with, again
   one round per mutation step;
@@ -134,15 +139,42 @@ class RunStats:
     truncated: int
 
 
+def _flip_sites(
+    n: int, rows: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Standard bit mutation of the strings ``rows`` (ascending) of a flat
+    array of length-n bit strings.
+
+    Returns ``(c, lane, sites)``: string ``rows[i]`` flips c[i] ~ Bin(n, 1/n)
+    bits, and flip j is at ``sites[j] = rows[lane[j]] * n + position``, sorted,
+    so ``lane`` ascends with it. The c positions of a string are distinct and
+    uniform: a position drawn twice is redrawn until none repeats. That rule
+    commutes with every relabelling of the n positions, so the final set is
+    uniform over the c-subsets, which is the law of flipping each bit
+    independently with probability 1/n.
+    """
+    c = rng.binomial(n, 1.0 / n, size=rows.size)
+    lane = np.repeat(np.arange(rows.size), c)
+    sites = rows[lane] * n + rng.integers(0, n, size=lane.size)
+    sites.sort(kind="stable")
+    while True:
+        dup = np.flatnonzero(sites[1:] == sites[:-1]) + 1
+        if not dup.size:
+            return c, lane, sites
+        sites[dup] += rng.integers(0, n, size=dup.size) - sites[dup] % n
+        sites.sort(kind="stable")
+
+
 def step_bitstring(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One mutation-selection step on a single bit vector (True = one-bit).
 
-    Flips every bit independently with probability 1/n and returns the
-    offspring iff its one-count is at least the parent's, else the parent.
+    Flips every bit independently with probability 1/n (the same sampler as
+    the ``bitstring`` engine) and returns the offspring iff its one-count is
+    at least the parent's, else the parent.
     """
-    n = bits.size
-    flips = rng.random(n) < 1.0 / n
-    child = bits ^ flips
+    _, _, sites = _flip_sites(bits.size, np.zeros(1, dtype=np.intp), rng)
+    child = bits.copy()
+    child[sites] ^= True
     if int(child.sum()) >= int(bits.sum()):
         return child
     return bits
@@ -254,24 +286,22 @@ def _chunk_bitstring(
     times = np.full(m, max_iters, dtype=np.int64)
     idx = np.nonzero(zc > 0)[0]
     times[zc == 0] = 0
-    cur = cur[idx]
     zc = zc[idx]
-    inv = 1.0 / n
+    bits = cur.reshape(-1)
     iters = 0
     while idx.size and iters < max_iters:
         iters += 1
-        flips = rng.random(cur.shape) < inv
-        child = cur ^ flips
-        czc = n - child.sum(axis=1, dtype=np.int64)
-        acc = czc <= zc
-        cur = np.where(acc[:, None], child, cur)
-        zc = np.where(acc, czc, zc)
+        c, lane, sites = _flip_sites(n, idx, rng)
+        # Each flipped one-bit adds a zero, each flipped zero-bit removes one.
+        ones = np.bincount(lane[bits[sites]], minlength=idx.size)
+        czc = zc + 2 * ones - c
+        bits[sites[(czc <= zc)[lane]]] ^= True
+        zc = np.minimum(czc, zc)
         done = zc == 0
         if done.any():
             times[idx[done]] = iters
             keep = ~done
             idx = idx[keep]
-            cur = cur[keep]
             zc = zc[keep]
     return times, int(idx.size)
 

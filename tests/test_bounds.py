@@ -14,7 +14,7 @@ from onemax_runtime import (
     eta_star,
     verify_inequalities,
 )
-from onemax_runtime.backends import pow_base
+from onemax_runtime.backends import FLOAT, RATIONAL, pow_base
 
 
 def full_row_float(n, k):
@@ -155,6 +155,28 @@ def test_equality_points_survive_float_noise():
             rec = report.check(cid)
             assert rec.passed, rec
             assert abs(rec.observed) < 1e-12
+
+
+def test_exact_recheck_covers_only_near_boundary_states(monkeypatch):
+    """At n = 64 the float delta-star sandwich lands a few ulp below its
+    bound; the exact re-check evaluates the tight points, not all n + 1
+    states."""
+    n = 64
+    evaluated = []
+    for name in ("drift", "normalized_drift"):
+        original = getattr(bounds_mod, name)
+
+        def counting(n_, k, backend=FLOAT, original=original):
+            if backend == RATIONAL:
+                evaluated.append(k)
+            return original(n_, k, backend)
+
+        monkeypatch.setattr(bounds_mod, name, counting)
+    report = verify_inequalities(n)
+    assert all(rec.passed for rec in report.checks if rec.applicable)
+    assert evaluated
+    assert set(evaluated) <= {1, n, n + 1}
+    assert len(evaluated) <= 4
 
 
 def test_tail_factorial_covers_every_positive_tail(monkeypatch):

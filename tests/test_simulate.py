@@ -10,6 +10,7 @@ import pytest
 import scipy.stats
 
 from onemax_runtime import (
+    ENGINE_BITSTRING,
     ENGINE_JUMP,
     ENGINE_STATECHAIN,
     SimConfig,
@@ -174,10 +175,9 @@ def test_jump_agrees_with_statechain():
     assert abs(sj.mean - ss.mean) <= 5 * joint
 
 
-def test_jump_hitting_time_law_matches_kernel():
-    """The whole distribution of T, not just its mean, against the exact chain."""
-    n, k, reps = 6, 5, 200000
-    _, samples = run(SimConfig(n=n, start=k, replicates=reps, seed=34, engine=ENGINE_JUMP))
+def _hitting_law_pvalue(samples: np.ndarray, n: int, k: int) -> float:
+    """Chi-square p-value of hitting times from k against the exact chain."""
+    reps = samples.size
     rows = build_kernel(n).rows
     dist = np.zeros(k + 1)
     dist[k] = 1.0
@@ -194,7 +194,23 @@ def test_jump_hitting_time_law_matches_kernel():
     keep = expected >= 10
     merged_obs = np.append(counts[keep], counts[~keep].sum())
     merged_exp = np.append(expected[keep], reps - expected[keep].sum())
-    assert scipy.stats.chisquare(merged_obs, merged_exp).pvalue > 1e-4
+    return scipy.stats.chisquare(merged_obs, merged_exp).pvalue
+
+
+def test_jump_hitting_time_law_matches_kernel():
+    """The whole distribution of T, not just its mean, against the exact chain."""
+    n, k, reps = 6, 5, 200000
+    _, samples = run(SimConfig(n=n, start=k, replicates=reps, seed=34, engine=ENGINE_JUMP))
+    assert _hitting_law_pvalue(samples, n, k) > 1e-4
+
+
+def test_bitstring_hitting_time_law_matches_kernel():
+    """The real algorithm's T has the chain's law: a sampler that drew flip
+    positions with replacement would move too little and fail here."""
+    n, k, reps = 6, 5, 200000
+    cfg = SimConfig(n=n, start=k, replicates=reps, seed=36, engine=ENGINE_BITSTRING)
+    _, samples = run(cfg)
+    assert _hitting_law_pvalue(samples, n, k) > 1e-4
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -221,9 +237,14 @@ def test_every_engine_starts_at_optimum_with_zero_steps(engine):
     assert (samples == 0).all()
 
 
-def test_jump_run_ending_at_the_budget_is_not_truncated():
-    """From k = 1 a run is one Geometric(s_1) wait, whatever the budget."""
-    cfg = SimConfig(n=2, start=1, replicates=2000, seed=35, engine=ENGINE_JUMP)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_run_ending_at_the_budget_is_not_truncated(engine):
+    """A budget only cuts: the runs it leaves whole keep their times.
+
+    The per-step engines draw the same numbers in the first rounds whatever
+    the budget; from k = 1 a jump run is one Geometric(s_1) wait.
+    """
+    cfg = SimConfig(n=2, start=1, replicates=2000, seed=35, engine=engine)
     _, free = run(cfg)
     stats, capped = run(dataclasses.replace(cfg, max_iters=4))
     assert (free == 4).any()
