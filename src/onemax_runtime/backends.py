@@ -4,7 +4,10 @@ Every quantity in this package can be computed in one of two scalar backends.
 The float backend uses IEEE double arithmetic and numpy vectorization; the
 rational backend uses ``fractions.Fraction`` and is exact but slow, so table
 builders cap it (default n <= 64) and raise :class:`CapacityError` beyond the
-cap. Both backends run the same code on the chain: the kernel band holds
+cap. Work whose memory grows with its inputs (the float kernel band, one
+bitstring simulation chunk, the kept simulation samples) is checked against
+:data:`MEMORY_LIMIT` before it is allocated and raises :class:`CapacityError`
+above it. Both backends run the same code on the chain: the kernel band holds
 floats or Fractions, and the quantities read from it differ only in how a row
 is summed. Invalid arguments raise :class:`DomainError`, so that a caller can
 tell its own mistakes from faults inside a computation.
@@ -27,6 +30,11 @@ BACKENDS = (FLOAT, RATIONAL)
 
 DEFAULT_RATIONAL_CAP = 64
 
+# Largest array, in bytes, that one request may allocate: 2 GiB. It admits
+# the float band of ``runtime 1000000`` (0.6 GB) and of a uniform-start
+# ``sim --n 1000000`` (1.4 GB).
+MEMORY_LIMIT = 2 * 1024**3
+
 THREADS_ENV_VAR = "ONEMAX_RUNTIME_THREADS"
 
 Scalar = Union[float, Fraction]
@@ -40,7 +48,9 @@ class DomainError(ValueError):
 
 
 class CapacityError(DomainError):
-    """Raised when the rational backend is asked for more than its cap."""
+    """Raised when a request exceeds a documented capacity: the rational
+    backend's cap on n, or :data:`MEMORY_LIMIT` for one array. It is raised
+    before anything is allocated."""
 
 
 class NumericError(ArithmeticError):
@@ -67,6 +77,16 @@ def check_rational_cap(n: int, backend: str, cap: int = DEFAULT_RATIONAL_CAP) ->
         raise CapacityError(
             f"rational backend capped at n <= {cap}, got n = {n}; "
             f"raise the cap explicitly or use the float backend"
+        )
+
+
+def check_memory(nbytes: int, what: str) -> None:
+    """Raise :class:`CapacityError` if an array of ``nbytes`` would exceed
+    :data:`MEMORY_LIMIT`."""
+    if nbytes > MEMORY_LIMIT:
+        raise CapacityError(
+            f"{what} would take {nbytes / 2**30:.3g} GiB, above the "
+            f"{MEMORY_LIMIT / 2**30:g} GiB limit"
         )
 
 

@@ -11,9 +11,9 @@ Six subcommands cover the library end to end:
                chain step by step, or actual bit strings.
 
 Tables go to stdout (or ``--out``) as CSV or JSON; diagnostics go to stderr.
-Exit status: 0 on success, 2 on usage or domain errors (including rational
-capacity), 1 on numeric failures and any other internal fault. Output for a
-fixed command line is byte-identical across runs. Rational values render as "p/q" in CSV and as
+Exit status: 0 on success, 2 on usage or domain errors (including the rational
+cap and the memory limit), 1 on numeric failures and any other internal fault.
+Output for a fixed command line is byte-identical across runs. Rational values render as "p/q" in CSV and as
 {"num": p, "den": q} objects in JSON; floats render with ``--precision``
 significant digits (default 15).
 """

@@ -68,6 +68,7 @@ from .backends import (
     DomainError,
     Scalar,
     check_backend,
+    check_memory,
     check_n,
     check_rational_cap,
     pow_base,
@@ -279,14 +280,16 @@ def _band_width(n: int, max_state: int) -> int:
 
 
 def _float_band(n: int, states: Sequence[int]) -> np.ndarray:
-    """Accepted-step law of the given states as a band, float.
+    """Accepted-step law of the given ascending states as a band, float.
 
     Row i holds band[i, d] = p(k, k - d) for k = states[i] and d = 0..D; the
     off-diagonal entries are the correlation of the two flip-count pmfs,
     p(k, k-d) = sum_l pa[d+l] pb[l], and column 0 is the complement of their
-    compensated sum. The array is read-only.
+    compensated sum. The array is read-only. A band above ``MEMORY_LIMIT``
+    raises ``CapacityError`` before it is allocated.
     """
-    width = _band_width(n, max(states))
+    width = _band_width(n, states[-1])
+    check_memory(len(states) * (width + 1) * 8, f"the kernel band of {len(states)} states")
     band = np.zeros((len(states), width + 1))
     for row, k in zip(band, states):
         if k:

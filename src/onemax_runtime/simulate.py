@@ -18,18 +18,24 @@ Three engines produce the same law by different routes:
   probability that a step moves, then jumps to k - d with probability
   p(k, k - d) / s_k. Both laws are read from the float kernel band
   (``drift._float_band``), so a run costs about k0 rounds instead of about
-  e n ln n.
+  e n ln n. The jump is drawn by inverse transform on the table
+  cdf[k, d - 1] = P[jump <= d | move from k], each row ending at exactly 1:
+  d = 1 + #{d : cdf[k, d - 1] < u}, found by walking the row from d = 1,
+  so u is compared with the row's own entries and the draw is exact.
 
 Agreement between the engines, and with the exact kernel and hitting times,
 is what the equivalence tests check; the two per-step engines stay as
 independent checks of the jump engine.
 
-The jump engine's conditional jump law is stored as one sorted array: row k
-holds k + P[jump <= d | move] for d = 1..D, so a single ``searchsorted`` of
-k + u places every lane in its own row. The offset k costs the row's
-cumulative probabilities the low bits of their mantissa, so jump
-probabilities are resolved to about k 2^-53, far below what any feasible
-number of replicates can see.
+Every engine is one step function on the running lanes of a chunk, and one
+loop (``_run_lanes``) owns the rest: lanes that start at the optimum,
+the index of running lanes, the steps each lane has used and the truncation
+law. A run that has not hit the optimum when its time passes ``max_iters``
+is recorded at ``max_iters`` and counted in ``truncated``; a run that hits
+it at exactly ``max_iters`` steps is not truncated. Truncation is data, not
+an exception, but a nonzero count means the mean is biased low and the
+experiment should be redone with a larger budget. The default budget
+100 e n (log n + 1) makes truncation astronomically unlikely.
 
 Replicates are processed in fixed chunks of 8192, each chunk driven by its
 own counter-based Philox stream spawned from the seed. The chunk layout is
@@ -38,13 +44,6 @@ start, engine, replicates, max_iters) regardless of how chunks are scheduled,
 and within a chunk everything is vectorized. A uniform start has Bin(n, 1/2)
 zero bits: the bitstring engine draws every bit, the other two engines draw
 the count with the same call.
-
-Runs that have not hit the optimum after ``max_iters`` steps are recorded at
-``max_iters`` and counted in ``truncated``; a run that hits it at exactly
-``max_iters`` steps is not truncated. Truncation is data, not an exception,
-but a nonzero count means the mean is biased low and the experiment should
-be redone with a larger budget. The default budget 100 e n (log n + 1) makes
-truncation astronomically unlikely.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from functools import partial
 
 import numpy as np
 
-from .backends import DomainError, check_n, thread_map
+from .backends import DomainError, check_memory, check_n, thread_map
 from .drift import _band_improvement, _float_band
 
 __all__ = [
@@ -93,7 +92,8 @@ class SimConfig:
 
     ``start`` is either an integer number of zero bits (a deterministic
     start) or the string "uniform" for a uniformly random initial string.
-    ``max_iters`` of None means the default budget.
+    ``max_iters`` of None means the default budget. Replicate counts whose
+    samples would exceed ``MEMORY_LIMIT`` raise ``CapacityError``.
     """
 
     n: int
@@ -115,6 +115,7 @@ class SimConfig:
             raise DomainError(f"start must be an integer or 'uniform', got {self.start!r}")
         if self.replicates < 1:
             raise DomainError(f"replicates must be positive, got {self.replicates}")
+        check_memory(8 * self.replicates, f"{self.replicates} samples")
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must fit an unsigned 64-bit integer, got {self.seed}")
         if self.engine not in ENGINES:
@@ -195,115 +196,123 @@ def _start_states(n: int, start: int | str, m: int, rng: np.random.Generator) ->
     return np.full(m, start, dtype=np.int64)
 
 
-def _chunk_statechain(
-    n: int, start: int | str, m: int, rng: np.random.Generator, max_iters: int
-) -> tuple[np.ndarray, int]:
-    k = _start_states(n, start, m, rng)
-    times = np.full(m, max_iters, dtype=np.int64)
-    idx = np.nonzero(k > 0)[0]
-    times[k == 0] = 0
-    k = k[idx]
-    inv = 1.0 / n
-    iters = 0
-    while idx.size and iters < max_iters:
-        iters += 1
-        a = rng.binomial(k, inv)
-        b = rng.binomial(n - k, inv)
-        acc = b <= a
-        k = np.where(acc, k - a + b, k)
-        done = k == 0
-        if done.any():
-            times[idx[done]] = iters
-            keep = ~done
-            idx = idx[keep]
-            k = k[keep]
-    return times, int(idx.size)
+# Uniform start bits drawn per block of rows: bounds the float temporary of
+# the draw at 8 MB (one row when n > 2^20) whatever the chunk size.
+_START_BLOCK = 1 << 20
 
 
-@dataclass(frozen=True)
-class _JumpTables:
-    """The jump chain of states 0..kmax, read from the float kernel band.
+def _uniform_bits(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """m unbiased bit strings of length n, as rows of a bool array.
 
-    ``improve[k]`` is s_k. ``cdf`` is flat with ``width`` entries per state:
-    entry k * width + d - 1 is k + P[jump <= d | move from k] for d = 1..width,
-    and every row ends at exactly k + 1, so the array is sorted and a value in
-    [k, k + 1] falls into row k.
+    The uniforms are drawn block by block of rows; a Philox stream yields
+    the same numbers in the same order either way, so the bits equal those
+    of one ``rng.random((m, n)) < 0.5``.
     """
-
-    improve: np.ndarray
-    cdf: np.ndarray
-    width: int
-
-
-def _jump_tables(n: int, kmax: int) -> _JumpTables:
-    band = _float_band(n, range(kmax + 1))
-    cdf = np.cumsum(band[:, 1:], axis=1)
-    cdf[0] = 1.0  # state 0 never moves; the row only keeps the array sorted
-    cdf /= cdf[:, -1:]
-    cdf += np.arange(kmax + 1)[:, None]
-    return _JumpTables(np.array(_band_improvement(band)), cdf.ravel(), band.shape[1] - 1)
+    bits = np.empty((m, n), dtype=bool)
+    rows = max(1, _START_BLOCK // n)
+    for lo in range(0, m, rows):
+        hi = min(m, lo + rows)
+        bits[lo:hi] = rng.random((hi - lo, n)) < 0.5
+    return bits
 
 
-def _chunk_jump(
-    tables: _JumpTables,
-    n: int,
-    start: int | str,
-    m: int,
-    rng: np.random.Generator,
-    max_iters: int,
-) -> tuple[np.ndarray, int]:
-    k = _start_states(n, start, m, rng)
-    times = np.full(m, max_iters, dtype=np.int64)
-    idx = np.nonzero(k > 0)[0]
-    times[k == 0] = 0
+def _run_lanes(step, k: np.ndarray, max_iters: int) -> tuple[np.ndarray, int]:
+    """Hitting times of lanes started with zero counts ``k``.
+
+    ``step(idx, k)`` moves the running lanes ``idx``, in states ``k``, once
+    and returns (steps taken, new states). A lane that starts at 0 is
+    recorded as 0. A lane whose time passes ``max_iters`` is recorded at
+    ``max_iters`` and counted in the returned truncation count; one that
+    reaches 0 at exactly ``max_iters`` is not.
+    """
+    times = np.zeros(k.size, dtype=np.int64)
+    idx = np.flatnonzero(k)
     k = k[idx]
     t = np.zeros(idx.size, dtype=np.int64)
     truncated = 0
     while idx.size:
-        t += rng.geometric(tables.improve[k])
-        row = k * tables.width
-        pos = np.searchsorted(tables.cdf, k + rng.random(k.size))
-        # u rounding k + u down to k lands on the last entry of row k - 1.
-        k = k - 1 - np.maximum(pos - row, 0)
+        steps, k = step(idx, k)
+        t += steps
         over = t > max_iters
-        done = (k == 0) & ~over
-        times[idx[done]] = t[done]
-        truncated += int(over.sum())
-        keep = ~(over | done)
-        idx, k, t = idx[keep], k[keep], t[keep]
+        stop = over | (k == 0)
+        if stop.any():
+            times[idx[stop]] = np.minimum(t[stop], max_iters)
+            truncated += int(over.sum())
+            keep = ~stop
+            idx, k, t = idx[keep], k[keep], t[keep]
     return times, truncated
 
 
-def _chunk_bitstring(
-    n: int, start: int | str, m: int, rng: np.random.Generator, max_iters: int
-) -> tuple[np.ndarray, int]:
+# One chunk of each engine, as (step, start states) for ``_run_lanes``.
+
+
+def _statechain_lanes(n: int, start: int | str, m: int, rng: np.random.Generator):
+    inv = 1.0 / n
+
+    def step(idx, k):
+        a = rng.binomial(k, inv)
+        b = rng.binomial(n - k, inv)
+        return 1, np.where(b <= a, k - a + b, k)
+
+    return step, _start_states(n, start, m, rng)
+
+
+def _jump_tables(n: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """The jump chain of states 0..kmax, read from the float kernel band.
+
+    Returns (s, cdf): s[k] = s_k, and cdf[k, d - 1] = P[jump <= d | move
+    from k] for d = 1..D, each row ending at exactly 1.
+    """
+    band = _float_band(n, range(kmax + 1))
+    cdf = np.cumsum(band[:, 1:], axis=1)
+    cdf[0] = 1.0  # state 0 never moves
+    cdf /= cdf[:, -1:]
+    return np.array(_band_improvement(band)), cdf
+
+
+def _draw_jumps(cdf: np.ndarray, k: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Jump sizes by inverse transform: d = 1 + #{j : cdf[k, j] < u}.
+
+    Rows are nondecreasing and end at 1 > u, so d is one plus the index of
+    the first entry of row k that is not below u. The search walks the
+    columns in order over the lanes not yet decided; most jumps are 1, and
+    no lane reads further along its row than the jump it draws.
+    """
+    d = np.ones_like(k)
+    live = np.flatnonzero(cdf[k, 0] < u)
+    col = 1
+    while live.size:
+        d[live] += 1
+        live = live[cdf[k[live], col] < u[live]]
+        col += 1
+    return d
+
+
+def _jump_lanes(improve: np.ndarray, cdf: np.ndarray, n: int, start: int | str, m: int, rng):
+    def step(idx, k):
+        wait = rng.geometric(improve[k])
+        return wait, k - _draw_jumps(cdf, k, rng.random(k.size))
+
+    return step, _start_states(n, start, m, rng)
+
+
+def _bitstring_lanes(n: int, start: int | str, m: int, rng: np.random.Generator):
     if start == UNIFORM_START:
-        cur = rng.random((m, n)) < 0.5
+        cur = _uniform_bits(m, n, rng)
     else:
         cur = np.ones((m, n), dtype=bool)
         cur[:, : int(start)] = False
-    zc = n - cur.sum(axis=1, dtype=np.int64)
-    times = np.full(m, max_iters, dtype=np.int64)
-    idx = np.nonzero(zc > 0)[0]
-    times[zc == 0] = 0
-    zc = zc[idx]
     bits = cur.reshape(-1)
-    iters = 0
-    while idx.size and iters < max_iters:
-        iters += 1
+
+    def step(idx, zc):
         c, lane, sites = _flip_sites(n, idx, rng)
         # Each flipped one-bit adds a zero, each flipped zero-bit removes one.
         ones = np.bincount(lane[bits[sites]], minlength=idx.size)
         czc = zc + 2 * ones - c
         bits[sites[(czc <= zc)[lane]]] ^= True
-        zc = np.minimum(czc, zc)
-        done = zc == 0
-        if done.any():
-            times[idx[done]] = iters
-            keep = ~done
-            idx = idx[keep]
-            zc = zc[keep]
-    return times, int(idx.size)
+        return 1, np.minimum(czc, zc)
+
+    return step, n - cur.sum(axis=1, dtype=np.int64)
 
 
 def run(config: SimConfig, threads: int | None = 1) -> tuple[RunStats, np.ndarray]:
@@ -318,18 +327,19 @@ def run(config: SimConfig, threads: int | None = 1) -> tuple[RunStats, np.ndarra
     max_iters = config.max_iters if config.max_iters is not None else default_max_iters(n)
     if config.engine == ENGINE_JUMP:
         kmax = n if config.start == UNIFORM_START else config.start
-        chunk_fn = partial(_chunk_jump, _jump_tables(n, kmax))
+        lanes = partial(_jump_lanes, *_jump_tables(n, kmax))
     elif config.engine == ENGINE_BITSTRING:
-        chunk_fn = _chunk_bitstring
+        check_memory(min(reps, CHUNK_SIZE) * n, "one chunk of bit strings")
+        lanes = _bitstring_lanes
     else:
-        chunk_fn = _chunk_statechain
+        lanes = _statechain_lanes
     nchunks = (reps + CHUNK_SIZE - 1) // CHUNK_SIZE
     streams = np.random.SeedSequence(config.seed).spawn(nchunks)
 
     def one(i: int) -> tuple[np.ndarray, int]:
         m = min(CHUNK_SIZE, reps - i * CHUNK_SIZE)
         rng = np.random.Generator(np.random.Philox(streams[i]))
-        return chunk_fn(n, config.start, m, rng, max_iters)
+        return _run_lanes(*lanes(n, config.start, m, rng), max_iters)
 
     parts = thread_map(one, range(nchunks), threads)
     samples = np.concatenate([p[0] for p in parts])

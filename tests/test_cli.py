@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -251,6 +252,30 @@ def test_rational_capacity_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "drift", "65", "--backend", "rational")
     assert code == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("runtime", "1000000000"),
+        ("sim", "--n", "1000000000", "--reps", "10", "--seed", "0"),
+        ("sim", "--n", "1000000000", "--reps", "10", "--seed", "0", "--engine", "bitstring"),
+        ("sim", "--n", "10", "--reps", str(10**15), "--seed", "0"),
+    ],
+)
+def test_huge_requests_exit_2_before_allocating(capsys, argv):
+    """Above the memory limit a request fails as a usage error, at once:
+    the peak of traced allocations (numpy's included) stays under 1 MB."""
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "GiB limit" in err
+    assert peak < 2**20
 
 
 def test_numeric_error_exit_code(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Monte Carlo engines: law, determinism, truncation accounting."""
 
 import dataclasses
+import importlib
 import math
 import os
 from math import comb
@@ -21,8 +22,14 @@ from onemax_runtime import (
     step_bitstring,
     step_statechain,
 )
-from onemax_runtime.backends import THREADS_ENV_VAR, DomainError, worker_count
-from onemax_runtime.simulate import ENGINES
+from onemax_runtime.backends import THREADS_ENV_VAR, DomainError, check_memory, worker_count
+from onemax_runtime.simulate import (
+    _START_BLOCK,
+    ENGINES,
+    _draw_jumps,
+    _jump_tables,
+    _uniform_bits,
+)
 
 
 def test_default_budget_formula():
@@ -211,6 +218,52 @@ def test_bitstring_hitting_time_law_matches_kernel():
     cfg = SimConfig(n=n, start=k, replicates=reps, seed=36, engine=ENGINE_BITSTRING)
     _, samples = run(cfg)
     assert _hitting_law_pvalue(samples, n, k) > 1e-4
+
+
+def test_jump_lookup_is_exact():
+    """Each table entry is a boundary of its own row: u = cdf[k, j] draws
+    d = j + 1 and the next double up draws d = j + 2. Near k = n an offset
+    k + u would round both values of u to the same double."""
+    n = 10**4
+    k = n - 3
+    _, cdf = _jump_tables(n, k)
+    row = cdf[k]
+    cols = np.flatnonzero(np.diff(row, prepend=0.0) > 0)
+    assert cols.size > 10
+    ks = np.full(cols.size, k)
+    assert (_draw_jumps(cdf, ks, row[cols]) == cols + 1).all()
+    below_one = cols[row[cols] < 1.0]
+    assert below_one.size == cols.size - 1
+    up = np.nextafter(row[below_one], 1.0)
+    assert (_draw_jumps(cdf, ks[: below_one.size], up) == below_one + 2).all()
+    assert (k + row[below_one] == k + up).all()
+
+
+def test_uniform_start_bits_are_drawn_in_blocks_of_the_one_shot_stream():
+    n = 2**18
+    m = 2 * (_START_BLOCK // n) + 3  # two full blocks and a partial one
+    blocked = _uniform_bits(m, n, np.random.Generator(np.random.Philox(9)))
+    one_shot = np.random.Generator(np.random.Philox(9)).random((m, n)) < 0.5
+    assert (blocked == one_shot).all()
+
+
+def test_memory_limit_admits_a_million(monkeypatch):
+    """The band of runtime 10**6 and of a uniform-start sim at n = 10**6 pass
+    the real check; the run stops there instead of building them."""
+
+    class Checked(Exception):
+        pass
+
+    def check_then_stop(nbytes, what):
+        check_memory(nbytes, what)
+        raise Checked
+
+    drift_module = importlib.import_module("onemax_runtime.drift")
+    monkeypatch.setattr(drift_module, "check_memory", check_then_stop)
+    with pytest.raises(Checked):
+        runtime_profile(10**6, up_to=10**6 // 2)
+    with pytest.raises(Checked):
+        run(SimConfig(n=10**6, start="uniform", replicates=10**4, seed=0))
 
 
 @pytest.mark.parametrize("engine", ENGINES)
