@@ -31,8 +31,8 @@ BACKENDS = (FLOAT, RATIONAL)
 DEFAULT_RATIONAL_CAP = 64
 
 # Largest array, in bytes, that one request may allocate: 2 GiB. It admits
-# the float band of ``runtime 1000000`` (0.6 GB) and of a uniform-start
-# ``sim --n 1000000`` (1.4 GB).
+# the float band of ``runtime 1000000`` (68 MB) and the jump tables of a
+# uniform-start ``sim --n 1000000`` (0.33 GB).
 MEMORY_LIMIT = 2 * 1024**3
 
 THREADS_ENV_VAR = "ONEMAX_RUNTIME_THREADS"

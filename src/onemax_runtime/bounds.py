@@ -51,7 +51,9 @@ from .drift import (
     TransitionKernel,
     _band_drift,
     _drift_table,
+    _float_band,
     _sum,
+    _underflow_width,
     build_kernel,
     drift,
     normalized_drift,
@@ -220,17 +222,21 @@ def _decide(check: _Check, n: int, backend: str, rational_cap: int) -> CheckReco
     )
 
 
-def _float_tail_ratios(n: int, band: np.ndarray) -> list[float]:
+def _float_tail_ratios(n: int) -> list[float]:
     """P[the step from k drops at least l] / ((k/n)^l / l!) for every state
     k >= 1 and every l whose tail is positive.
 
-    The tails are running sums over the band from its far end, which adds
-    the entries in the order a full row's cumulative sum does.
+    The tails are read from a band of the underflow width, which keeps every
+    positive entry of a row, not from the narrower chain band. They are
+    running sums over the band from its far end, which adds the entries in
+    the order a full row's cumulative sum does.
     """
-    width = band.shape[1] - 1
-    tails = np.cumsum(band[1:, :0:-1], axis=1)[:, ::-1]
+    width = _underflow_width(n, n)
+    band = _float_band(n, range(1, n + 1), width)
+    tails = np.cumsum(band[:, :0:-1], axis=1)[:, ::-1]
+    del band
     l = np.arange(1, width + 1)
-    log_kn = np.array([math.log(k / n) for k in range(1, len(band))])
+    log_kn = np.array([math.log(k / n) for k in range(1, n + 1)])
     log_fact = np.array([math.lgamma(x + 1) for x in range(1, width + 1)])
     positive = tails > 0.0
     log_bound = l * log_kn[:, None] - log_fact
@@ -346,7 +352,7 @@ def verify_inequalities(
                 factor *= l * step
                 tail_ratios.append(cum * factor)
     else:
-        tail_ratios = _float_tail_ratios(n, kernel.band)
+        tail_ratios = _float_tail_ratios(n)
     checks.append(_Check("tail-factorial", 1, n, "le", one, tail_ratios))
 
     # One value per k, the largest ratio over l: the pairs are O(n^2), so

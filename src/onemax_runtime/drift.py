@@ -38,16 +38,26 @@ comes from the integer numerator
 
 and column 0 is the integer complement n^n minus the row's other numerators.
 
-The float band is cut. Its entries decay like p(k, k-d) <= (k/n)^d / d!,
-so the width D is the smallest one for which that bound puts every entry
-with d > D below 2^-1078; the dropped entries are exactly the ones that are
-0.0 in double precision anyway: at most about 180 columns for any n, about
-160 for starts k <= n/2, so memory is O(n D) instead of O(n^2). Each row is
-the same correlation of the two flip-count pmfs that a full row would use,
-cut to the first D + 41 terms of Bin(k, 1/n) and the first 41 of
-Bin(n-k, 1/n). Every omitted term carries a factor below 1/41! of a kept
-one, far under one ulp, so the band entries equal full-row entries bit for
-bit (checked at n up to 2048).
+The float band is cut. A jump of d needs at least d flipped zero-bits, so a
+row drops at most (k/n)^(D+1) / (D+1)! of mass past column D, while it moves
+with probability s_k >= k / (e n). The chain width D (``_band_width``) is the
+smallest that keeps this below 2^-60 s_k on every row: D = 16 for states up
+to n/2 and D = 20 up to n, at every n >= 64, so memory is O(n D) instead of
+O(n^2). The dropped mass stays in column 0, so rows still sum to one. The
+band is built in blocks of states from 2-D pmf arrays: each block takes its
+(1 - 1/n)^m bases from one vectorised binary exponentiation, bit for bit the
+scalar ``pow_base``, then the ratio recurrence as a cumulative product along
+each row; each entry p(k, k-d) = sum_l pa[d+l] pb[l] adds its first 10 pair
+terms in ascending l, and the terms it omits are below 2^-66 of it. Band
+entries agree with full rows to 6.7e-16 relative (n = 1500 and 4096).
+
+The underflow width (``_underflow_width``, about 160 columns for states up
+to n/2 and 180 up to n) keeps every entry that is not 0.0 in double
+precision. It is used where the contract is "every positive entry": the
+``tail-factorial`` check in ``bounds`` builds its tails from a band of that
+width through the same builder, the single-row ``transition_prob`` and
+``transition_tail`` read a row of that width, and the normalized-drift
+column is cut there because its terms past it are exact zeros.
 """
 
 from __future__ import annotations
@@ -95,20 +105,41 @@ def _check_state(n: int, k: int, hi: int) -> int:
     return k
 
 
-def _binom_pmf_float(m: int, n: int, terms: int | None = None) -> np.ndarray:
-    """Pmf of Bin(m, 1/n) as a float vector: all m + 1 terms, or the first
-    ``terms`` of them.
+def _pow_bases(base: float, exponents) -> np.ndarray:
+    """``pow_base(base, m)`` for every m of an integer array, bit for bit.
+
+    Exponents up to 10**6 share the squarings base^(2^j): each
+    result multiplies in the ones of its set bits from the lowest up,
+    starting from 1.0, which are the operations ``pow_base`` does in the
+    same order (a factor 1.0 for a clear bit is exact). Exponents above
+    10**6, where ``pow_base`` switches to exp/log, take it one by one.
+    """
+    m = np.asarray(exponents, dtype=np.int64)
+    top = int(m.max(initial=0))
+    if top > 10**6:
+        return np.array([pow_base(base, e) for e in m.tolist()], dtype=float)
+    squares = [base]
+    for _ in range(1, top.bit_length()):
+        squares.append(squares[-1] * squares[-1])
+    bits = (m[:, None] >> np.arange(len(squares))) & 1
+    return np.multiply.accumulate(np.where(bits == 1, squares, 1.0), axis=1)[:, -1]
+
+
+def _binom_pmfs(ms: np.ndarray, n: int, terms: int) -> np.ndarray:
+    """Pmfs of Bin(m, 1/n) for each m of an integer array: row i holds the
+    terms 0..terms-1 of Bin(ms[i], 1/n), exact zeros past ms[i].
 
     Built by the ratio recurrence pmf[i] = pmf[i-1] * (m-i+1) / (i (n-1)),
-    which is stable because every factor is positive and the mass decays. A
-    truncated pmf is a prefix of the full one, bit for bit.
+    which is stable because every factor is positive and the mass decays.
+    The cumulative products run along each row, so a row is the same
+    sequence of operations for any number of rows or terms.
     """
-    size = m + 1 if terms is None else min(m + 1, terms)
-    out = np.empty(size)
-    out[0] = pow_base(1.0 - 1.0 / n, m)
-    if size > 1:
-        i = np.arange(1.0, size)
-        out[1:] = out[0] * np.cumprod((m - i + 1.0) / (i * (n - 1.0)))
+    m = np.asarray(ms, dtype=float)[:, None]
+    out = np.empty((len(m), terms))
+    out[:, 0] = _pow_bases(1.0 - 1.0 / n, ms)
+    i = np.arange(1.0, terms)
+    ratios = np.maximum(m - i + 1.0, 0.0) / (i * (n - 1.0))
+    out[:, 1:] = out[:, :1] * np.cumprod(ratios, axis=1)
     return out
 
 
@@ -143,8 +174,8 @@ def drift(n: int, k: int, backend: str = FLOAT) -> Scalar:
             jhi = min(l - 1, n - k)
             total += pa[l] * sum((l - j) * pb[j] for j in range(jhi + 1))
         return total
-    pa = _binom_pmf_float(k, n)
-    pb = _binom_pmf_float(n - k, n)
+    pa = _binom_pmfs([k], n, k + 1)[0]
+    pb = _binom_pmfs([n - k], n, n - k + 1)[0]
     cs0 = np.cumsum(pb)
     cs1 = np.cumsum(pb * np.arange(len(pb)))
     l = np.arange(1, k + 1)
@@ -185,9 +216,9 @@ def normalized_drift(n: int, k: int, backend: str = FLOAT) -> Scalar:
     return _normalized_drift_float(n, [k])[0]
 
 
-# States per block of the vectorized normalized drift: bounds its scratch
-# arrays at a few MB for any n.
-_DRIFT_BLOCK = 512
+# States per block of the vectorized normalized drift and float band: bounds
+# their scratch arrays at a few MB for any n.
+_BLOCK = 512
 
 
 def _normalized_drift_float(n: int, states: Sequence[int]) -> list[float]:
@@ -203,11 +234,11 @@ def _normalized_drift_float(n: int, states: Sequence[int]) -> list[float]:
     final sum stays one dot product per state, cut to the state's own length,
     so its summation order is that of the single-state sum.
     """
-    width = _band_width(n, n + 1)
+    width = _underflow_width(n, n + 1)
     i = np.arange(1.0, width + 1)
     out = []
-    for lo in range(0, len(states), _DRIFT_BLOCK):
-        ks = np.asarray(states[lo : lo + _DRIFT_BLOCK], dtype=float)[:, None]
+    for lo in range(0, len(states), _BLOCK):
+        ks = np.asarray(states[lo : lo + _BLOCK], dtype=float)[:, None]
         m = n + 1.0 - ks
         u = np.cumprod((ks - i + 1.0) / (i * n), axis=1)
         v = np.ones((len(ks), width))
@@ -254,20 +285,42 @@ def normalized_drift_gf(n: int, k: int) -> Fraction:
     return prod[deg]
 
 
-# Terms of Bin(n-k, 1/n) kept per band entry, and the extra terms of
-# Bin(k, 1/n) beyond the band they pair with. The first omitted product
-# carries a factor below 1/41! of a kept one.
-_PAIR_TERMS = 40
+# Terms of Bin(n-k, 1/n) paired with each band entry. For d >= 1 and any n,
+# pair term l of p(k, k-d) is at most 4^-l / (l! (l+1)!) times term 0, so the
+# omitted terms l >= 10 add below 2^-66 of the entry.
+_PAIR_TERMS = 10
 
 
 @lru_cache(maxsize=256)
 def _band_width(n: int, max_state: int) -> int:
+    """Width D of the chain band: the smallest D, capped at max_state, with
+    e (max_state/n)^D / (D+1)! <= 2^-60.
+
+    A jump of d > D needs a >= D + 1 flipped zero-bits, so the mass a row
+    drops is at most P[a >= D+1] <= (k/n)^(D+1) / (D+1)!, while the row
+    moves with s_k >= P[a = 1, b = 0] >= k / (e n). The rule keeps the
+    dropped mass of every row k <= max_state below 2^-60 s_k: D = 16 for
+    max_state <= n/2 and D = 20 for max_state <= n, at every n >= 64.
+    """
+    if max_state == 0:
+        return 0
+    log_ratio = math.log(max_state / n)
+    floor = -60.0 * math.log(2.0)
+    d = 0
+    while d < max_state and 1.0 + d * log_ratio - math.lgamma(d + 2) > floor:
+        d += 1
+    return d
+
+
+@lru_cache(maxsize=256)
+def _underflow_width(n: int, max_state: int) -> int:
     """Smallest D such that every p(k, k-d) with d > D, k <= max_state, is 0.0.
 
     The pmf recurrence computes Bin(k, 1/n)(d) as (1-1/n)^k times a product
     below (k/(n-1))^d / d!, and p(k, k-d) sums such terms of index >= d. Once
     that bound drops below 2^-1078, a factor 8 under half the smallest
-    subnormal, the term and everything after it rounds to zero.
+    subnormal, the term and everything after it rounds to zero. About 160
+    columns for max_state <= n/2 and 180 for max_state <= n + 1.
     """
     if max_state == 0:
         return 0
@@ -279,26 +332,36 @@ def _band_width(n: int, max_state: int) -> int:
     return d
 
 
-def _float_band(n: int, states: Sequence[int]) -> np.ndarray:
+def _float_band(n: int, states: Sequence[int], width: int | None = None) -> np.ndarray:
     """Accepted-step law of the given ascending states as a band, float.
 
-    Row i holds band[i, d] = p(k, k - d) for k = states[i] and d = 0..D; the
-    off-diagonal entries are the correlation of the two flip-count pmfs,
-    p(k, k-d) = sum_l pa[d+l] pb[l], and column 0 is the complement of their
-    compensated sum. The array is read-only. A band above ``MEMORY_LIMIT``
-    raises ``CapacityError`` before it is allocated.
+    Row i holds band[i, d] = p(k, k - d) for k = states[i] and d = 0..D,
+    D = ``width``, by default the chain width ``_band_width``. Each block of
+    states takes both flip-count pmfs as 2-D arrays; an entry p(k, k-d) is
+    the pair sum pa[d+l] pb[l] over l < ``_PAIR_TERMS``, accumulated in
+    ascending l, and column 0 is one minus the row's entries, added from the
+    largest d down, smallest entries first (within 2 ulp of the complement
+    of their exact sum). The
+    array is read-only. A band above ``MEMORY_LIMIT`` raises
+    ``CapacityError`` before it is allocated.
     """
-    width = _band_width(n, states[-1])
+    if width is None:
+        width = _band_width(n, states[-1])
     check_memory(len(states) * (width + 1) * 8, f"the kernel band of {len(states)} states")
-    band = np.zeros((len(states), width + 1))
-    for row, k in zip(band, states):
-        if k:
-            pa = _binom_pmf_float(k, n, width + _PAIR_TERMS + 1)
-            pb = _binom_pmf_float(n - k, n, _PAIR_TERMS + 1)
-            jumps = np.correlate(pa, pb, mode="full")[len(pb):]
-            d_max = min(k, width)
-            row[1 : d_max + 1] = jumps[:d_max]
-        row[0] = 1.0 - math.fsum(row[1:].tolist())
+    band = np.empty((len(states), width + 1))
+    for lo in range(0, len(states), _BLOCK):
+        ks = np.asarray(states[lo : lo + _BLOCK], dtype=np.int64)
+        pa = _binom_pmfs(ks, n, width + _PAIR_TERMS)
+        pb = _binom_pmfs(n - ks, n, _PAIR_TERMS)
+        block = band[lo : lo + len(ks)]
+        jumps = block[:, 1:]
+        np.multiply(pa[:, 1 : 1 + width], pb[:, :1], out=jumps)
+        for l in range(1, _PAIR_TERMS):
+            jumps += pa[:, 1 + l : 1 + l + width] * pb[:, l : l + 1]
+        moves = np.zeros(len(ks))
+        for d in range(width - 1, -1, -1):
+            moves += jumps[:, d]
+        block[:, 0] = 1.0 - moves
     band.setflags(write=False)
     return band
 
@@ -371,6 +434,14 @@ class _BandRows(Sequence):
         return row
 
 
+def _full_row(n: int, k: int, backend: str) -> np.ndarray:
+    """Band row p(k, k - d) of one state with every positive entry: a float
+    row takes the underflow width, not the chain width."""
+    if backend == FLOAT:
+        return _float_band(n, [k], _underflow_width(n, k))[0]
+    return _exact_band(n, [k])[0]
+
+
 def transition_prob(n: int, k: int, j: int, backend: str = FLOAT) -> Scalar:
     """p(k, j): probability the accepted step moves from k zeros to j zeros.
 
@@ -383,7 +454,7 @@ def transition_prob(n: int, k: int, j: int, backend: str = FLOAT) -> Scalar:
     check_backend(backend)
     _check_state(n, k, n)
     _check_state(n, j, n)
-    row = _BANDS[backend](n, [k])[0]
+    row = _full_row(n, k, backend)
     return _sum(row[k - j : k - j + 1] if j <= k else row[:0])
 
 
@@ -393,7 +464,7 @@ def transition_tail(n: int, k: int, j: int, backend: str = FLOAT) -> Scalar:
     check_backend(backend)
     _check_state(n, k, n)
     _check_state(n, j, n)
-    row = _BANDS[backend](n, [k])[0]
+    row = _full_row(n, k, backend)
     return _sum(row[k - j :]) if j < k else 1 + _sum(row[:0])
 
 

@@ -16,12 +16,14 @@ Three engines produce the same law by different routes:
   first-accepted-jump decomposition behind the hitting-time recurrence: from
   state k the chain waits a Geometric(s_k) number of steps, s_k the
   probability that a step moves, then jumps to k - d with probability
-  p(k, k - d) / s_k. Both laws are read from the float kernel band
-  (``drift._float_band``), so a run costs about k0 rounds instead of about
-  e n ln n. The jump is drawn by inverse transform on the table
-  cdf[k, d - 1] = P[jump <= d | move from k], each row ending at exactly 1:
-  d = 1 + #{d : cdf[k, d - 1] < u}, found by walking the row from d = 1,
-  so u is compared with the row's own entries and the draw is exact.
+  p(k, k - d) / s_k, so a run costs about k0 rounds instead of about
+  e n ln n. Both laws are read from the float kernel band
+  (``drift._float_band``), whose D = 20 columns for starts up to n leave
+  out less than 2^-60 of each s_k. The jump is drawn by inverse transform
+  on the table cdf[k, d - 1] = P[jump <= d | move from k], each row ending
+  at exactly 1: d = 1 + #{d : cdf[k, d - 1] < u}, found by walking the row
+  from d = 1, so u is compared with the row's own entries and the draw is
+  exact.
 
 Agreement between the engines, and with the exact kernel and hitting times,
 is what the equivalence tests check; the two per-step engines stay as
@@ -55,7 +57,7 @@ from functools import partial
 import numpy as np
 
 from .backends import DomainError, check_memory, check_n, thread_map
-from .drift import _band_improvement, _float_band
+from .drift import _band_improvement, _band_width, _float_band
 
 __all__ = [
     "CHUNK_SIZE",
@@ -261,12 +263,17 @@ def _jump_tables(n: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     """The jump chain of states 0..kmax, read from the float kernel band.
 
     Returns (s, cdf): s[k] = s_k, and cdf[k, d - 1] = P[jump <= d | move
-    from k] for d = 1..D, each row ending at exactly 1.
+    from k] for d = 1..D, each row ending at exactly 1. The band and the
+    cdf are held at once, and both are checked against ``MEMORY_LIMIT``
+    before either is allocated.
     """
-    band = _float_band(n, range(kmax + 1))
+    states = range(kmax + 1)
+    nbytes = len(states) * (2 * _band_width(n, kmax) + 1) * 8
+    check_memory(nbytes, f"the jump tables of {len(states)} states")
+    band = _float_band(n, states)
     cdf = np.cumsum(band[:, 1:], axis=1)
     cdf[0] = 1.0  # state 0 never moves
-    cdf /= cdf[:, -1:]
+    cdf /= cdf[:, -1:].copy()  # dividing by a view of cdf would copy all of cdf
     return np.array(_band_improvement(band)), cdf
 
 

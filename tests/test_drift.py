@@ -1,5 +1,6 @@
 """Drift values, transition kernel, and the identities tying them together."""
 
+import importlib
 import itertools
 import math
 from fractions import Fraction as F
@@ -19,6 +20,10 @@ from onemax_runtime import (
     transition_tail,
 )
 from onemax_runtime.backends import pow_base
+
+drift_module = importlib.import_module("onemax_runtime.drift")
+_float_band = drift_module._float_band
+_underflow_width = drift_module._underflow_width
 
 
 def float_pmf(m, n):
@@ -231,9 +236,12 @@ def test_normalized_drift_allows_n_plus_one():
 @pytest.mark.parametrize("n", [8, 64, 512])
 def test_band_matches_full_rows(n):
     """Band entries equal full rows to 1e-13 relative (absolutely below the
-    smallest normal double), and nothing outside the band is positive."""
+    smallest normal double), the chain band drops at most 2^-60 of a row's
+    move probability, and nothing outside the underflow-width band is
+    positive."""
     band = build_kernel(n).band
     width = band.shape[1] - 1
+    wide = _float_band(n, range(n + 1), _underflow_width(n, n)).shape[1] - 1
     tiny = np.finfo(float).tiny
     for k in range(1, n + 1):
         full = full_jump_row(n, k)
@@ -242,8 +250,61 @@ def test_band_matches_full_rows(n):
         assert not band[k, d_max + 1 :].any()
         dropped = math.fsum(full[width + 1 :].tolist())
         assert dropped <= 2.0**-60 * math.fsum(full[1:].tolist())
-        assert not full[width + 1 :].any()
+        assert not full[wide + 1 :].any()
         assert band[k, 0] == pytest.approx(1.0 - math.fsum(full[1:].tolist()), abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [1500, 4096])
+def test_chain_band_matches_full_rows_on_sampled_rows(n):
+    """Off powers of two too, the blocked band agrees with full rows to
+    2e-15 relative, and the columns it cuts carry at most 2^-60 of a row's
+    move probability, at every sampled state up to k = n."""
+    band = build_kernel(n).band
+    width = band.shape[1] - 1
+    assert width == 20
+    rng = np.random.default_rng(8)
+    sampled = {1, 2, 3, width - 1, width, width + 1, n // 3, n // 2, n // 2 + 1, n - 1, n}
+    sampled |= set(rng.integers(1, n + 1, size=12).tolist())
+    for k in sorted(sampled):
+        full = full_jump_row(n, k)
+        d_max = min(k, width)
+        rel = np.abs(band[k, 1 : d_max + 1] / full[1 : d_max + 1] - 1.0)
+        assert rel.max() <= 2e-15, (k, rel.max())
+        dropped = math.fsum(full[width + 1 :].tolist())
+        assert dropped <= 2.0**-60 * math.fsum(full[1:].tolist())
+
+
+def test_chain_band_width_is_the_dropped_mass_rule():
+    for n in (64, 1500, 4096, 10**5, 10**6):
+        assert drift_module._band_width(n, n // 2) == 16
+        assert drift_module._band_width(n, n) == 20
+    assert drift_module._band_width(8, 8) == 8
+    assert drift_module._band_width(8, 0) == 0
+
+
+def test_blocked_pmf_bases_equal_pow_base_bit_for_bit():
+    base = 1.0 - 1.0 / 1500
+    step = drift_module._BLOCK
+    for lo in range(0, 10**6 + 1, step):
+        exponents = range(lo, min(lo + step, 10**6 + 1))
+        got = drift_module._pow_bases(base, np.array(exponents))
+        assert got.tolist() == [pow_base(base, m) for m in exponents]
+    assert drift_module._pow_bases(base, np.array([7])).tolist() == [pow_base(base, 7)]
+    big = [10**6 + 1, 3 * 10**6 + 7]
+    assert drift_module._pow_bases(base, np.array(big)).tolist() == [pow_base(base, m) for m in big]
+
+
+def test_float_transition_prob_keeps_jumps_past_the_chain_band():
+    """Single-row float probabilities keep every positive entry, also jumps
+    far past the chain band's 20 columns."""
+    n, k = 100, 100
+    assert drift_module._band_width(n, k) < 30
+    for j in (79, 70, 60):
+        exact = transition_prob(n, k, j, "rational")
+        assert transition_prob(n, k, j) == pytest.approx(float(exact), rel=1e-13)
+        tail = transition_tail(n, k, j, "rational")
+        assert transition_tail(n, k, j) == pytest.approx(float(tail), rel=1e-13)
+    assert transition_prob(n, k, 70) > 0.0
 
 
 def test_exact_band_matches_float_band():
@@ -253,7 +314,8 @@ def test_exact_band_matches_float_band():
     width = band.shape[1] - 1
     as_float = np.array([[float(v) for v in row[: width + 1]] for row in exact])
     np.testing.assert_allclose(band, as_float, rtol=1e-13, atol=np.finfo(float).tiny)
-    assert all(float(v) == 0.0 for row in exact for v in row[width + 1 :])
+    wide = _float_band(n, range(n + 1), _underflow_width(n, n)).shape[1] - 1
+    assert all(float(v) == 0.0 for row in exact for v in row[wide + 1 :])
 
 
 def test_band_recurrence_matches_exact_hitting_time():

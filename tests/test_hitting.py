@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from onemax_runtime import (
@@ -147,3 +148,46 @@ def test_profile_up_to_validation():
         runtime_profile(10, up_to=11)
     with pytest.raises(ValueError):
         runtime_profile(10, up_to=-1)
+
+
+def reference_half_runtime(n):
+    """g(n/2) by the jump recurrence in 40-digit arithmetic.
+
+    The band keeps the columns d <= D with e (k/n)^D / (D+1)! below 1e-40,
+    so each row drops under 1e-40 of its move probability, and each entry
+    sums pair terms until 4^-l / (l! (l+1)!) is below 1e-41 of the first.
+    """
+    with mpmath.workdps(40):
+        half = n // 2
+        tol = mpmath.mpf(10) ** -40
+        width = 0
+        while mpmath.e * (mpmath.mpf(half) / n) ** width / mpmath.factorial(width + 1) > tol:
+            width += 1
+        pairs = 0
+        while mpmath.mpf(4) ** -pairs / (mpmath.factorial(pairs) * mpmath.factorial(pairs + 1)) > tol / 10:
+            pairs += 1
+        base = 1 - mpmath.mpf(1) / n
+
+        def pmf(m, terms):
+            out = [base**m]
+            for i in range(1, min(m, terms - 1) + 1):
+                out.append(out[-1] * (m - i + 1) / (i * (n - 1)))
+            return out + [mpmath.mpf(0)] * (terms - len(out))
+
+        g = [mpmath.mpf(0)]
+        for k in range(1, half + 1):
+            pa = pmf(k, width + pairs + 1)
+            pb = pmf(n - k, pairs)
+            jumps = [mpmath.fdot(pa[d : d + pairs], pb) for d in range(1, width + 1)]
+            hit = mpmath.fdot(jumps[: k - 1], g[k - 1 : max(k - 1 - width, 0) : -1])
+            g.append((1 + hit) / mpmath.fsum(jumps))
+        return float(g[half])
+
+
+def test_half_start_runtime_matches_40_digit_reference():
+    """n = 1024 is a power of two, so fl(1 - 1/n) is exact and the distance
+    measures the float band and recurrence alone."""
+    n = 1024
+    ref = reference_half_runtime(n)
+    got = runtime_profile(n, up_to=n // 2).g[n // 2]
+    assert abs(got - ref) / ref < 2e-14

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import math
 import os
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -22,7 +23,13 @@ from onemax_runtime import (
     step_bitstring,
     step_statechain,
 )
-from onemax_runtime.backends import THREADS_ENV_VAR, DomainError, check_memory, worker_count
+from onemax_runtime.backends import (
+    THREADS_ENV_VAR,
+    CapacityError,
+    DomainError,
+    check_memory,
+    worker_count,
+)
 from onemax_runtime.simulate import (
     _START_BLOCK,
     ENGINES,
@@ -264,6 +271,33 @@ def test_memory_limit_admits_a_million(monkeypatch):
         runtime_profile(10**6, up_to=10**6 // 2)
     with pytest.raises(Checked):
         run(SimConfig(n=10**6, start="uniform", replicates=10**4, seed=0))
+
+
+def test_jump_tables_at_a_hundred_thousand_stay_small():
+    """The band and its cdf at n = 10**5, 21 and 20 columns wide, take about
+    33 MB; the build adds no table-sized temporaries."""
+    tracemalloc.start()
+    try:
+        _, cdf = _jump_tables(10**5, 10**5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cdf.shape == (10**5 + 1, 20)
+    assert (cdf[:, -1] == 1.0).all()
+    assert peak < 64 * 2**20
+
+
+def test_jump_tables_count_the_band_and_the_cdf(monkeypatch):
+    """A limit that admits the band alone but not the band with its cdf
+    refuses the jump tables before either is built."""
+    states = 10**5 + 1
+    band_bytes = states * 21 * 8
+    backends = importlib.import_module("onemax_runtime.backends")
+    monkeypatch.setattr(backends, "MEMORY_LIMIT", band_bytes + states * 8)
+    drift_module = importlib.import_module("onemax_runtime.drift")
+    drift_module._float_band(10**5, range(states))
+    with pytest.raises(CapacityError, match="jump tables"):
+        _jump_tables(10**5, 10**5)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
