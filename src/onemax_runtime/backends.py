@@ -2,15 +2,18 @@
 
 Every quantity in this package can be computed in one of two scalar backends.
 The float backend uses IEEE double arithmetic and numpy vectorization; the
-rational backend uses ``fractions.Fraction`` and is exact but slow, so table
-builders cap it (default n <= 64) and raise :class:`CapacityError` beyond the
-cap. Work whose memory grows with its inputs (the float kernel band, one
-bitstring simulation chunk, the kept simulation samples) is checked against
-:data:`MEMORY_LIMIT` before it is allocated and raises :class:`CapacityError`
-above it. Both backends run the same code on the chain: the kernel band holds
-floats or Fractions, and the quantities read from it differ only in how a row
-is summed. Invalid arguments raise :class:`DomainError`, so that a caller can
-tell its own mistakes from faults inside a computation.
+rational backend returns exact ``fractions.Fraction`` values. Its exact
+values carry denominators of order n^n and beyond, so table builders cap it
+(default n <= 64) and raise :class:`CapacityError` beyond the cap. Work whose
+memory grows with its inputs (the float kernel band, one bitstring simulation
+chunk, the kept simulation samples) is checked against :data:`MEMORY_LIMIT`
+before it is allocated and raises :class:`CapacityError` above it. Both
+backends read the chain from one kernel band: floats, or for the rational
+backend integer numerators over the common denominator n^n. Rational
+quantities add and multiply those integers over a denominator known in
+advance and build one Fraction per returned value. Invalid arguments raise
+:class:`DomainError`, so that a caller can tell its own mistakes from faults
+inside a computation.
 
 Simulation runs its chunks on a thread pool sized by :func:`worker_count`;
 the result is the same for every thread count.
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, Sequence, TypeVar, Union
 
@@ -141,9 +143,13 @@ def thread_map(fn: Callable[[_T], _U], items: Sequence[_T], threads: int | None)
     """Map fn over items, in order, optionally on a thread pool.
 
     Collection is ordered, so output is identical for any thread count.
+    The pool's module is imported only when a pool is used, which keeps it
+    out of the package import.
     """
     workers = worker_count(threads, len(items))
     if workers == 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

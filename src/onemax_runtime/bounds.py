@@ -47,23 +47,25 @@ from .backends import (
     pow_base,
 )
 from .drift import (
+    _BANDS,
     DriftTable,
     TransitionKernel,
     _band_drift,
+    _chain_band,
     _drift_table,
+    _exact_numerators,
     _float_band,
-    _sum,
     _underflow_width,
-    build_kernel,
     drift,
     normalized_drift,
 )
 from .hitting import (
     CORRIDOR_C1,
     CORRIDOR_C2,
+    _check_same_chain,
     _harmonic_prefix,
     _inverse_drift_prefix,
-    _profile_from_parts,
+    _profile,
 )
 
 __all__ = [
@@ -117,27 +119,52 @@ class BoundReport:
         raise KeyError(f"no check named {check_id!r}")
 
 
-def _eta(kernel: TransitionKernel, q, k: int) -> Scalar:
-    """eta(k) = sum_d p(k, k - d) (q(k) - q(k - d)), from row k of the band."""
-    d_max = min(k, kernel.band.shape[1] - 1)
-    drops = q[k] - np.array(q[k - d_max : k][::-1])
-    return _sum(kernel.band[k, 1 : d_max + 1] * drops)
+def _exact_etas(n: int, nums: list[list[int]], delta, states) -> list[Fraction]:
+    """eta(k) for each k of ``states`` from the integer numerators P[k][d]
+    of p(k, k - d) over N = n^n and the exact drift column ``delta``.
+
+    Swapping the sums gives eta(k) = sum_{i=1..k} T_k(k-i+1) / (N delta(i))
+    with the tail numerator T_k(m) = sum_{d>=m} P[k][d]. With
+    delta(i) = a_i / b_i and L_i = a_1 ... a_i, the sum times N L_k is the
+    integer E_k, which runs by Horner over i: E <- E a_i + T_k(k-i+1) b_i
+    L_{i-1}. Each eta(k) is one Fraction.
+    """
+    scale = n**n
+    prods = [1]
+    for d in delta[1 : max(states) + 1]:
+        prods.append(prods[-1] * d.numerator)
+    out = []
+    for k in states:
+        row = nums[k]
+        tail = acc = 0
+        for i in range(1, k + 1):
+            tail += row[k - i + 1]
+            acc = acc * delta[i].numerator + tail * delta[i].denominator * prods[i - 1]
+        out.append(Fraction(acc, scale * prods[k]))
+    return out
 
 
-def _check_same_n(kernel: TransitionKernel, drift_table: DriftTable) -> None:
-    if kernel.n != drift_table.n:
-        raise DomainError(
-            f"kernel has n = {kernel.n} but drift table has n = {drift_table.n}"
-        )
+def _etas(n: int, backend: str, band, delta, states) -> list:
+    """eta(k) for each k of ``states`` from a ``_BANDS`` band and the drift
+    column ``delta``; a float eta(k) is sum_d p(k, k - d) (q(k) - q(k - d))
+    over row k of the band."""
+    if backend == RATIONAL:
+        return _exact_etas(n, band, delta, states)
+    q = _inverse_drift_prefix(delta[: max(states) + 1])
+    out = []
+    for k in states:
+        d_max = min(k, band.shape[1] - 1)
+        drops = q[k] - np.array(q[k - d_max : k][::-1])
+        out.append(math.fsum((band[k, 1 : d_max + 1] * drops).tolist()))
+    return out
 
 
 def eta(kernel: TransitionKernel, drift_table: DriftTable, k: int) -> Scalar:
     """Expected one-step drop of the inverse-drift sum from state k."""
-    _check_same_n(kernel, drift_table)
+    _check_same_chain(kernel, drift_table)
     if k < 1 or k > kernel.max_state:
         raise DomainError(f"state k = {k} outside [1, {kernel.max_state}]")
-    q = _inverse_drift_prefix(drift_table.delta[: k + 1])
-    return _eta(kernel, q, k)
+    return _etas(kernel.n, kernel.backend, _chain_band(kernel), drift_table.delta, [k])[0]
 
 
 def eta_star(
@@ -154,9 +181,10 @@ def eta_star(
         raise DomainError(
             f"state range [{k_lo}, {k_hi}] invalid for max_state {kernel.max_state}"
         )
-    _check_same_n(kernel, drift_table)
-    q = _inverse_drift_prefix(drift_table.delta[: k_hi + 1])
-    values = [_eta(kernel, q, k) for k in range(k_lo, k_hi + 1)]
+    _check_same_chain(kernel, drift_table)
+    values = _etas(
+        kernel.n, kernel.backend, _chain_band(kernel), drift_table.delta, range(k_lo, k_hi + 1)
+    )
     return max(values) if mode == "max" else min(values)
 
 
@@ -259,9 +287,9 @@ def _exact_dstar_sandwich(n: int, upper: bool, states: list[int]) -> bool:
 
 
 def _exact_eta_unit(n: int, states: list[int]) -> bool:
-    kernel = build_kernel(n, RATIONAL, max_state=max(states), rational_cap=n)
-    q = _inverse_drift_prefix(_band_drift(kernel.band))
-    return all(_eta(kernel, q, k) >= 1 for k in states)
+    nums = _exact_numerators(n, range(max(states) + 1))
+    delta = _band_drift(n, RATIONAL, nums)
+    return all(e >= 1 for e in _exact_etas(n, nums, delta, states))
 
 
 def verify_inequalities(
@@ -281,9 +309,9 @@ def verify_inequalities(
     check_rational_cap(n, backend, rational_cap)
 
     rational = backend == RATIONAL
-    kernel = build_kernel(n, backend, rational_cap=rational_cap)
-    table = _drift_table(n, backend, kernel.band)
-    profile = _profile_from_parts(kernel, table.delta)
+    band = _BANDS[backend](n, range(n + 1))
+    table = _drift_table(n, backend, band)
+    profile = _profile(n, backend, band, table.delta)
     g = profile.g
     q = profile.q
     half = n // 2
@@ -291,7 +319,7 @@ def verify_inequalities(
     one = Fraction(1) if rational else 1.0
 
     eta_vals = [Fraction(0) if rational else 0.0]
-    eta_vals += [_eta(kernel, q, k) for k in range(1, n + 1)]
+    eta_vals += _etas(n, backend, band, table.delta, range(1, n + 1))
 
     delta = table.delta
     dstar = table.delta_star
@@ -341,16 +369,19 @@ def verify_inequalities(
     )
 
     if rational:
+        # P[drop >= l] l! (n/k)^l = T l! n^l / (n^n k^l) with the integer tail
+        # numerator T = n^n minus the row's numerators below l.
+        scale = n**n
         tail_ratios: list = []
         for k in range(1, n + 1):
-            row = kernel.band[k]
-            factor = Fraction(1)
-            step = Fraction(n, k)
-            cum = Fraction(1)
+            row = band[k]
+            tail = scale
+            num = den = 1
             for l in range(1, k + 1):
-                cum -= row[l - 1]
-                factor *= l * step
-                tail_ratios.append(cum * factor)
+                tail -= row[l - 1]
+                num *= l * n
+                den *= k
+                tail_ratios.append(Fraction(tail * num, scale * den))
     else:
         tail_ratios = _float_tail_ratios(n)
     checks.append(_Check("tail-factorial", 1, n, "le", one, tail_ratios))
@@ -400,9 +431,14 @@ def verify_inequalities(
 
     eta_star_max = max(eta_vals[1 : half + 1])
     eta_star_min = min(eta_vals[2 : n + 1])
-    delta_arr = np.array(delta)
-    lower_sum = _sum(1 / (eta_star_max * delta_arr[1 : half + 1]))
-    upper_sum = invd[1] + _sum(1 / (eta_star_min * delta_arr[2 : half + 1]))
+    if rational:
+        # sum_{k<=h} 1 / (eta delta(k)) = q(h) / eta, exactly.
+        lower_sum = q[half] / eta_star_max
+        upper_sum = invd[1] + (q[half] - q[1]) / eta_star_min
+    else:
+        delta_arr = np.array(delta)
+        lower_sum = math.fsum((1 / (eta_star_max * delta_arr[1 : half + 1])).tolist())
+        upper_sum = invd[1] + math.fsum((1 / (eta_star_min * delta_arr[2 : half + 1])).tolist())
     checks.append(_Check("theorem-lower", 1, half, "ge", one, [g[half] / lower_sum]))
     checks.append(_Check("theorem-upper", 1, half, "le", one, [g[half] / upper_sum]))
 

@@ -15,7 +15,7 @@ Exit status: 0 on success, 2 on usage or domain errors (including the rational
 cap and the memory limit), 1 on numeric failures and any other internal fault.
 Output for a fixed command line is byte-identical across runs. Rational values render as "p/q" in CSV and as
 {"num": p, "den": q} objects in JSON; floats render with ``--precision``
-significant digits (default 15).
+significant digits (default 15; negative values are usage errors).
 """
 
 from __future__ import annotations
@@ -339,6 +339,17 @@ def _cmd_sim(args) -> None:
     _emit_object(obj, args)
 
 
+def _precision(text: str) -> int:
+    """A ``--precision`` value: a nonnegative integer."""
+    try:
+        digits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if digits < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {digits}")
+    return digits
+
+
 def _add_output_options(sp, default_format: str) -> None:
     sp.add_argument("--out", metavar="PATH", default=None, help="write to PATH instead of stdout")
     sp.add_argument(
@@ -346,7 +357,7 @@ def _add_output_options(sp, default_format: str) -> None:
         help=f"output format (default {default_format})",
     )
     sp.add_argument(
-        "--precision", type=int, default=15, metavar="N",
+        "--precision", type=_precision, default=15, metavar="N",
         help="significant digits for float rendering (default 15)",
     )
 

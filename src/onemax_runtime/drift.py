@@ -19,24 +19,29 @@ Everything here is an explicit finite sum over mutation outcomes:
   recurrence and the bound checks.
 
 All operations take a ``backend`` flag: ``"float"`` for IEEE doubles with
-numpy vectorization, ``"rational"`` for exact ``fractions.Fraction``
-arithmetic. Builders cap the rational backend (default n <= 64) because exact
-entries carry denominators of order n^n.
+numpy vectorization, ``"rational"`` for exact values as
+``fractions.Fraction``. Builders cap the rational backend (default n <= 64)
+because exact values carry denominators of order n^n and beyond.
 
-Both backends store the kernel as a band, band[i, d] = p(k, k - d) for
+Both backends read the chain from a band, band[i, d] = p(k, k - d) for
 k = states[i] and d = 0..D, where column 0 is the stay probability, and every
 quantity of the chain reads it: the improvement probability s_k is the row
 sum over d >= 1, the drift is the row's first moment, and the hitting times,
-eta and the transition tails read the same rows. The two bands differ only in
-their scalars, and one summation helper (``_sum``: ``math.fsum`` for floats,
-an exact sum for Fractions) is the single place that tells them apart.
+eta and the transition tails read the same rows.
 
-The exact band is a Fraction array of full width D = max(states). Each entry
-comes from the integer numerator
+The exact band has full width D = max(states) and is kept on integers
+(``_exact_numerators``): every entry is a numerator over the one common
+denominator N = n^n,
 
     p(k, k-d) n^n = sum_l C(k, d+l) C(n-k, l) (n-1)^(n-d-2l),
 
 and column 0 is the integer complement n^n minus the row's other numerators.
+Rational quantities are sums of such numerators over a denominator whose
+structure is known in advance (N for row sums, N times a running product of
+row sums or drift numerators for the recurrences in ``hitting`` and
+``bounds``), so the work is integer addition and multiplication, and each
+returned value is one ``Fraction``, reduced once. ``TransitionKernel.band``
+is the Fraction view of these numerators.
 
 The float band is cut. A jump of d needs at least d flipped zero-bits, so a
 row drops at most (k/n)^(D+1) / (D+1)! of mass past column D, while it moves
@@ -200,19 +205,23 @@ def normalized_drift(n: int, k: int, backend: str = FLOAT) -> Scalar:
         return Fraction(0) if backend == RATIONAL else 0.0
     m = n + 1 - k
     if backend == RATIONAL:
-        inv = Fraction(1, n)
-        total = Fraction(0)
-        u = Fraction(1)
+        # Times n^(k+J), J = min(k-1, m), every term is an integer: with
+        # c_j = C(m, j) n^(J-j) and its prefix sums A_t, B_t of c_j and j c_j,
+        # the inner sum over j <= t = min(l-1, J) is l A_t - B_t, and the
+        # outer sum over l runs by Horner in n.
+        top = min(k - 1, m)
+        prefix = []
+        a = b = 0
+        for j in range(top + 1):
+            c = comb(m, j) * n ** (top - j)
+            a += c
+            b += j * c
+            prefix.append((a, b))
+        total = 0
         for l in range(1, k + 1):
-            u = u * (k - l + 1) / l * inv
-            jhi = min(l - 1, m)
-            v = Fraction(1)
-            inner = Fraction(l)
-            for j in range(1, jhi + 1):
-                v = v * (m - j + 1) / j * inv
-                inner += (l - j) * v
-            total += u * inner
-        return total
+            a, b = prefix[min(l - 1, top)]
+            total = total * n + comb(k, l) * (l * a - b)
+        return Fraction(total, n ** (k + top))
     return _normalized_drift_float(n, [k])[0]
 
 
@@ -366,19 +375,20 @@ def _float_band(n: int, states: Sequence[int], width: int | None = None) -> np.n
     return band
 
 
-def _exact_band(n: int, states: Sequence[int]) -> np.ndarray:
-    """Accepted-step law of the given states as a band of Fractions.
+def _exact_numerators(n: int, states: Sequence[int]) -> list[list[int]]:
+    """The exact band of the given states on integers, over n^n.
 
-    Same layout as the float band, at full width D = max(states). Row k is
-    built on integers over the common denominator n^n: the numerator of
-    p(k, k-d) is sum_l C(k, d+l) C(n-k, l) (n-1)^(n-d-2l), and that of the
-    stay probability is n^n minus the others. The array is read-only.
+    Row i holds the numerators of p(k, k - d) over the common denominator
+    n^n, for k = states[i] and d = 0..max(states) (full width; zeros past
+    d = k). The numerator of a jump is sum_l C(k, d+l) C(n-k, l)
+    (n-1)^(n-d-2l), and that of the stay probability is n^n minus the
+    others, so every row sums to n^n.
     """
     width = max(states)
     scale = n**n
     powers = [(n - 1) ** e for e in range(n + 1)]
-    band = np.empty((len(states), width + 1), dtype=object)
-    for i, k in enumerate(states):
+    rows = []
+    for k in states:
         nums = [0] * (width + 1)
         for d in range(1, k + 1):
             nums[d] = sum(
@@ -386,32 +396,52 @@ def _exact_band(n: int, states: Sequence[int]) -> np.ndarray:
                 for l in range(min(k - d, n - k) + 1)
             )
         nums[0] = scale - sum(nums)
+        rows.append(nums)
+    return rows
+
+
+def _exact_band(n: int, states: Sequence[int]) -> np.ndarray:
+    """Accepted-step law of the given states as a read-only band of
+    Fractions: the integer numerators of ``_exact_numerators`` over n^n."""
+    scale = n**n
+    rows = _exact_numerators(n, states)
+    band = np.empty((len(rows), len(rows[0])), dtype=object)
+    for i, nums in enumerate(rows):
         band[i] = [Fraction(x, scale) for x in nums]
     band.setflags(write=False)
     return band
 
 
-# The kernel band of given states, per backend: band = _BANDS[backend](n, states).
-_BANDS = {FLOAT: _float_band, RATIONAL: _exact_band}
+# The band the chain computations read, per backend: band = _BANDS[backend](n,
+# states) is the float band, or for the rational backend the integer
+# numerators over n^n, which exact sums add as ints.
+_BANDS = {FLOAT: _float_band, RATIONAL: _exact_numerators}
 
 
-def _sum(values: np.ndarray):
-    """Sum of a vector read off a band: exact for Fractions, compensated
-    (``math.fsum``) for floats. The empty sum is the typed zero."""
-    if values.dtype == object:
-        return sum(values.tolist(), Fraction(0))
-    return math.fsum(values.tolist())
+def _chain_band(kernel: TransitionKernel):
+    """The band of ``_BANDS`` behind a kernel: its float band, or the integer
+    numerators over n^n of its Fraction band."""
+    if kernel.backend == FLOAT:
+        return kernel.band
+    scale = kernel.n**kernel.n
+    return [[scale // x.denominator * x.numerator for x in row] for row in kernel.band.tolist()]
 
 
-def _band_improvement(band: np.ndarray) -> list:
-    """s_k = P[an accepted step moves from k], the row sum over d >= 1."""
-    return [_sum(row[1:]) for row in band]
+def _band_improvement(band: np.ndarray) -> list[float]:
+    """s_k = P[an accepted step moves from k], the row sum over d >= 1, of
+    a float band."""
+    return [math.fsum(row[1:].tolist()) for row in band]
 
 
-def _band_drift(band: np.ndarray) -> list:
-    """The drift of each row: its first moment sum_d d p(k, k - d)."""
+def _band_drift(n: int, backend: str, band) -> list:
+    """The drift of each row of a ``_BANDS`` band: its first moment
+    sum_d d p(k, k - d). A rational row is summed on its integer
+    numerators and divided by n^n once."""
+    if backend == RATIONAL:
+        scale = n**n
+        return [Fraction(sum(d * x for d, x in enumerate(row)), scale) for row in band]
     d = np.arange(band.shape[1])
-    return [_sum(d * row) for row in band]
+    return [math.fsum((d * row).tolist()) for row in band]
 
 
 class _BandRows(Sequence):
@@ -434,12 +464,13 @@ class _BandRows(Sequence):
         return row
 
 
-def _full_row(n: int, k: int, backend: str) -> np.ndarray:
-    """Band row p(k, k - d) of one state with every positive entry: a float
-    row takes the underflow width, not the chain width."""
-    if backend == FLOAT:
-        return _float_band(n, [k], _underflow_width(n, k))[0]
-    return _exact_band(n, [k])[0]
+def _row_sum(n: int, k: int, backend: str, lo: int, hi: int | None = None) -> Scalar:
+    """sum_{lo <= d < hi} p(k, k - d) over the full row of state k: a float
+    row takes the underflow width, not the chain width, so it keeps every
+    positive entry; a rational row is summed on its integer numerators."""
+    if backend == RATIONAL:
+        return Fraction(sum(_exact_numerators(n, [k])[0][lo:hi]), n**n)
+    return math.fsum(_float_band(n, [k], _underflow_width(n, k))[0][lo:hi].tolist())
 
 
 def transition_prob(n: int, k: int, j: int, backend: str = FLOAT) -> Scalar:
@@ -454,8 +485,9 @@ def transition_prob(n: int, k: int, j: int, backend: str = FLOAT) -> Scalar:
     check_backend(backend)
     _check_state(n, k, n)
     _check_state(n, j, n)
-    row = _full_row(n, k, backend)
-    return _sum(row[k - j : k - j + 1] if j <= k else row[:0])
+    if j > k:
+        return Fraction(0) if backend == RATIONAL else 0.0
+    return _row_sum(n, k, backend, k - j, k - j + 1)
 
 
 def transition_tail(n: int, k: int, j: int, backend: str = FLOAT) -> Scalar:
@@ -464,8 +496,9 @@ def transition_tail(n: int, k: int, j: int, backend: str = FLOAT) -> Scalar:
     check_backend(backend)
     _check_state(n, k, n)
     _check_state(n, j, n)
-    row = _full_row(n, k, backend)
-    return _sum(row[k - j :]) if j < k else 1 + _sum(row[:0])
+    if j >= k:
+        return Fraction(1) if backend == RATIONAL else 1.0
+    return _row_sum(n, k, backend, k - j)
 
 
 @dataclass(frozen=True)
@@ -519,9 +552,10 @@ def _normalized_drift_column(n: int, backend: str) -> list:
     return _normalized_drift_float(n, range(1, n + 2))
 
 
-def _drift_table(n: int, backend: str, band: np.ndarray) -> DriftTable:
-    """Drift table whose drift column is the first moment of ``band``."""
-    delta = tuple(_band_drift(band))
+def _drift_table(n: int, backend: str, band) -> DriftTable:
+    """Drift table whose drift column is the first moment of ``band``, a
+    ``_BANDS`` band of all states 0..n."""
+    delta = tuple(_band_drift(n, backend, band))
     delta_star = (delta[0], *_normalized_drift_column(n, backend))
     return DriftTable(n=n, backend=backend, delta=delta, delta_star=delta_star)
 
@@ -544,7 +578,8 @@ def build_kernel(
     if max_state is None:
         max_state = n
     _check_state(n, max_state, n)
-    band = _BANDS[backend](n, range(max_state + 1))
+    states = range(max_state + 1)
+    band = _exact_band(n, states) if backend == RATIONAL else _float_band(n, states)
     return TransitionKernel(
         n=n, backend=backend, max_state=max_state, rows=_BandRows(band), band=band
     )

@@ -7,7 +7,12 @@ recurrence
     g(0) = 0,
     g(k) = (1 + sum_{j=1..k-1} p(k, j) g(j)) / sum_{j=0..k-1} p(k, j),
 
-because the chain never moves up. The companion quantity
+because the chain never moves up. Both backends solve it over the kernel
+band. The float backend sums each row with ``math.fsum``. The rational
+backend runs it on the band's integer numerators over n^n: g(k) = G_k / D_k,
+where D_k is the running product of the numerators of the row sums s_k and
+G_k is an integer, so each g(k) is one Fraction, reduced once. The companion
+quantity
 
     q(k) = sum_{j=1..k} 1 / delta(j)
 
@@ -36,6 +41,7 @@ import numpy as np
 from .backends import (
     DEFAULT_RATIONAL_CAP,
     FLOAT,
+    RATIONAL,
     DomainError,
     Scalar,
     check_backend,
@@ -43,12 +49,12 @@ from .backends import (
     check_rational_cap,
 )
 from .drift import (
+    _BANDS,
     DriftTable,
     TransitionKernel,
     _band_drift,
     _band_improvement,
-    _sum,
-    build_kernel,
+    _chain_band,
 )
 
 __all__ = [
@@ -119,30 +125,57 @@ def _inverse_drift_prefix(delta) -> list:
     return list(accumulate((1 / d for d in delta[1:]), initial=delta[0]))
 
 
-def _band_hitting_times(band: np.ndarray) -> list:
-    """g(k) from the band recurrence of order D, one row sum per state."""
+def _band_hitting_times(band: np.ndarray) -> list[float]:
+    """g(k) from a float band: the recurrence of order D, one row sum per
+    state."""
     improve = _band_improvement(band)
     width = band.shape[1] - 1
-    g = band[:, 0] * 0  # zeros of the band's scalar type
+    g = np.zeros(len(band))
     for k in range(1, len(band)):
         d_max = min(k - 1, width)
-        hit = _sum(band[k, 1 : d_max + 1] * g[k - d_max : k][::-1])
+        hit = math.fsum((band[k, 1 : d_max + 1] * g[k - d_max : k][::-1]).tolist())
         g[k] = (1 + hit) / improve[k]
     return g.tolist()
 
 
-def _profile_from_parts(kernel: TransitionKernel, delta) -> HittingProfile:
-    g = _band_hitting_times(kernel.band)
-    q = _inverse_drift_prefix(delta[: kernel.max_state + 1])
-    return HittingProfile(n=kernel.n, backend=kernel.backend, g=tuple(g), q=tuple(q))
+def _exact_hitting_times(n: int, nums: list[list[int]]) -> list[Fraction]:
+    """g(k) from the integer numerators P[k][d] of p(k, k - d) over N = n^n.
 
-
-def hitting_profile(kernel: TransitionKernel, drift_table: DriftTable) -> HittingProfile:
-    """Solve the hitting-time recurrence over the kernel's rows.
-
-    The profile covers k = 0..kernel.max_state; the drift table supplies the
-    denominators of the inverse-drift sums.
+    With S_k = N - P[k][0] the numerator of s_k, g(k) = G_k / D_k over
+    D_k = S_1 ... S_k, where G_k = N D_{k-1} + sum_{j<k} P[k][k-j] G_j
+    S_{j+1} ... S_{k-1}, and the sum runs by Horner over j. Only integers
+    are added and multiplied; each g(k) is one Fraction.
     """
+    scale = n**n
+    big_g = [0]
+    moves = [0]
+    den = 1
+    g = [Fraction(0)]
+    for k in range(1, len(nums)):
+        row = nums[k]
+        hit = 0
+        for j in range(1, k):
+            hit = hit * moves[j] + row[k - j] * big_g[j]
+        big_g.append(scale * den + hit)
+        moves.append(scale - row[0])
+        den *= moves[k]
+        g.append(Fraction(big_g[k], den))
+    return g
+
+
+def _profile(n: int, backend: str, band, delta) -> HittingProfile:
+    """g over the states of a ``_BANDS`` band, and q over the same states
+    from the drift column ``delta``."""
+    if backend == RATIONAL:
+        g = _exact_hitting_times(n, band)
+    else:
+        g = _band_hitting_times(band)
+    q = _inverse_drift_prefix(delta[: len(band)])
+    return HittingProfile(n=n, backend=backend, g=tuple(g), q=tuple(q))
+
+
+def _check_same_chain(kernel: TransitionKernel, drift_table: DriftTable) -> None:
+    """Reject a kernel and a drift table of different n or backends."""
     if kernel.n != drift_table.n:
         raise DomainError(
             f"kernel has n = {kernel.n} but drift table has n = {drift_table.n}"
@@ -152,7 +185,16 @@ def hitting_profile(kernel: TransitionKernel, drift_table: DriftTable) -> Hittin
             f"kernel backend {kernel.backend!r} does not match "
             f"drift table backend {drift_table.backend!r}"
         )
-    return _profile_from_parts(kernel, drift_table.delta)
+
+
+def hitting_profile(kernel: TransitionKernel, drift_table: DriftTable) -> HittingProfile:
+    """Solve the hitting-time recurrence over the kernel's rows.
+
+    The profile covers k = 0..kernel.max_state; the drift table supplies the
+    denominators of the inverse-drift sums.
+    """
+    _check_same_chain(kernel, drift_table)
+    return _profile(kernel.n, kernel.backend, _chain_band(kernel), drift_table.delta)
 
 
 def runtime_profile(
@@ -176,8 +218,8 @@ def runtime_profile(
         up_to = n
     if up_to < 0 or up_to > n:
         raise DomainError(f"up_to = {up_to} outside [0, {n}]")
-    kernel = build_kernel(n, backend, max_state=up_to, rational_cap=rational_cap)
-    return _profile_from_parts(kernel, _band_drift(kernel.band))
+    band = _BANDS[backend](n, range(up_to + 1))
+    return _profile(n, backend, band, _band_drift(n, backend, band))
 
 
 def inverse_drift_sum(drift_table: DriftTable, k0: int) -> Scalar:

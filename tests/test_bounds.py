@@ -10,8 +10,12 @@ import onemax_runtime.bounds as bounds_mod
 from onemax_runtime import (
     build_drift_table,
     build_kernel,
+    drift,
     eta,
     eta_star,
+    runtime_profile,
+    transition_prob,
+    transition_tail,
     verify_inequalities,
 )
 from onemax_runtime.backends import FLOAT, RATIONAL, pow_base
@@ -212,6 +216,74 @@ def test_eta_matches_full_row_sum():
         row = full_row_float(n, k)
         expected = math.fsum(row[l] * (q[k] - q[l]) for l in range(k))
         assert eta(kern, table, k) == pytest.approx(expected, rel=1e-14)
+
+
+def plain_fraction_eta(n):
+    """eta(0..n) summed in Fractions over full rows of transition_prob, with
+    q from the independent ``drift`` route."""
+    q = [F(0)]
+    for k in range(1, n + 1):
+        q.append(q[-1] + 1 / drift(n, k, "rational"))
+    return [F(0)] + [
+        sum((transition_prob(n, k, l, "rational") * (q[k] - q[l]) for l in range(k)), F(0))
+        for k in range(1, n + 1)
+    ]
+
+
+def test_rational_eta_matches_full_row_sum():
+    n = 12
+    expected = plain_fraction_eta(n)
+    kern = build_kernel(n, "rational")
+    table = build_drift_table(n, "rational")
+    got = [eta(kern, table, k) for k in range(1, n + 1)]
+    assert got == expected[1:]
+    assert all(type(v) is F for v in got)
+    short = build_kernel(n, "rational", max_state=7)
+    assert [eta(short, table, k) for k in range(1, 8)] == expected[1:8]
+    assert eta_star(kern, table, 1, n // 2) == max(expected[1 : n // 2 + 1])
+    assert eta_star(kern, table, 2, n, "min") == min(expected[2:])
+    report = verify_inequalities(n, "rational")
+    assert list(report.eta) == expected
+    assert all(type(v) is F for v in report.eta)
+    assert type(report.eta_star_max) is F and type(report.eta_star_min) is F
+    assert bounds_mod._exact_eta_unit(n, [1, 2, n])
+
+
+def test_eta_rejects_a_drift_table_of_the_other_backend():
+    with pytest.raises(ValueError):
+        eta(build_kernel(6, "rational"), build_drift_table(6), 2)
+    with pytest.raises(ValueError):
+        eta_star(build_kernel(6), build_drift_table(6, "rational"), 1, 3)
+
+
+def test_rational_check_values_match_plain_fractions(monkeypatch):
+    """The exact tail ratios and theorem ratios, value for value, against
+    plain Fraction sums."""
+    n = 12
+    half = n // 2
+    seen = {}
+    decide = bounds_mod._decide
+
+    def spy(check, *args):
+        seen[check.check_id] = check.values
+        return decide(check, *args)
+
+    monkeypatch.setattr(bounds_mod, "_decide", spy)
+    verify_inequalities(n, "rational")
+    tails = [
+        transition_tail(n, k, k - l, "rational") * math.factorial(l) * F(n, k) ** l
+        for k in range(1, n + 1)
+        for l in range(1, k + 1)
+    ]
+    assert seen["tail-factorial"] == tails
+    assert all(type(v) is F for v in seen["tail-factorial"])
+    etas = plain_fraction_eta(n)
+    delta = [drift(n, k, "rational") for k in range(n + 1)]
+    g_half = runtime_profile(n, "rational", up_to=half).g[half]
+    lower = sum((1 / (max(etas[1 : half + 1]) * delta[k]) for k in range(1, half + 1)), F(0))
+    upper = 1 / delta[1] + sum((1 / (min(etas[2:]) * delta[k]) for k in range(2, half + 1)), F(0))
+    assert seen["theorem-lower"] == [g_half / lower]
+    assert seen["theorem-upper"] == [g_half / upper]
 
 
 def test_records_expose_auditable_slack():

@@ -248,6 +248,23 @@ def test_precision_flag(capsys):
     assert len(cell.replace(".", "").replace("-", "").lstrip("0")) <= 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("runtime", "8"),
+        ("bounds", "8"),
+        ("sim", "--n", "10", "--reps", "4", "--seed", "0"),
+    ],
+)
+def test_negative_precision_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--precision", "-1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--precision" in captured.err
+
+
 def test_rational_capacity_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "drift", "65", "--backend", "rational")
     assert code == 2
@@ -356,3 +373,20 @@ def test_package_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False"]
+
+
+def test_package_import_does_not_load_the_thread_pool():
+    """concurrent.futures is imported only when a pool of two or more
+    threads runs, which a single-state request never does."""
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import onemax_runtime",
+        "print('concurrent.futures' in sys.modules)",
+        "from onemax_runtime.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = main(['runtime', '16'])",
+        "print(code, 'concurrent.futures' in sys.modules)",
+    ])
+    proc = _run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "0", "False"]

@@ -94,7 +94,7 @@ def test_kernel_matches_brute_force_enumeration(n):
         assert all(type(v) is F for v in band[k])
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 10])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 10, 17])
 def test_generating_function_route_matches_double_sum(n):
     for k in range(n + 2):
         assert normalized_drift_gf(n, k) == normalized_drift(n, k, "rational")

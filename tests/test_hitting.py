@@ -122,6 +122,26 @@ def test_rational_values_are_fractions(n, up_to):
     assert all(type(v) is F for v in table.delta + table.delta_star)
 
 
+def plain_fraction_g(n):
+    """g(0..n) by the jump recurrence summed in Fractions over full rows of
+    transition_prob."""
+    g = [F(0)]
+    for k in range(1, n + 1):
+        row = [transition_prob(n, k, j, "rational") for j in range(k)]
+        hit = sum((row[j] * g[j] for j in range(1, k)), F(0))
+        g.append((1 + hit) / sum(row, F(0)))
+    return g
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_rational_g_matches_plain_fraction_recurrence(n):
+    expected = plain_fraction_g(n)
+    assert list(runtime_profile(n, "rational").g) == expected
+    via_kernel = hitting_profile(build_kernel(n, "rational"), build_drift_table(n, "rational"))
+    assert list(via_kernel.g) == expected
+    assert list(runtime_profile(n, "rational", up_to=n // 2).g) == expected[: n // 2 + 1]
+
+
 def test_harmonic_values():
     assert harmonic(0) == 0.0
     assert harmonic(1) == 1.0
