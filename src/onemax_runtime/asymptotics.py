@@ -36,8 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from numpy.polynomial.legendre import leggauss
-
 from .backends import DomainError, NumericError, check_n, resolve_threads
 from .drift import _normalized_drift_float
 from .hitting import runtime_profile
@@ -153,30 +151,31 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def t1(alpha: float) -> float:
-    """First-order correction term of the normalized-drift expansion."""
-    _check_alpha(alpha)
+def _expansion_terms(alpha: float) -> tuple[float, float, float, float]:
+    """S0, S1, T1 and T2 at alpha, each series summed once."""
+    s0 = s_r(0, alpha)
+    s1 = s_r(1, alpha)
     wsq = alpha * (1.0 - alpha)
     i0 = bessel_i(0, 2.0 * math.sqrt(wsq))
-    return (
-        0.5 * s_r(1, alpha)
-        - 2.0 * alpha * s_r(0, alpha)
-        - alpha * i0
-        - wsq * _i1_ratio(wsq)
+    ratio = _i1_ratio(wsq)
+    t1v = 0.5 * s1 - 2.0 * alpha * s0 - alpha * i0 - wsq * ratio
+    t2v = (
+        -s1 / 24.0
+        + alpha * s0
+        + (1.0 + 6.0 * alpha) / 12.0 * i0
+        - (1.0 - 10.0 * alpha + 4.0 * alpha**2) / 12.0 * ratio
     )
+    return s0, s1, t1v, t2v
+
+
+def t1(alpha: float) -> float:
+    """First-order correction term of the normalized-drift expansion."""
+    return _expansion_terms(_check_alpha(alpha))[2]
 
 
 def t2(alpha: float) -> float:
     """Second-order correction term of the normalized-drift expansion."""
-    _check_alpha(alpha)
-    wsq = alpha * (1.0 - alpha)
-    i0 = bessel_i(0, 2.0 * math.sqrt(wsq))
-    return (
-        -s_r(1, alpha) / 24.0
-        + alpha * s_r(0, alpha)
-        + (1.0 + 6.0 * alpha) / 12.0 * i0
-        - (1.0 - 10.0 * alpha + 4.0 * alpha**2) / 12.0 * _i1_ratio(wsq)
-    )
+    return _expansion_terms(_check_alpha(alpha))[3]
 
 
 @dataclass(frozen=True)
@@ -205,10 +204,7 @@ def evaluate_expansion(n: int, k: int) -> ExpansionEval:
     if not 1 <= k <= n:
         raise DomainError(f"state k = {k} outside [1, {n}]")
     alpha = k / n
-    s0v = s_r(0, alpha)
-    s1v = s_r(1, alpha)
-    t1v = t1(alpha)
-    t2v = t2(alpha)
+    s0v, s1v, t1v, t2v = _expansion_terms(alpha)
     a0 = s1v
     a1 = s1v + t1v / n
     a2 = s1v + t1v / n + t2v / n**2
@@ -271,6 +267,8 @@ _C0_NODES = (32, 64)
 
 def _c0_integral(nodes: int) -> float:
     """int_0^(1/2) (1/S1(t) - 1/t) dt by Gauss-Legendre with ``nodes`` nodes."""
+    from numpy.polynomial.legendre import leggauss
+
     x, w = leggauss(nodes)
     t = 0.25 * (x + 1.0)
     return 0.25 * math.fsum(wi * _c0_integrand(ti) for ti, wi in zip(t.tolist(), w.tolist()))

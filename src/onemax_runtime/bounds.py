@@ -52,6 +52,7 @@ from .drift import (
     TransitionKernel,
     _band_drift,
     _chain_band,
+    _check_state,
     _drift_table,
     _exact_numerators,
     _float_band,
@@ -162,8 +163,7 @@ def _etas(n: int, backend: str, band, delta, states) -> list:
 def eta(kernel: TransitionKernel, drift_table: DriftTable, k: int) -> Scalar:
     """Expected one-step drop of the inverse-drift sum from state k."""
     _check_same_chain(kernel, drift_table)
-    if k < 1 or k > kernel.max_state:
-        raise DomainError(f"state k = {k} outside [1, {kernel.max_state}]")
+    _check_state(kernel.n, k, kernel.max_state, lo=1)
     return _etas(kernel.n, kernel.backend, _chain_band(kernel), drift_table.delta, [k])[0]
 
 
@@ -177,10 +177,8 @@ def eta_star(
     """Extremum of eta over the state range k_lo..k_hi (inclusive)."""
     if mode not in ("max", "min"):
         raise DomainError(f"mode must be 'max' or 'min', got {mode!r}")
-    if k_lo < 1 or k_hi > kernel.max_state or k_lo > k_hi:
-        raise DomainError(
-            f"state range [{k_lo}, {k_hi}] invalid for max_state {kernel.max_state}"
-        )
+    _check_state(kernel.n, k_lo, kernel.max_state, lo=1)
+    _check_state(kernel.n, k_hi, kernel.max_state, lo=k_lo)
     _check_same_chain(kernel, drift_table)
     values = _etas(
         kernel.n, kernel.backend, _chain_band(kernel), drift_table.delta, range(k_lo, k_hi + 1)

@@ -8,7 +8,8 @@ one-bits flipped, the step is accepted iff b <= a and then moves to k - a + b.
 
 Everything here is an explicit finite sum over mutation outcomes:
 
-* ``drift``: the exact one-step progress E[(a - b)^+],
+* ``drift``: the exact one-step progress E[(a - b)^+], the first moment of
+  the state's band row,
 * ``normalized_drift``: the same quantity with the mutation null factor
   (1 - 1/n)^n divided out and re-indexed, which is the form the asymptotic
   expansion targets; ``drift(n, k) == normalized_drift(n-1, k) * (1-1/n)**n``,
@@ -31,9 +32,11 @@ eta and the transition tails read the same rows.
 
 The exact band has full width D = max(states) and is kept on integers
 (``_exact_numerators``): every entry is a numerator over the one common
-denominator N = n^n,
+denominator N = n^n. A row is built the way a float row is, from the
+integer numerators a_i = C(k, i) (n-1)^(k-i) and b_l = C(n-k, l)
+(n-1)^(n-k-l) of the two flip-count pmfs:
 
-    p(k, k-d) n^n = sum_l C(k, d+l) C(n-k, l) (n-1)^(n-d-2l),
+    p(k, k-d) n^n = sum_l a_(d+l) b_l = sum_l C(k, d+l) C(n-k, l) (n-1)^(n-d-2l),
 
 and column 0 is the integer complement n^n minus the row's other numerators.
 Rational quantities are sums of such numerators over a denominator whose
@@ -73,6 +76,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 import numpy as np
 
@@ -102,11 +106,11 @@ __all__ = [
 ]
 
 
-def _check_state(n: int, k: int, hi: int) -> int:
+def _check_state(n: int, k: int, hi: int, lo: int = 0) -> int:
     if not isinstance(k, int) or isinstance(k, bool):
         raise DomainError(f"state must be an integer, got {k!r}")
-    if k < 0 or k > hi:
-        raise DomainError(f"state k = {k} outside [0, {hi}] for n = {n}")
+    if k < lo or k > hi:
+        raise DomainError(f"state k = {k} outside [{lo}, {hi}] for n = {n}")
     return k
 
 
@@ -148,44 +152,22 @@ def _binom_pmfs(ms: np.ndarray, n: int, terms: int) -> np.ndarray:
     return out
 
 
-def _binom_pmf_rational(m: int, n: int) -> list[Fraction]:
-    """Pmf of Bin(m, 1/n) as exact Fractions."""
-    p = Fraction(1, n)
-    q = 1 - p
-    base = q**m
-    out = [base]
-    for i in range(1, m + 1):
-        base = base * (m - i + 1) / i * p / q
-        out.append(base)
-    return out
-
-
 def drift(n: int, k: int, backend: str = FLOAT) -> Scalar:
     """Exact one-step drift E[k - next | state k] of the (1+1) EA on OneMax.
 
-    Equals sum over flip counts (l zero-bits, j one-bits, j < l) of
-    (l - j) C(k, l) C(n-k, j) (1/n)^(l+j) (1 - 1/n)^(n-l-j). Zero at k = 0.
+    The first moment sum_d d p(k, k - d) of the chain band's row of state k:
+    the float row has the chain width for states up to n, the exact row is
+    the integer numerators over n^n, so the value equals
+    ``build_drift_table(n, backend).delta[k]`` exactly. Zero at k = 0.
     """
     check_n(n)
     check_backend(backend)
     _check_state(n, k, n)
-    if k == 0:
-        return Fraction(0) if backend == RATIONAL else 0.0
     if backend == RATIONAL:
-        pa = _binom_pmf_rational(k, n)
-        pb = _binom_pmf_rational(n - k, n)
-        total = Fraction(0)
-        for l in range(1, k + 1):
-            jhi = min(l - 1, n - k)
-            total += pa[l] * sum((l - j) * pb[j] for j in range(jhi + 1))
-        return total
-    pa = _binom_pmfs([k], n, k + 1)[0]
-    pb = _binom_pmfs([n - k], n, n - k + 1)[0]
-    cs0 = np.cumsum(pb)
-    cs1 = np.cumsum(pb * np.arange(len(pb)))
-    l = np.arange(1, k + 1)
-    idx = np.minimum(l - 1, n - k)
-    return float(np.dot(pa[1:], l * cs0[idx] - cs1[idx]))
+        band = _exact_numerators(n, [k])
+    else:
+        band = _float_band(n, [k], _band_width(n, n))
+    return _band_drift(n, backend, band)[0]
 
 
 def normalized_drift(n: int, k: int, backend: str = FLOAT) -> Scalar:
@@ -380,21 +362,23 @@ def _exact_numerators(n: int, states: Sequence[int]) -> list[list[int]]:
 
     Row i holds the numerators of p(k, k - d) over the common denominator
     n^n, for k = states[i] and d = 0..max(states) (full width; zeros past
-    d = k). The numerator of a jump is sum_l C(k, d+l) C(n-k, l)
-    (n-1)^(n-d-2l), and that of the stay probability is n^n minus the
-    others, so every row sums to n^n.
+    d = k). A row is built the way ``_float_band`` builds a float row, from
+    the flip-count pmf numerators a_i = C(k, i) (n-1)^(k-i) of Bin(k, 1/n)
+    over n^k and b_l = C(n-k, l) (n-1)^(n-k-l) of Bin(n-k, 1/n) over
+    n^(n-k): the numerator of a jump is the pair sum sum_l a_(d+l) b_l, and
+    that of the stay probability is n^n minus the others, so every row sums
+    to n^n.
     """
     width = max(states)
     scale = n**n
     powers = [(n - 1) ** e for e in range(n + 1)]
     rows = []
     for k in states:
+        a = [comb(k, i) * powers[k - i] for i in range(k + 1)]
+        b = [comb(n - k, l) * powers[n - k - l] for l in range(n - k + 1)]
         nums = [0] * (width + 1)
         for d in range(1, k + 1):
-            nums[d] = sum(
-                comb(k, d + l) * comb(n - k, l) * powers[n - d - 2 * l]
-                for l in range(min(k - d, n - k) + 1)
-            )
+            nums[d] = sum(map(mul, a[d:], b))
         nums[0] = scale - sum(nums)
         rows.append(nums)
     return rows

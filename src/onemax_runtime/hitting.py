@@ -55,6 +55,7 @@ from .drift import (
     _band_drift,
     _band_improvement,
     _chain_band,
+    _check_state,
 )
 
 __all__ = [
@@ -216,16 +217,14 @@ def runtime_profile(
     check_rational_cap(n, backend, rational_cap)
     if up_to is None:
         up_to = n
-    if up_to < 0 or up_to > n:
-        raise DomainError(f"up_to = {up_to} outside [0, {n}]")
+    _check_state(n, up_to, n)
     band = _BANDS[backend](n, range(up_to + 1))
     return _profile(n, backend, band, _band_drift(n, backend, band))
 
 
 def inverse_drift_sum(drift_table: DriftTable, k0: int) -> Scalar:
     """q(k0) = sum_{j=1..k0} 1/delta(j) from a prebuilt drift table."""
-    if k0 < 0 or k0 > drift_table.n:
-        raise DomainError(f"start k0 = {k0} outside [0, {drift_table.n}]")
+    _check_state(drift_table.n, k0, drift_table.n)
     return _inverse_drift_prefix(drift_table.delta[: k0 + 1])[k0]
 
 

@@ -94,8 +94,9 @@ class SimConfig:
 
     ``start`` is either an integer number of zero bits (a deterministic
     start) or the string "uniform" for a uniformly random initial string.
-    ``max_iters`` of None means the default budget. Replicate counts whose
-    samples would exceed ``MEMORY_LIMIT`` raise ``CapacityError``.
+    ``replicates``, ``seed`` and ``max_iters`` are Python integers (not
+    bools); ``max_iters`` of None means the default budget. Replicate counts
+    whose samples would exceed ``MEMORY_LIMIT`` raise ``CapacityError``.
     """
 
     n: int
@@ -115,6 +116,12 @@ class SimConfig:
             raise DomainError(f"start must be an integer or 'uniform', got {self.start!r}")
         if not isinstance(self.start, (int, str)):
             raise DomainError(f"start must be an integer or 'uniform', got {self.start!r}")
+        for name in ("replicates", "seed", "max_iters"):
+            value = getattr(self, name)
+            if value is None and name == "max_iters":
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.replicates < 1:
             raise DomainError(f"replicates must be positive, got {self.replicates}")
         check_memory(8 * self.replicates, f"{self.replicates} samples")

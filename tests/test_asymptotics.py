@@ -96,6 +96,14 @@ def test_expansion_orders_improve():
     assert ev.approx[1] == pytest.approx(ev.s1 + ev.t1 / n, rel=1e-15)
 
 
+@pytest.mark.parametrize("n", [2, 7, 64, 299])
+def test_expansion_fields_equal_the_separate_series(n):
+    for k in range(1, n + 1):
+        ev = evaluate_expansion(n, k)
+        alpha = k / n
+        assert (ev.s0, ev.s1, ev.t1, ev.t2) == (s_r(0, alpha), s_r(1, alpha), t1(alpha), t2(alpha))
+
+
 def test_expansion_gate():
     assert expansion_delta_star(16, 14) == evaluate_expansion(16, 14).approx[2]
     with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ import onemax_runtime.bounds as bounds_mod
 from onemax_runtime import (
     build_drift_table,
     build_kernel,
-    drift,
     eta,
     eta_star,
     runtime_profile,
@@ -19,6 +18,7 @@ from onemax_runtime import (
     verify_inequalities,
 )
 from onemax_runtime.backends import FLOAT, RATIONAL, pow_base
+from reference_sums import plain_fraction_drift
 
 
 def full_row_float(n, k):
@@ -220,10 +220,10 @@ def test_eta_matches_full_row_sum():
 
 def plain_fraction_eta(n):
     """eta(0..n) summed in Fractions over full rows of transition_prob, with
-    q from the independent ``drift`` route."""
+    q from the drift as a plain Fraction double sum over flip counts."""
     q = [F(0)]
     for k in range(1, n + 1):
-        q.append(q[-1] + 1 / drift(n, k, "rational"))
+        q.append(q[-1] + 1 / plain_fraction_drift(n, k))
     return [F(0)] + [
         sum((transition_prob(n, k, l, "rational") * (q[k] - q[l]) for l in range(k)), F(0))
         for k in range(1, n + 1)
@@ -278,7 +278,7 @@ def test_rational_check_values_match_plain_fractions(monkeypatch):
     assert seen["tail-factorial"] == tails
     assert all(type(v) is F for v in seen["tail-factorial"])
     etas = plain_fraction_eta(n)
-    delta = [drift(n, k, "rational") for k in range(n + 1)]
+    delta = [plain_fraction_drift(n, k) for k in range(n + 1)]
     g_half = runtime_profile(n, "rational", up_to=half).g[half]
     lower = sum((1 / (max(etas[1 : half + 1]) * delta[k]) for k in range(1, half + 1)), F(0))
     upper = 1 / delta[1] + sum((1 / (min(etas[2:]) * delta[k]) for k in range(2, half + 1)), F(0))

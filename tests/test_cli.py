@@ -375,6 +375,19 @@ def test_package_import_does_not_load_scipy():
     assert proc.stdout.split() == ["False", "False"]
 
 
+def test_package_import_does_not_load_numpy_polynomial():
+    """The Gauss-Legendre nodes of C0 are the only use of numpy.polynomial,
+    so it is imported there, not with the package."""
+    proc = _run_python(
+        "-c",
+        "import sys; import onemax_runtime as om; "
+        "print('numpy.polynomial' in sys.modules); "
+        "om.constant_c0(); print('numpy.polynomial' in sys.modules)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_package_import_does_not_load_the_thread_pool():
     """concurrent.futures is imported only when a pool of two or more
     threads runs, which a single-state request never does."""

@@ -20,6 +20,7 @@ from onemax_runtime import (
     transition_tail,
 )
 from onemax_runtime.backends import pow_base
+from reference_sums import plain_fraction_drift
 
 drift_module = importlib.import_module("onemax_runtime.drift")
 _float_band = drift_module._float_band
@@ -111,13 +112,27 @@ def test_renormalization_identity(n):
 def test_drift_is_mean_jump_of_kernel(n):
     for k in range(n + 1):
         row = [transition_prob(n, k, j, "rational") for j in range(k + 1)]
-        assert drift(n, k, "rational") == sum((k - j) * row[j] for j in range(k + 1))
+        expected = plain_fraction_drift(n, k)
+        assert sum((k - j) * row[j] for j in range(k + 1)) == expected
+        assert drift(n, k, "rational") == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 64, 1000, 1500])
+def test_drift_is_the_drift_table_entry(n):
+    """drift() reads the same band row as the drift column, bit for bit."""
+    delta = build_drift_table(n).delta
+    assert [drift(n, k) for k in range(n + 1)] == list(delta)
+    if n <= 16:
+        exact = build_drift_table(n, "rational").delta
+        got = [drift(n, k, "rational") for k in range(n + 1)]
+        assert got == list(exact)
+        assert all(type(v) is F for v in got)
 
 
 def test_float_matches_rational_to_1e13():
     n = 12
     for k in range(n + 1):
-        exact = drift(n, k, "rational")
+        exact = plain_fraction_drift(n, k)
         if exact:
             assert abs(drift(n, k) / float(exact) - 1) < 1e-13
     for k in range(n + 2):

@@ -12,12 +12,15 @@ from onemax_runtime import (
     build_drift_table,
     build_kernel,
     closed_form_g,
+    eta,
+    eta_star,
     harmonic,
     hitting_profile,
     inverse_drift_sum,
     runtime_profile,
     transition_prob,
 )
+from onemax_runtime.backends import DomainError
 
 
 def test_known_exact_values_n3():
@@ -211,3 +214,23 @@ def test_half_start_runtime_matches_40_digit_reference():
     ref = reference_half_runtime(n)
     got = runtime_profile(n, up_to=n // 2).g[n // 2]
     assert abs(got - ref) / ref < 2e-14
+
+
+_BAD_STATES = {
+    "runtime_profile-float": lambda kern, table: runtime_profile(10, up_to=2.5),
+    "runtime_profile-bool": lambda kern, table: runtime_profile(10, up_to=True),
+    "runtime_profile-above": lambda kern, table: runtime_profile(10, up_to=11),
+    "inverse_drift_sum-float": lambda kern, table: inverse_drift_sum(table, 2.5),
+    "inverse_drift_sum-below": lambda kern, table: inverse_drift_sum(table, -1),
+    "eta-float": lambda kern, table: eta(kern, table, 1.5),
+    "eta-zero": lambda kern, table: eta(kern, table, 0),
+    "eta_star-float-lo": lambda kern, table: eta_star(kern, table, 1.5, 3),
+    "eta_star-float-hi": lambda kern, table: eta_star(kern, table, 1, 3.0),
+    "eta_star-reversed": lambda kern, table: eta_star(kern, table, 4, 3),
+}
+
+
+@pytest.mark.parametrize("call", _BAD_STATES.values(), ids=_BAD_STATES.keys())
+def test_state_arguments_must_be_integers_in_range(call):
+    with pytest.raises(DomainError):
+        call(build_kernel(10), build_drift_table(10))

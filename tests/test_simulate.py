@@ -353,6 +353,13 @@ def test_run_ending_at_the_budget_is_not_truncated(engine):
         dict(n=10, start=5, replicates=10, seed=2**64),
         dict(n=10, start=5, replicates=10, seed=0, engine="quantum"),
         dict(n=10, start=5, replicates=10, seed=0, max_iters=0),
+        dict(n=10, start=5, replicates=2.5, seed=0),
+        dict(n=10, start=5, replicates=10.0, seed=0),
+        dict(n=10, start=5, replicates=True, seed=0),
+        dict(n=10, start=5, replicates=10, seed=1.0),
+        dict(n=10, start=5, replicates=10, seed=False),
+        dict(n=10, start=5, replicates=10, seed=0, max_iters=2.5),
+        dict(n=10, start=5, replicates=10, seed=0, max_iters=True),
     ],
 )
 def test_config_validation(kwargs):
