@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .backends import DomainError, NumericError, check_n, resolve_threads
-from .drift import _normalized_drift_float
+from .drift import _check_state, _normalized_drift_float
 from .hitting import runtime_profile
 
 __all__ = [
@@ -201,8 +201,7 @@ def evaluate_expansion(n: int, k: int) -> ExpansionEval:
     apply the validity threshold that :func:`expansion_delta_star` enforces.
     """
     check_n(n)
-    if not 1 <= k <= n:
-        raise DomainError(f"state k = {k} outside [1, {n}]")
+    _check_state(n, k, n, lo=1)
     alpha = k / n
     s0v, s1v, t1v, t2v = _expansion_terms(alpha)
     a0 = s1v
@@ -211,14 +210,21 @@ def evaluate_expansion(n: int, k: int) -> ExpansionEval:
     return ExpansionEval(alpha=alpha, s0=s0v, s1=s1v, t1=t1v, t2=t2v, approx=(a0, a1, a2))
 
 
+def _check_eps(eps) -> Fraction:
+    """The validity threshold eps as a Fraction, which must lie in (0, 1)."""
+    eps = Fraction(eps)
+    if not 0 < eps < 1:
+        raise DomainError(f"validity threshold eps = {eps} outside (0, 1)")
+    return eps
+
+
 def _check_expansion_domain(n: int, k: int, order: int, eps) -> None:
     check_n(n)
     if order not in (0, 1, 2):
         raise DomainError(f"expansion order must be 0, 1 or 2, got {order}")
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise DomainError(f"validity threshold eps = {eps} outside (0, 1)")
-    if k < 1 or Fraction(k) > (1 - eps) * n:
+    eps = _check_eps(eps)
+    _check_state(n, k, n, lo=1)
+    if Fraction(k) > (1 - eps) * n:
         raise DomainError(
             f"state k = {k} outside the expansion's validity range "
             f"1 <= k <= (1 - {eps}) * {n}"

@@ -51,7 +51,6 @@ from .drift import (
     DriftTable,
     TransitionKernel,
     _band_drift,
-    _chain_band,
     _check_state,
     _drift_table,
     _exact_numerators,
@@ -164,7 +163,7 @@ def eta(kernel: TransitionKernel, drift_table: DriftTable, k: int) -> Scalar:
     """Expected one-step drop of the inverse-drift sum from state k."""
     _check_same_chain(kernel, drift_table)
     _check_state(kernel.n, k, kernel.max_state, lo=1)
-    return _etas(kernel.n, kernel.backend, _chain_band(kernel), drift_table.delta, [k])[0]
+    return _etas(kernel.n, kernel.backend, kernel._chain, drift_table.delta, [k])[0]
 
 
 def eta_star(
@@ -180,9 +179,8 @@ def eta_star(
     _check_state(kernel.n, k_lo, kernel.max_state, lo=1)
     _check_state(kernel.n, k_hi, kernel.max_state, lo=k_lo)
     _check_same_chain(kernel, drift_table)
-    values = _etas(
-        kernel.n, kernel.backend, _chain_band(kernel), drift_table.delta, range(k_lo, k_hi + 1)
-    )
+    states = range(k_lo, k_hi + 1)
+    values = _etas(kernel.n, kernel.backend, kernel._chain, drift_table.delta, states)
     return max(values) if mode == "max" else min(values)
 
 

@@ -30,6 +30,7 @@ import sys
 from fractions import Fraction
 
 from .asymptotics import (
+    _check_eps,
     expansion_delta_star,
     figure1_rows,
     figure2_rows,
@@ -220,6 +221,7 @@ def _cmd_asym(args) -> None:
         eps = Fraction(args.eps)
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"eps must be a rational number, got {args.eps!r}") from None
+    _check_eps(eps)
     rows = []
     for n in args.n:
         est = runtime_estimate(n)

@@ -43,8 +43,9 @@ Rational quantities are sums of such numerators over a denominator whose
 structure is known in advance (N for row sums, N times a running product of
 row sums or drift numerators for the recurrences in ``hitting`` and
 ``bounds``), so the work is integer addition and multiplication, and each
-returned value is one ``Fraction``, reduced once. ``TransitionKernel.band``
-is the Fraction view of these numerators.
+returned value is one ``Fraction``, reduced once. A rational
+``TransitionKernel`` holds these numerators; its ``band`` and ``rows`` are
+Fraction views of them, made when first read.
 
 The float band is cut. A jump of d needs at least d flipped zero-bits, so a
 row drops at most (k/n)^(D+1) / (D+1)! of mass past column D, while it moves
@@ -72,9 +73,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from operator import mul
 
@@ -384,31 +385,10 @@ def _exact_numerators(n: int, states: Sequence[int]) -> list[list[int]]:
     return rows
 
 
-def _exact_band(n: int, states: Sequence[int]) -> np.ndarray:
-    """Accepted-step law of the given states as a read-only band of
-    Fractions: the integer numerators of ``_exact_numerators`` over n^n."""
-    scale = n**n
-    rows = _exact_numerators(n, states)
-    band = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, nums in enumerate(rows):
-        band[i] = [Fraction(x, scale) for x in nums]
-    band.setflags(write=False)
-    return band
-
-
 # The band the chain computations read, per backend: band = _BANDS[backend](n,
 # states) is the float band, or for the rational backend the integer
 # numerators over n^n, which exact sums add as ints.
 _BANDS = {FLOAT: _float_band, RATIONAL: _exact_numerators}
-
-
-def _chain_band(kernel: TransitionKernel):
-    """The band of ``_BANDS`` behind a kernel: its float band, or the integer
-    numerators over n^n of its Fraction band."""
-    if kernel.backend == FLOAT:
-        return kernel.band
-    scale = kernel.n**kernel.n
-    return [[scale // x.denominator * x.numerator for x in row] for row in kernel.band.tolist()]
 
 
 def _band_improvement(band: np.ndarray) -> list[float]:
@@ -504,17 +484,34 @@ class DriftTable:
 class TransitionKernel:
     """Accepted-step law rows p(k, .) for k = 0..max_state.
 
-    ``band`` holds band[k, d] = p(k, k - d) in the backend's scalars (see the
-    module notes): floats cut to the width D, or Fractions at full width.
-    ``rows[k]`` is the read-only row p(k, 0..k), expanded from the band on
-    access; it has length k + 1 and sums to one (exactly, for Fractions).
+    The kernel holds the band the chain computations read, as ``_BANDS``
+    builds it (see the module notes): the float band cut to the width D, or
+    the integer numerators over n^n at full width. ``band`` holds
+    band[k, d] = p(k, k - d) in the backend's scalars: the float band itself,
+    or a read-only array of Fractions made from the numerators when it is
+    first read. ``rows[k]`` is the read-only row p(k, 0..k), expanded from
+    ``band`` on access; it has length k + 1 and sums to one (exactly, for
+    Fractions). n, backend and max_state fix the band, so kernels compare
+    and hash by those three.
     """
 
     n: int
     backend: str
     max_state: int
-    rows: Sequence
-    band: np.ndarray
+    _chain: np.ndarray | list[list[int]] = field(repr=False, compare=False)
+
+    @cached_property
+    def band(self) -> np.ndarray:
+        if self.backend == FLOAT:
+            return self._chain
+        scale = self.n**self.n
+        band = np.array([[Fraction(x, scale) for x in row] for row in self._chain], dtype=object)
+        band.setflags(write=False)
+        return band
+
+    @cached_property
+    def rows(self) -> Sequence:
+        return _BandRows(self.band)
 
 
 def build_drift_table(
@@ -562,8 +559,4 @@ def build_kernel(
     if max_state is None:
         max_state = n
     _check_state(n, max_state, n)
-    states = range(max_state + 1)
-    band = _exact_band(n, states) if backend == RATIONAL else _float_band(n, states)
-    return TransitionKernel(
-        n=n, backend=backend, max_state=max_state, rows=_BandRows(band), band=band
-    )
+    return TransitionKernel(n, backend, max_state, _BANDS[backend](n, range(max_state + 1)))

@@ -54,7 +54,6 @@ from .drift import (
     TransitionKernel,
     _band_drift,
     _band_improvement,
-    _chain_band,
     _check_state,
 )
 
@@ -89,8 +88,8 @@ def harmonic(m: int) -> float:
     Beyond 10**6 terms the asymptotic expansion takes over; its omitted term
     is below 1/(252 m^6), far under double precision there.
     """
-    if m < 0:
-        raise DomainError(f"harmonic number needs m >= 0, got {m}")
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+        raise DomainError(f"harmonic number needs an integer m >= 0, got {m!r}")
     if m <= 10**6:
         return math.fsum(1.0 / i for i in range(1, m + 1))
     from .asymptotics import EULER_GAMMA
@@ -195,7 +194,7 @@ def hitting_profile(kernel: TransitionKernel, drift_table: DriftTable) -> Hittin
     denominators of the inverse-drift sums.
     """
     _check_same_chain(kernel, drift_table)
-    return _profile(kernel.n, kernel.backend, _chain_band(kernel), drift_table.delta)
+    return _profile(kernel.n, kernel.backend, kernel._chain, drift_table.delta)
 
 
 def runtime_profile(
@@ -233,14 +232,11 @@ def closed_form_g(n: int, k: int) -> Fraction:
 
     All three nontrivial cases share the prefactor (1 - 1/n)^-n; the rest is
     a ratio of polynomials in n. Cross-checked against the recurrence in the
-    test suite (and the k = 3 case needs n >= 3 so the start is a valid
-    state).
+    test suite. The start must be an integer state of the chain, so k = 3
+    needs n >= 3.
     """
     check_n(n)
-    if k not in (0, 1, 2, 3):
-        raise DomainError(f"closed forms exist for starts 0..3, got k = {k}")
-    if k == 3 and n < 3:
-        raise DomainError(f"start k = 3 needs n >= 3, got n = {n}")
+    _check_state(n, k, min(n, 3))
     if k == 0:
         return Fraction(0)
     pf = Fraction(n, n - 1) ** n

@@ -28,6 +28,7 @@ from onemax_runtime import (
     t2,
 )
 from onemax_runtime.asymptotics import _c0_integrand
+from onemax_runtime.backends import DomainError
 
 
 @pytest.mark.parametrize("nu", [0, 1])
@@ -117,6 +118,21 @@ def test_expansion_gate():
     expansion_delta_star(16, 8, eps=F(1, 2))
     with pytest.raises(ValueError):
         expansion_delta_star(16, 9, eps=F(1, 2))
+
+
+_BAD_STATES = {
+    "evaluate_expansion-float": lambda: evaluate_expansion(10, 2.5),
+    "evaluate_expansion-bool": lambda: evaluate_expansion(10, True),
+    "expansion_delta_star-float": lambda: expansion_delta_star(10, 2.5),
+    "expansion_delta_star-bool": lambda: expansion_delta_star(10, True),
+    "expansion_inverse_delta_star-float": lambda: expansion_inverse_delta_star(10, 2.0),
+}
+
+
+@pytest.mark.parametrize("call", _BAD_STATES.values(), ids=_BAD_STATES.keys())
+def test_state_arguments_must_be_integers(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_inverse_expansion_is_taylor_inverse():

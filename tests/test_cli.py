@@ -138,6 +138,20 @@ def test_asym_schema_and_gate(capsys):
     assert "no valid state" in err
 
 
+@pytest.mark.parametrize("eps", ["-20000", "2", "1", "0"])
+def test_asym_rejects_eps_outside_the_unit_interval_before_any_work(capsys, eps):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "asym", "50", f"--eps={eps}")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "outside (0, 1)" in err
+    assert peak < 2**20
+
+
 def test_figures_first_grid(capsys):
     code, out, _ = run_cli(capsys, "figures", "--which", "1", "--n-range", "2:5")
     assert code == 0

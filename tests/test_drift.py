@@ -176,10 +176,38 @@ def test_kernel_rows_sum_to_one():
         assert abs(float(np.sum(row)) - 1.0) < 1e-14
 
 
-def test_float_kernel_rows_are_read_only():
-    kern = build_kernel(6)
+@pytest.mark.parametrize("backend", ["float", "rational"])
+def test_kernel_rows_are_read_only(backend):
+    kern = build_kernel(6, backend)
     with pytest.raises(ValueError):
         kern.rows[3][0] = 0.5
+    with pytest.raises(ValueError):
+        kern.band[3, 0] = 0.5
+
+
+@pytest.mark.parametrize("backend", ["float", "rational"])
+def test_kernels_of_one_chain_compare_equal(backend):
+    kern = build_kernel(6, backend, max_state=4)
+    assert kern == build_kernel(6, backend, max_state=4)
+    assert hash(kern) == hash(build_kernel(6, backend, max_state=4))
+    assert kern != build_kernel(6, backend)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_rational_kernel_views_are_its_numerators_over_n_to_the_n(n):
+    """band and rows of a rational kernel are Fractions made from the
+    integer numerators of ``_exact_numerators``, entry for entry."""
+    scale = n**n
+    for max_state in sorted({n // 2, n}):
+        kern = build_kernel(n, "rational", max_state=max_state)
+        nums = drift_module._exact_numerators(n, range(max_state + 1))
+        assert kern.band.shape == (max_state + 1, max_state + 1)
+        assert len(kern.rows) == max_state + 1
+        for k, row in enumerate(nums):
+            assert list(kern.band[k]) == [F(x, scale) for x in row]
+            assert list(kern.rows[k]) == [F(row[k - j], scale) for j in range(k + 1)]
+            assert all(type(v) is F for v in kern.band[k])
+            assert all(type(v) is F for v in kern.rows[k])
 
 
 def test_drift_strictly_increasing_in_k():

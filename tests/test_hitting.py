@@ -216,6 +216,20 @@ def test_half_start_runtime_matches_40_digit_reference():
     assert abs(got - ref) / ref < 2e-14
 
 
+def test_rational_chain_leaves_the_kernel_fraction_view_unbuilt():
+    """hitting_profile, eta and eta_star read the kernel's integer
+    numerators; its Fraction band and rows are made only when read."""
+    kern = build_kernel(12, "rational", max_state=8)
+    table = build_drift_table(12, "rational")
+    hitting_profile(kern, table)
+    eta(kern, table, 5)
+    eta_star(kern, table, 1, 8)
+    assert "band" not in vars(kern)
+    assert "rows" not in vars(kern)
+    assert kern.rows[8][8] == kern.band[8, 0]
+    assert "band" in vars(kern)
+
+
 _BAD_STATES = {
     "runtime_profile-float": lambda kern, table: runtime_profile(10, up_to=2.5),
     "runtime_profile-bool": lambda kern, table: runtime_profile(10, up_to=True),
@@ -227,6 +241,10 @@ _BAD_STATES = {
     "eta_star-float-lo": lambda kern, table: eta_star(kern, table, 1.5, 3),
     "eta_star-float-hi": lambda kern, table: eta_star(kern, table, 1, 3.0),
     "eta_star-reversed": lambda kern, table: eta_star(kern, table, 4, 3),
+    "closed_form_g-bool": lambda kern, table: closed_form_g(5, True),
+    "closed_form_g-float": lambda kern, table: closed_form_g(5, 2.0),
+    "harmonic-float": lambda kern, table: harmonic(2.5),
+    "harmonic-bool": lambda kern, table: harmonic(True),
 }
 
 
