@@ -3,12 +3,11 @@
 Three engines produce the same law by different routes:
 
 * ``bitstring`` keeps real bit vectors and flips each bit with probability
-  1/n: the algorithm itself, one vectorized round per mutation step. A step
-  draws the number of flips c ~ Bin(n, 1/n), then c distinct uniform
-  positions, which is the same law; the child's zero count is read from the
-  parent's bits at those positions, and an accepted child flips exactly
-  them. A step with c = 0 is counted and changes nothing, so a round over m
-  running strings costs O(m c) work, c about 1, instead of O(m n);
+  1/n: the algorithm itself, one vectorized round per mutation step. A round
+  draws the flipped bits of all m running strings as partial sums of
+  Geometric(1/n) gaps (``_flip_sites``), reads the child's zero count from
+  the parent's bits there and flips exactly them in an accepted child, so a
+  round costs O(m) work, about one flip per string, instead of O(m n);
 * ``statechain`` samples only the two flip counts (zeros flipped, ones
   flipped) per step, which is the marginal the analysis works with, again
   one round per mutation step;
@@ -156,47 +155,47 @@ def _flip_sites(
     array of length-n bit strings.
 
     Returns ``(c, lane, sites)``: string ``rows[i]`` flips c[i] ~ Bin(n, 1/n)
-    bits, and flip j is at ``sites[j] = rows[lane[j]] * n + position``, sorted,
-    so ``lane`` ascends with it. The c positions of a string are distinct and
-    uniform: a position drawn twice is redrawn until none repeats. That rule
-    commutes with every relabelling of the n positions, so the final set is
-    uniform over the c-subsets, which is the law of flipping each bit
-    independently with probability 1/n.
+    bits, and flip j is at ``sites[j] = rows[lane[j]] * n + position``,
+    strictly ascending. Laid end to end, the m n bits flip as a Bernoulli(1/n)
+    sequence: at S_j - 1 for the partial sums S_j <= m n of i.i.d. gaps
+    floor(E s) + 1 ~ Geometric(1/n), E standard exponential and s = -1 /
+    log1p(-1/n): the waiting-time method (Devroye 1986, see README).
     """
-    c = rng.binomial(n, 1.0 / n, size=rows.size)
-    lane = np.repeat(np.arange(rows.size), c)
-    sites = rows[lane] * n + rng.integers(0, n, size=lane.size)
-    sites.sort(kind="stable")
-    while True:
-        dup = np.flatnonzero(sites[1:] == sites[:-1]) + 1
-        if not dup.size:
-            return c, lane, sites
-        sites[dup] += rng.integers(0, n, size=dup.size) - sites[dup] % n
-        sites.sort(kind="stable")
+    total = rows.size * n
+    scale = -1.0 / math.log1p(-1.0 / n)
+    batch = rows.size + 4 * math.isqrt(rows.size) + 8
+
+    def gap_sums(start: int) -> np.ndarray:
+        gaps = (rng.standard_exponential(batch) * scale).astype(np.int64)
+        return start + np.cumsum(gaps + 1)
+
+    ends = gap_sums(0)
+    while ends[-1] < total:  # a shortfall past four standard deviations
+        ends = np.concatenate((ends, gap_sums(ends[-1])))
+    lane, pos = np.divmod(ends[: np.searchsorted(ends, total, side="right")] - 1, n)
+    return np.bincount(lane, minlength=rows.size), lane, rows[lane] * n + pos
 
 
 def step_bitstring(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One mutation-selection step on a single bit vector (True = one-bit).
+    """One mutation-selection step on a bit vector of n >= 2 bits (True = one).
 
     Flips every bit independently with probability 1/n (the same sampler as
     the ``bitstring`` engine) and returns the offspring iff its one-count is
     at least the parent's, else the parent.
     """
-    _, _, sites = _flip_sites(bits.size, np.zeros(1, dtype=np.intp), rng)
+    if np.ndim(bits) != 1:
+        raise DomainError(f"bits must be a 1-D vector, got shape {np.shape(bits)}")
+    _, _, sites = _flip_sites(check_n(bits.size), np.zeros(1, dtype=np.intp), rng)
     child = bits.copy()
     child[sites] ^= True
-    if int(child.sum()) >= int(bits.sum()):
-        return child
-    return bits
+    return child if int(child.sum()) >= int(bits.sum()) else bits
 
 
 def step_statechain(n: int, k: int, rng: np.random.Generator) -> int:
     """One step on the zero-count chain: sample both flip counts directly."""
     a = int(rng.binomial(k, 1.0 / n))
     b = int(rng.binomial(n - k, 1.0 / n))
-    if b <= a:
-        return k - a + b
-    return k
+    return k - a + b if b <= a else k
 
 
 def _start_states(n: int, start: int | str, m: int, rng: np.random.Generator) -> np.ndarray:

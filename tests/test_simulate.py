@@ -34,6 +34,7 @@ from onemax_runtime.simulate import (
     _START_BLOCK,
     ENGINES,
     _draw_jumps,
+    _flip_sites,
     _jump_tables,
     _uniform_bits,
 )
@@ -53,6 +54,83 @@ def test_step_bitstring_never_loses_fitness():
         now = int(bits.sum())
         assert now >= ones
         ones = now
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [
+        np.zeros(0, dtype=bool),
+        np.zeros(1, dtype=bool),
+        np.zeros((3, 4), dtype=bool),
+        np.zeros((1, 8), dtype=bool),
+        np.bool_(True),
+    ],
+    ids=["empty", "one-bit", "2-D", "row-matrix", "0-D"],
+)
+def test_step_bitstring_rejects_all_but_a_vector_of_two_or_more_bits(bits):
+    with pytest.raises(DomainError):
+        step_bitstring(bits, np.random.default_rng(0))
+
+
+# Non-contiguous ascending strings of a flat array of 12 length-10 strings,
+# as the running lanes of a chunk are.
+_FLIP_N = 10
+_FLIP_ROWS = np.array([0, 2, 3, 7, 11])
+
+
+def _flip_draws(draws: int, seed: int):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return [_flip_sites(_FLIP_N, _FLIP_ROWS, rng) for _ in range(draws)]
+
+
+def test_flip_sites_ascend_within_the_listed_strings():
+    n, rows = _FLIP_N, _FLIP_ROWS
+    for c, lane, sites in _flip_draws(2000, 41):
+        assert c.shape == rows.shape
+        assert (np.diff(sites) > 0).all()
+        assert (sites // n == rows[lane]).all()
+        assert (np.bincount(lane, minlength=rows.size) == c).all()
+
+
+def test_flip_counts_follow_the_binomial_law():
+    n = _FLIP_N
+    counts = np.concatenate([c for c, _, _ in _flip_draws(20000, 42)])
+    observed = np.bincount(counts, minlength=n + 1)
+    expected = scipy.stats.binom.pmf(np.arange(n + 1), n, 1.0 / n) * counts.size
+    keep = expected >= 10
+    merged_obs = np.append(observed[keep], observed[~keep].sum())
+    merged_exp = np.append(expected[keep], expected[~keep].sum())
+    assert scipy.stats.chisquare(merged_obs, merged_exp).pvalue > 1e-4
+
+
+def test_flip_positions_are_uniform_in_every_listed_string():
+    """Flips over the (string, position) cells: the last bit of the last
+    string, which the cut at m n decides, is as likely as any other."""
+    n, rows = _FLIP_N, _FLIP_ROWS
+    cells = np.concatenate([lane * n + sites % n for _, lane, sites in _flip_draws(4000, 43)])
+    observed = np.bincount(cells, minlength=rows.size * n)
+    assert observed.size == rows.size * n
+    assert scipy.stats.chisquare(observed).pvalue > 1e-4
+
+
+def test_flip_sites_top_up_a_short_batch():
+    """Exponentials of 0 make every gap 1, so every bit flips and the first
+    batch of gaps ends short of m n: the sampler must draw more."""
+
+    class ZeroExponentials:
+        calls = 0
+
+        def standard_exponential(self, size):
+            self.calls += 1
+            return np.zeros(size)
+
+    n, rows = _FLIP_N, _FLIP_ROWS
+    rng = ZeroExponentials()
+    c, lane, sites = _flip_sites(n, rows, rng)
+    assert rng.calls > 1
+    assert (c == n).all()
+    assert (lane == np.repeat(np.arange(rows.size), n)).all()
+    assert (sites == (rows[:, None] * n + np.arange(n)).ravel()).all()
 
 
 def test_step_statechain_never_moves_up():
@@ -126,6 +204,16 @@ def test_fixed_start_mean_matches_exact_expectation():
 def test_uniform_start_mean_matches_binomial_mixture():
     n, reps = 24, 60000
     stats, _ = run(SimConfig(n=n, start="uniform", replicates=reps, seed=12))
+    prof = runtime_profile(n)
+    mixture = sum(comb(n, k) * 2.0**-n * float(prof.g[k]) for k in range(n + 1))
+    assert stats.truncated == 0
+    assert abs(stats.mean - mixture) <= 5 * stats.std_error
+
+
+def test_bitstring_uniform_start_matches_binomial_mixture():
+    n, reps = 24, 60000
+    cfg = SimConfig(n=n, start="uniform", replicates=reps, seed=37, engine=ENGINE_BITSTRING)
+    stats, _ = run(cfg)
     prof = runtime_profile(n)
     mixture = sum(comb(n, k) * 2.0**-n * float(prof.g[k]) for k in range(n + 1))
     assert stats.truncated == 0
