@@ -24,6 +24,28 @@ and otherwise gets a relative 1e-12 roundoff allowance. The exact re-check
 covers only the states whose float margin is below 1e-9 (at the tight
 points that is one or two states), not the whole range. Genuine violations
 report as failures, not raises.
+
+The float suite works on whole arrays, a block of states at a time. Its own
+per-state Python work is one ``math.log(k / n)`` per state for the tail
+bounds, kept because numpy's vectorised log does not always round the same
+way. What it reads from ``drift`` and ``hitting`` is computed there as
+before: the compensated row sums of the drift, the improvement probability
+and the hitting recurrence (run only up to n/2, where g is checked), and the
+running sums q and H. The check columns are numpy arrays:
+
+* the ``tail-factorial`` ratios come from a band of the underflow width that
+  is built, summed and turned into ratios ``_BLOCK`` states at a time, so no
+  n x 180 array is held;
+* the O(n^2) ``inv-drift-diff-upper`` pairs are all evaluated, as (k, j)
+  blocks of about ``_PAIR_BLOCK`` pairs (about 1 MB of working memory);
+* eta(k) is one 2-D product of band rows and drops per block of states,
+  summed along the rows;
+* the (1 + 1/n)^(k-1) envelopes come from ``_pow_bases``.
+
+Each block does the operations of the per-state loop it replaces, so every
+check value is the same bit for bit, except eta and the checks derived from
+it: numpy's row sum replaces ``math.fsum`` there, and stays within 1e-15
+relative of it.
 """
 
 from __future__ import annotations
@@ -48,6 +70,7 @@ from .backends import (
 )
 from .drift import (
     _BANDS,
+    _BLOCK,
     DriftTable,
     TransitionKernel,
     _band_drift,
@@ -55,6 +78,7 @@ from .drift import (
     _drift_table,
     _exact_numerators,
     _float_band,
+    _pow_bases,
     _underflow_width,
     drift,
     normalized_drift,
@@ -78,6 +102,10 @@ __all__ = [
 
 _NEAR_BOUNDARY = 1e-9
 _ROUNDOFF_REL = 1e-12
+
+# (k, j) pairs per block of the inverse-drift difference ratios: 256 KB per
+# array of the block, about 1 MB of working memory in all, for any n.
+_PAIR_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -147,16 +175,19 @@ def _exact_etas(n: int, nums: list[list[int]], delta, states) -> list[Fraction]:
 def _etas(n: int, backend: str, band, delta, states) -> list:
     """eta(k) for each k of ``states`` from a ``_BANDS`` band and the drift
     column ``delta``; a float eta(k) is sum_d p(k, k - d) (q(k) - q(k - d))
-    over row k of the band."""
+    over row k of the band, summed for a block of states as one 2-D product
+    of band rows and drops with a row sum. Band entries past d = k are exact
+    zeros, so the drops there, read at the clamped index 0, add nothing."""
     if backend == RATIONAL:
         return _exact_etas(n, band, delta, states)
-    q = _inverse_drift_prefix(delta[: max(states) + 1])
+    q = np.array(_inverse_drift_prefix(delta[: max(states) + 1]))
+    d = np.arange(1, band.shape[1])
     out = []
-    for k in states:
-        d_max = min(k, band.shape[1] - 1)
-        drops = q[k] - np.array(q[k - d_max : k][::-1])
-        out.append(math.fsum((band[k, 1 : d_max + 1] * drops).tolist()))
-    return out
+    for lo in range(0, len(states), _BLOCK):
+        ks = np.asarray(states[lo : lo + _BLOCK])[:, None]
+        drops = q[ks] - q[np.maximum(ks - d, 0)]
+        out.append((band[ks[:, 0], 1:] * drops).sum(axis=1))
+    return np.concatenate(out).tolist()
 
 
 def eta(kernel: TransitionKernel, drift_table: DriftTable, k: int) -> Scalar:
@@ -209,7 +240,7 @@ class _Check:
 
 
 def _decide(check: _Check, n: int, backend: str, rational_cap: int) -> CheckRecord:
-    if not check.values:
+    if check.values is None or len(check.values) == 0:
         return CheckRecord(
             check_id=check.check_id,
             k_lo=check.k_lo,
@@ -220,7 +251,7 @@ def _decide(check: _Check, n: int, backend: str, rational_cap: int) -> CheckReco
             passed=None,
             applicable=False,
         )
-    obs = max(check.values) if check.direction == "le" else min(check.values)
+    obs = np.max(check.values) if check.direction == "le" else np.min(check.values)
     if check.direction == "le":
         diff = check.bound - obs
     else:
@@ -246,25 +277,64 @@ def _decide(check: _Check, n: int, backend: str, rational_cap: int) -> CheckReco
     )
 
 
-def _float_tail_ratios(n: int) -> list[float]:
+def _float_tail_ratios(n: int) -> np.ndarray:
     """P[the step from k drops at least l] / ((k/n)^l / l!) for every state
-    k >= 1 and every l whose tail is positive.
+    k >= 1 and every l whose tail is positive, by state and then by l.
 
     The tails are read from a band of the underflow width, which keeps every
     positive entry of a row, not from the narrower chain band. They are
     running sums over the band from its far end, which adds the entries in
-    the order a full row's cumulative sum does.
+    the order a full row's cumulative sum does. The band is built, summed
+    and turned into ratios ``_BLOCK`` states at a time, each block at the
+    underflow width of its largest state (entries past it are exact zeros,
+    which add nothing to a tail), and the ratios of each block go straight
+    into one array sized for every (k, l) pair.
     """
     width = _underflow_width(n, n)
-    band = _float_band(n, range(1, n + 1), width)
-    tails = np.cumsum(band[:, :0:-1], axis=1)[:, ::-1]
-    del band
     l = np.arange(1, width + 1)
-    log_kn = np.array([math.log(k / n) for k in range(1, n + 1)])
     log_fact = np.array([math.lgamma(x + 1) for x in range(1, width + 1)])
-    positive = tails > 0.0
-    log_bound = l * log_kn[:, None] - log_fact
-    return np.exp(np.log(tails[positive]) - log_bound[positive]).tolist()
+    out = np.empty(n * width)
+    filled = 0
+    for lo in range(1, n + 1, _BLOCK):
+        states = range(lo, min(lo + _BLOCK, n + 1))
+        cols = _underflow_width(n, states[-1])
+        tails = np.cumsum(_float_band(n, states, cols)[:, :0:-1], axis=1)[:, ::-1]
+        positive = tails > 0.0
+        log_kn = np.array([math.log(k / n) for k in states])
+        log_bound = np.multiply.outer(log_kn, l[:cols])
+        log_bound -= log_fact[:cols]
+        logs = np.log(tails[positive])
+        logs -= log_bound[positive]
+        np.exp(logs, out=out[filled : filled + len(logs)])
+        filled += len(logs)
+    return out[:filled]
+
+
+def _inv_drift_diff_ratios(inv: np.ndarray, coef: float) -> np.ndarray:
+    """For k = 2..n, the largest over j = 1..k-1 of
+    (inv[j] - inv[k]) / (coef (k - j) / (k j)), from the float inverse
+    drifts inv[k] = 1/delta(k) (inv[0] unused).
+
+    Every pair is evaluated, in blocks of about ``_PAIR_BLOCK`` pairs: a
+    block of rows k = lo..hi-1 against every j below its last row. The
+    j < lo pair with every row of the block; the triangle lo <= j < k is
+    divided where j < k only. k and j are exact integers in floats, so
+    k - j and k j are the values integer arithmetic gives.
+    """
+    n = len(inv) - 1
+    out = np.empty(n - 1)
+    step = max(1, _PAIR_BLOCK // n)
+    for lo in range(2, n + 1, step):
+        hi = min(lo + step, n + 1)
+        k = np.arange(lo, hi, dtype=float)[:, None]
+        inv_k = inv[lo:hi, None]
+        j = np.arange(1.0, lo)
+        best = ((inv[1:lo] - inv_k) / (coef * (k - j) / (k * j))).max(axis=1)
+        j = np.arange(float(lo), hi - 1)
+        tri = np.full((len(k), len(j)), -np.inf)
+        np.divide(inv[lo : hi - 1] - inv_k, coef * (k - j) / (k * j), out=tri, where=j < k)
+        out[lo - 2 : hi - 2] = np.maximum(best, tri.max(axis=1, initial=-np.inf))
+    return out
 
 
 def _exact_delta_sandwich_upper(n: int, states: list[int]) -> bool:
@@ -307,32 +377,35 @@ def verify_inequalities(
     rational = backend == RATIONAL
     band = _BANDS[backend](n, range(n + 1))
     table = _drift_table(n, backend, band)
-    profile = _profile(n, backend, band, table.delta)
-    g = profile.g
-    q = profile.q
     half = n // 2
+    # The checks read g at n/2 only, and the recurrence runs up in k, so it
+    # stops there.
+    g_half = _profile(n, backend, band[: half + 1], table.delta).g[half]
+    q = _inverse_drift_prefix(table.delta)
     e = math.e
     one = Fraction(1) if rational else 1.0
 
     eta_vals = [Fraction(0) if rational else 0.0]
     eta_vals += _etas(n, backend, band, table.delta, range(1, n + 1))
 
-    delta = table.delta
-    dstar = table.delta_star
-    invd = [None] + [1 / delta[k] for k in range(1, n + 1)]
+    # The drift columns as arrays: float64, or objects holding the Fractions.
+    delta = np.array(table.delta)
+    dstar = np.array(table.delta_star)
+    ks = np.arange(1, n + 2)
+    inv = np.concatenate(([0.0], (1 / delta[1:]).astype(float)))
 
     checks: list[_Check] = []
 
-    diffs = [delta[k] - delta[k - 1] for k in range(1, n + 1)]
+    diffs = np.diff(delta)
     checks.append(_Check("delta-diff-lower", 1, n, "ge", 1.0 / (e * n), diffs))
     checks.append(_Check("delta-diff-upper", 1, n, "le", 2.0 / (n - 1), diffs))
 
-    sdiffs = [dstar[k] - dstar[k - 1] for k in range(1, n + 2)]
+    sdiffs = np.diff(dstar)
     lo_bound = Fraction(1, n) if rational else 1.0 / n
     checks.append(_Check("delta-star-diff-lower", 1, n + 1, "ge", lo_bound, sdiffs))
     checks.append(_Check("delta-star-diff-upper", 1, n + 1, "le", 2.0 * e / n, sdiffs))
 
-    ratios = [delta[k] * n / k for k in range(1, n + 1)]
+    ratios = delta[1:] * n / ks[:-1]
     checks.append(_Check("delta-sandwich-lower", 1, n, "ge", 1.0 / e, ratios))
     checks.append(
         _Check(
@@ -346,20 +419,18 @@ def verify_inequalities(
         lo_env = [grow ** (k - 1) * Fraction(k, n) for k in range(1, n + 2)]
         hi_env = [grow**n * Fraction(k, n) for k in range(1, n + 2)]
     else:
-        lo_env = [pow_base(1.0 + 1.0 / n, k - 1) * k / n for k in range(1, n + 2)]
-        hi_env = [pow_base(1.0 + 1.0 / n, n) * k / n for k in range(1, n + 2)]
+        lo_env = _pow_bases(1.0 + 1.0 / n, ks - 1) * ks / n
+        hi_env = pow_base(1.0 + 1.0 / n, n) * ks / n
     zero = Fraction(0) if rational else 0.0
     checks.append(
         _Check(
-            "delta-star-sandwich-lower", 1, n + 1, "ge", zero,
-            [dstar[k] - lo_env[k - 1] for k in range(1, n + 2)],
+            "delta-star-sandwich-lower", 1, n + 1, "ge", zero, dstar[1:] - lo_env,
             exact=partial(_exact_dstar_sandwich, n, False),
         )
     )
     checks.append(
         _Check(
-            "delta-star-sandwich-upper", 1, n + 1, "le", zero,
-            [dstar[k] - hi_env[k - 1] for k in range(1, n + 2)],
+            "delta-star-sandwich-upper", 1, n + 1, "le", zero, dstar[1:] - hi_env,
             exact=partial(_exact_dstar_sandwich, n, True),
         )
     )
@@ -382,23 +453,13 @@ def verify_inequalities(
         tail_ratios = _float_tail_ratios(n)
     checks.append(_Check("tail-factorial", 1, n, "le", one, tail_ratios))
 
-    # One value per k, the largest ratio over l: the pairs are O(n^2), so
-    # they are formed a row at a time to keep memory O(n).
-    diff_upper_ratios: list[float] = []
+    # One value per k, the largest ratio over its k - 1 pairs.
     coef = 2.0 * e * e * n * n / (n - 1)
-    inv_arr = np.array([0.0] + [float(x) for x in invd[1:]])
-    for k in range(2, n + 1):
-        l = np.arange(1, k)
-        lhs = inv_arr[k - l] - inv_arr[k]
-        rhs = coef * l / (k * (k - l))
-        diff_upper_ratios.append(float((lhs / rhs).max()))
+    diff_upper_ratios = _inv_drift_diff_ratios(inv, coef)
     checks.append(_Check("inv-drift-diff-upper", 2, n, "le", 1.0, diff_upper_ratios))
 
-    diff_lower_ratios: list[float] = []
-    for k in range(2, half + 1):
-        lhs = float(invd[k - 1]) - float(invd[k])
-        rhs = n / (e * k * k)
-        diff_lower_ratios.append(lhs / rhs)
+    lower_ks = ks[1:half]
+    diff_lower_ratios = (inv[lower_ks - 1] - inv[lower_ks]) / (n / (e * lower_ks * lower_ks))
     checks.append(
         _Check(
             "inv-drift-diff-lower", 2, half, "ge", 1.0,
@@ -430,33 +491,31 @@ def verify_inequalities(
     if rational:
         # sum_{k<=h} 1 / (eta delta(k)) = q(h) / eta, exactly.
         lower_sum = q[half] / eta_star_max
-        upper_sum = invd[1] + (q[half] - q[1]) / eta_star_min
+        upper_sum = 1 / delta[1] + (q[half] - q[1]) / eta_star_min
     else:
-        delta_arr = np.array(delta)
-        lower_sum = math.fsum((1 / (eta_star_max * delta_arr[1 : half + 1])).tolist())
-        upper_sum = invd[1] + math.fsum((1 / (eta_star_min * delta_arr[2 : half + 1])).tolist())
-    checks.append(_Check("theorem-lower", 1, half, "ge", one, [g[half] / lower_sum]))
-    checks.append(_Check("theorem-upper", 1, half, "le", one, [g[half] / upper_sum]))
+        lower_sum = math.fsum((1 / (eta_star_max * delta[1 : half + 1])).tolist())
+        upper_sum = 1 / delta[1] + math.fsum((1 / (eta_star_min * delta[2 : half + 1])).tolist())
+    checks.append(_Check("theorem-lower", 1, half, "ge", one, [g_half / lower_sum]))
+    checks.append(_Check("theorem-upper", 1, half, "le", one, [g_half / upper_sum]))
 
     if n >= 4:
         q_half = float(q[half])
-        g_half = float(g[half])
         logn = math.log(n)
         checks.append(
-            _Check("corridor-lower", half, half, "ge", q_half - CORRIDOR_C1 * logn, [g_half])
+            _Check("corridor-lower", half, half, "ge", q_half - CORRIDOR_C1 * logn, [float(g_half)])
         )
         checks.append(
-            _Check("corridor-upper", half, half, "le", q_half - CORRIDOR_C2 * logn, [g_half])
+            _Check("corridor-upper", half, half, "le", q_half - CORRIDOR_C2 * logn, [float(g_half)])
         )
     else:
         checks.append(_Check("corridor-lower", half, half, "ge", 0.0, None))
         checks.append(_Check("corridor-upper", half, half, "le", 0.0, None))
 
-    harmonics = _harmonic_prefix(n)
+    harmonics = np.array(_harmonic_prefix(n)[1:])
     checks.append(
         _Check(
             "q-harmonic-envelope", 1, n, "le", 1.0,
-            [float(q[k]) / (e * n * harmonics[k]) for k in range(1, n + 1)],
+            np.array(q[1:], dtype=float) / (e * n * harmonics),
         )
     )
 

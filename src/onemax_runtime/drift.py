@@ -214,33 +214,54 @@ _BLOCK = 512
 
 
 def _normalized_drift_float(n: int, states: Sequence[int]) -> list[float]:
-    """Float normalized drift of each state in ``states`` (all in 1..n + 1).
+    """Float normalized drift of each state in ``states`` (all in 0..n + 1).
 
     With u_l = C(k, l) n^-l and v_j = C(m, j) n^-j, m = n + 1 - k, the value
     is sum_l u_l (l cv0[l-1] - cv1[l-1]) over the prefix sums cv0, cv1 of v_j
     and j v_j, j <= m. Both sequences decay like x^l / l! with
     x <= (n + 1)/(n - 1), so past the band width for state n + 1 their
     cumulative products are exact zeros: they are cut there, which leaves
-    every value bit for bit as the full O(n) sums give it. Blocks of states
-    run as 2-D cumulative products, which are sequential along each row; the
-    final sum stays one dot product per state, cut to the state's own length,
-    so its summation order is that of the single-state sum.
+    every value bit for bit as the full O(n) sums give it.
+
+    The v row of state k is 1 followed by the u row of its mirror n + 1 - k,
+    so one cumulative product per row serves both. Blocks take ``_BLOCK // 2``
+    states from each end of ``states``. A ``range`` whose ends are mirrors,
+    such as 0..n + 1, is closed under k -> n + 1 - k, and so is each such
+    block, whose rows then serve as their own mirrors; for any other input a
+    block forms its mirrors' rows too. Only the columns up to the block's
+    largest state are formed, so a single state below the cut builds k
+    columns, not the full width. Cumulative products and sums are sequential
+    along each row, so every prefix is the same for any number of rows or
+    columns. The final sum is one dot product per state, cut to the state's
+    own length: ``np.vecdot`` over the rows that span the block's columns,
+    ``np.dot`` on the shorter ones.
     """
     width = _underflow_width(n, n + 1)
-    i = np.arange(1.0, width + 1)
-    out = []
-    for lo in range(0, len(states), _BLOCK):
-        ks = np.asarray(states[lo : lo + _BLOCK], dtype=float)[:, None]
-        m = n + 1.0 - ks
-        u = np.cumprod((ks - i + 1.0) / (i * n), axis=1)
-        v = np.ones((len(ks), width))
-        v[:, 1:] = np.cumprod((m - i[:-1] + 1.0) / (i[:-1] * n), axis=1)
+    closed = isinstance(states, range) and len(states) > 0 and states[0] + states[-1] == n + 1
+    ks = np.asarray(states, dtype=np.int64)
+    out = np.empty(len(ks))
+    size, mid = len(ks), (len(ks) + 1) // 2
+    for lo in range(0, mid, _BLOCK // 2):
+        hi = min(lo + _BLOCK // 2, mid)
+        front, back = slice(lo, hi), slice(max(size - hi, hi), size - lo)
+        block = np.concatenate((ks[front], ks[back]))
+        rows = block if closed else np.concatenate((block, n + 1 - block[::-1]))
+        cols = min(int(block.max()), width)
+        i = np.arange(1.0, cols + 1)
+        prods = np.cumprod((rows[:, None] - i + 1.0) / (i * n), axis=1)
+        # The mirror of row r sits at len(rows) - 1 - r.
+        u = prods[: len(block)]
+        v = np.ones_like(u)
         # v_j is an exact (signed) zero for j > m, so the prefix sums stop at m.
+        v[:, 1:] = prods[::-1][: len(block), :-1]
         terms = i * np.cumsum(v, axis=1) - np.cumsum(v * (i - 1.0), axis=1)
-        for row_u, row_t, k in zip(u, terms, ks[:, 0].astype(int).tolist()):
-            size = min(k, width)
-            out.append(float(np.dot(row_u[:size], row_t[:size])))
-    return out
+        values = np.vecdot(u, terms)
+        for r, k in enumerate(block.tolist()):
+            if k < cols:
+                values[r] = np.dot(u[r, :k], terms[r, :k])
+        out[front] = values[: hi - lo]
+        out[back] = values[hi - lo :]
+    return out.tolist()
 
 
 def _poly_mul(a: list[Fraction], b: list[Fraction], cap: int) -> list[Fraction]:
@@ -530,7 +551,9 @@ def _normalized_drift_column(n: int, backend: str) -> list:
     """The normalized drift of the states 1..n + 1 in one backend."""
     if backend == RATIONAL:
         return [normalized_drift(n, k, RATIONAL) for k in range(1, n + 2)]
-    return _normalized_drift_float(n, range(1, n + 2))
+    # With state 0 the range is closed under k -> n + 1 - k, so every block
+    # shares its cumulative products between a state and its mirror.
+    return _normalized_drift_float(n, range(n + 2))[1:]
 
 
 def _drift_table(n: int, backend: str, band) -> DriftTable:

@@ -1,6 +1,8 @@
 """The eta potential and the inequality verification suite."""
 
+import importlib
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -19,6 +21,8 @@ from onemax_runtime import (
 )
 from onemax_runtime.backends import FLOAT, RATIONAL, pow_base
 from reference_sums import plain_fraction_drift
+
+drift_mod = importlib.import_module("onemax_runtime.drift")
 
 
 def full_row_float(n, k):
@@ -295,3 +299,102 @@ def test_records_expose_auditable_slack():
     assert rec.direction == "ge"
     assert rec.observed > rec.bound
     assert rec.k_lo == rec.k_hi == 16
+
+
+def float_check_values(n, monkeypatch):
+    """The raw values of every check of the float suite at n, by check id."""
+    seen = {}
+    decide = bounds_mod._decide
+
+    def spy(check, *args):
+        seen[check.check_id] = check.values
+        return decide(check, *args)
+
+    monkeypatch.setattr(bounds_mod, "_decide", spy)
+    verify_inequalities(n)
+    return seen
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 64, 700])
+def test_inv_drift_diff_upper_equals_the_per_k_loop(n, monkeypatch):
+    """The blocked pair ratios are bit for bit the per-k loop over
+    l = 1..k-1; n = 700 spans 16 pair blocks, the last one partial."""
+    delta = build_drift_table(n).delta
+    inv = np.array([0.0] + [1 / d for d in delta[1:]])
+    coef = 2.0 * math.e * math.e * n * n / (n - 1)
+    expected = []
+    for k in range(2, n + 1):
+        l = np.arange(1, k)
+        lhs = inv[k - l] - inv[k]
+        rhs = coef * l / (k * (k - l))
+        expected.append(float((lhs / rhs).max()))
+    got = float_check_values(n, monkeypatch)["inv-drift-diff-upper"]
+    assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 1000])
+def test_delta_star_envelopes_equal_scalar_pow_base(n, monkeypatch):
+    dstar = build_drift_table(n).delta_star
+    lo_env = [pow_base(1.0 + 1.0 / n, k - 1) * k / n for k in range(1, n + 2)]
+    hi_env = [pow_base(1.0 + 1.0 / n, n) * k / n for k in range(1, n + 2)]
+    seen = float_check_values(n, monkeypatch)
+    assert seen["delta-star-sandwich-lower"].tolist() == [
+        dstar[k] - lo_env[k - 1] for k in range(1, n + 2)
+    ]
+    assert seen["delta-star-sandwich-upper"].tolist() == [
+        dstar[k] - hi_env[k - 1] for k in range(1, n + 2)
+    ]
+
+
+def whole_array_tail_ratios(n):
+    """The tail-factorial ratios from one band of every state at once."""
+    width = drift_mod._underflow_width(n, n)
+    band = drift_mod._float_band(n, range(1, n + 1), width)
+    tails = np.cumsum(band[:, :0:-1], axis=1)[:, ::-1]
+    l = np.arange(1, width + 1)
+    log_kn = np.array([math.log(k / n) for k in range(1, n + 1)])
+    log_fact = np.array([math.lgamma(x + 1) for x in range(1, width + 1)])
+    positive = tails > 0.0
+    log_bound = l * log_kn[:, None] - log_fact
+    return np.exp(np.log(tails[positive]) - log_bound[positive]).tolist()
+
+
+@pytest.mark.parametrize("n", [2, 50, 600])
+def test_tail_ratios_do_not_depend_on_the_block_size(n, monkeypatch):
+    expected = whole_array_tail_ratios(n)
+    assert bounds_mod._float_tail_ratios(n).tolist() == expected
+    monkeypatch.setattr(bounds_mod, "_BLOCK", 7)
+    monkeypatch.setattr(drift_mod, "_BLOCK", 7)
+    assert bounds_mod._float_tail_ratios(n).tolist() == expected
+
+
+@pytest.mark.parametrize("n", [5, 64, 1024])
+def test_float_eta_is_within_1e_15_of_the_compensated_row_sum(n):
+    """The blocked row sums of eta stay within 1e-15 relative of math.fsum
+    over the same products; eta(1) is one product, so it is exact."""
+    band = drift_mod._float_band(n, range(n + 1))
+    delta = build_drift_table(n).delta
+    q = [0.0]
+    for k in range(1, n + 1):
+        q.append(q[-1] + 1 / delta[k])
+    got = verify_inequalities(n).eta
+    width = band.shape[1] - 1
+    for k in range(1, n + 1):
+        d_max = min(k, width)
+        drops = q[k] - np.array(q[k - d_max : k][::-1])
+        expected = math.fsum((band[k, 1 : d_max + 1] * drops).tolist())
+        assert abs(got[k] - expected) <= 1e-15 * expected, k
+    assert got[1] == math.fsum([band[1, 1] * q[1]])
+
+
+def test_float_suite_at_ten_thousand_stays_small():
+    """The tails, pair ratios and eta sums are built in blocks: no n x 180
+    array and no list of every tail ratio is held."""
+    tracemalloc.start()
+    try:
+        report = verify_inequalities(10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    assert all(rec.passed for rec in report.checks if rec.applicable)

@@ -166,6 +166,26 @@ def test_cut_normalized_drift_column_is_bit_identical_to_full_sums(n):
         assert normalized_drift(n, k) == full
 
 
+@pytest.mark.parametrize("block", [512, 6])
+@pytest.mark.parametrize("n", [3, 64, 300])
+def test_normalized_drift_is_bit_identical_for_any_state_set(n, block, monkeypatch):
+    """Blocks closed under k -> n + 1 - k share their cumulative products,
+    other blocks form their mirrors' rows, and blocks below the cut form
+    fewer columns; none of it moves a value."""
+    monkeypatch.setattr(drift_module, "_BLOCK", block)
+    full = [0.0] + [full_normalized_drift(n, k) for k in range(1, n + 2)]
+    for states in (
+        range(n + 2),
+        range(n + 1, -1, -1),
+        range(1, n + 1),
+        range(1, n // 3 + 1),
+        range(n // 2, n + 2),
+        [n + 1, 1, 2, n],
+        [2],
+    ):
+        assert drift_module._normalized_drift_float(n, states) == [full[k] for k in states]
+
+
 def test_kernel_rows_sum_to_one():
     kern = build_kernel(9, "rational")
     for row in kern.rows:
