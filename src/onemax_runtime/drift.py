@@ -256,8 +256,10 @@ def _normalized_drift_float(n: int, states: Sequence[int]) -> list[float]:
         v[:, 1:] = prods[::-1][: len(block), :-1]
         terms = i * np.cumsum(v, axis=1) - np.cumsum(v * (i - 1.0), axis=1)
         values = np.vecdot(u, terms)
-        for r, k in enumerate(block.tolist()):
-            if k < cols:
+        if len(block) > 1:
+            # Rows with k < cols are shorter than the block; a lone state never is.
+            for r in np.flatnonzero(block < cols).tolist():
+                k = int(block[r])
                 values[r] = np.dot(u[r, :k], terms[r, :k])
         out[front] = values[: hi - lo]
         out[back] = values[hi - lo :]

@@ -332,6 +332,22 @@ def test_inv_drift_diff_upper_equals_the_per_k_loop(n, monkeypatch):
     assert got.tolist() == expected
 
 
+@pytest.mark.parametrize("n, pair_block", [(3, 2**15), (64, 2**15), (300, 2**15), (300, 1000)])
+def test_inv_drift_diff_ratios_keep_every_pair(n, pair_block, monkeypatch):
+    """On the chain's inverse drifts the largest ratio of every k > 2 sits at
+    j = 1, so those values alone cannot show a pair lost elsewhere. Random
+    inverse drifts move the largest ratio across all j, and a small
+    ``_PAIR_BLOCK`` gives many blocks of both the rectangle and the triangle."""
+    monkeypatch.setattr(bounds_mod, "_PAIR_BLOCK", pair_block)
+    inv = np.random.default_rng(n).uniform(0.5, 2.0, n + 1)
+    coef = 3.0
+    expected = []
+    for k in range(2, n + 1):
+        l = np.arange(1, k)
+        expected.append(float(((inv[k - l] - inv[k]) / (coef * l / (k * (k - l)))).max()))
+    assert bounds_mod._inv_drift_diff_ratios(inv, coef).tolist() == expected
+
+
 @pytest.mark.parametrize("n", [2, 3, 64, 1000])
 def test_delta_star_envelopes_equal_scalar_pow_base(n, monkeypatch):
     dstar = build_drift_table(n).delta_star
