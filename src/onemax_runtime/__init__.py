@@ -4,133 +4,26 @@ Exact drift tables and hitting times (float or exact rational), verified
 inequality suites, the asymptotic expansion of the normalized drift with its
 runtime constants, and a Monte Carlo reference implementation, all behind
 one library and one command line.
+
+The public names are those of each module's ``__all__``, re-exported here.
 """
 
-from .backends import (
-    BACKENDS,
-    DEFAULT_RATIONAL_CAP,
-    FLOAT,
-    RATIONAL,
-    CapacityError,
-    DomainError,
-    NumericError,
-)
-from .drift import (
-    DriftTable,
-    TransitionKernel,
-    build_drift_table,
-    build_kernel,
-    drift,
-    normalized_drift,
-    normalized_drift_gf,
-    transition_prob,
-    transition_tail,
-)
-from .hitting import (
-    CORRIDOR_C1,
-    CORRIDOR_C2,
-    HittingProfile,
-    closed_form_g,
-    harmonic,
-    hitting_profile,
-    inverse_drift_sum,
-    runtime_profile,
-)
-from .bounds import BoundReport, CheckRecord, eta, eta_star, verify_inequalities
-from .asymptotics import (
-    C2_ET,
-    EULER_GAMMA,
-    ExpansionEval,
-    RuntimeEstimate,
-    asymptotic_et,
-    asymptotic_q,
-    bessel_i,
-    constant_c0,
-    constant_c1,
-    evaluate_expansion,
-    expansion_delta_star,
-    expansion_inverse_delta_star,
-    figure1_rows,
-    figure2_rows,
-    runtime_estimate,
-    s_r,
-    t1,
-    t2,
-)
-from .simulate import (
-    CHUNK_SIZE,
-    ENGINE_BITSTRING,
-    ENGINE_JUMP,
-    ENGINE_STATECHAIN,
-    UNIFORM_START,
-    RunStats,
-    SimConfig,
-    default_max_iters,
-    run,
-    step_bitstring,
-    step_statechain,
-)
+# Aliases first: the star imports rebind ``drift`` to the function.
+from . import asymptotics as _asymptotics
+from . import backends as _backends
+from . import bounds as _bounds
+from . import drift as _drift
+from . import hitting as _hitting
+from . import simulate as _simulate
+from .backends import *
+from .drift import *
+from .hitting import *
+from .bounds import *
+from .asymptotics import *
+from .simulate import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BACKENDS",
-    "DEFAULT_RATIONAL_CAP",
-    "FLOAT",
-    "RATIONAL",
-    "CapacityError",
-    "DomainError",
-    "NumericError",
-    "DriftTable",
-    "TransitionKernel",
-    "build_drift_table",
-    "build_kernel",
-    "drift",
-    "normalized_drift",
-    "normalized_drift_gf",
-    "transition_prob",
-    "transition_tail",
-    "CORRIDOR_C1",
-    "CORRIDOR_C2",
-    "HittingProfile",
-    "closed_form_g",
-    "harmonic",
-    "hitting_profile",
-    "inverse_drift_sum",
-    "runtime_profile",
-    "BoundReport",
-    "CheckRecord",
-    "eta",
-    "eta_star",
-    "verify_inequalities",
-    "C2_ET",
-    "EULER_GAMMA",
-    "ExpansionEval",
-    "RuntimeEstimate",
-    "asymptotic_et",
-    "asymptotic_q",
-    "bessel_i",
-    "constant_c0",
-    "constant_c1",
-    "evaluate_expansion",
-    "expansion_delta_star",
-    "expansion_inverse_delta_star",
-    "figure1_rows",
-    "figure2_rows",
-    "runtime_estimate",
-    "s_r",
-    "t1",
-    "t2",
-    "CHUNK_SIZE",
-    "ENGINE_BITSTRING",
-    "ENGINE_JUMP",
-    "ENGINE_STATECHAIN",
-    "UNIFORM_START",
-    "RunStats",
-    "SimConfig",
-    "default_max_iters",
-    "run",
-    "step_bitstring",
-    "step_statechain",
-    "__version__",
-]
+_MODULES = (_backends, _drift, _hitting, _bounds, _asymptotics, _simulate)
+
+__all__ = [name for module in _MODULES for name in module.__all__] + ["__version__"]

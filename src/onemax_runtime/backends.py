@@ -26,6 +26,16 @@ import os
 from fractions import Fraction
 from typing import Callable, Sequence, TypeVar, Union
 
+__all__ = [
+    "BACKENDS",
+    "DEFAULT_RATIONAL_CAP",
+    "FLOAT",
+    "RATIONAL",
+    "CapacityError",
+    "DomainError",
+    "NumericError",
+]
+
 FLOAT = "float"
 RATIONAL = "rational"
 BACKENDS = (FLOAT, RATIONAL)
@@ -128,6 +138,8 @@ def resolve_threads(threads: int | None) -> int:
             raise DomainError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
     if threads is None:
         threads = os.cpu_count() or 1
+    if not isinstance(threads, int) or isinstance(threads, bool):
+        raise DomainError(f"threads must be an integer, got {threads!r}")
     if threads < 1:
         raise DomainError(f"threads must be positive, got {threads}")
     return threads

@@ -23,7 +23,10 @@ when the instance fits the rational cap and the bound is itself rational,
 and otherwise gets a relative 1e-12 roundoff allowance. The exact re-check
 covers only the states whose float margin is below 1e-9 (at the tight
 points that is one or two states), not the whole range. Genuine violations
-report as failures, not raises.
+report as failures, not raises. ``_decide`` is the one place a verdict is
+reached: ``verify_inequalities`` states each check as one call with its id,
+range, direction, bound, values and exact re-check, if it has one, and keeps
+the ``CheckRecord`` that comes back.
 
 The float suite works on whole arrays, a block of states at a time. Its own
 per-state Python work is one ``math.log(k / n)`` per state for the tail
@@ -221,65 +224,57 @@ def eta_star(
     return max(values) if mode == "max" else min(values)
 
 
-@dataclass
-class _Check:
-    """Raw material of one record: values still in backend arithmetic."""
+def _decide(
+    check_id: str,
+    k_lo: int,
+    k_hi: int,
+    direction: str,
+    bound,
+    values,
+    exact=None,
+    *,
+    n: int,
+    backend: str,
+    rational_cap: int,
+) -> CheckRecord:
+    """The record of one check, the one place a verdict is reached.
 
-    check_id: str
-    k_lo: int
-    k_hi: int
-    direction: str
-    bound: object
-    values: list | None
-    exact: object = None
-
-    def near_boundary_states(self) -> list[int]:
-        """States whose float margin is below ``_NEAR_BOUNDARY``; values[i]
-        belongs to state k_lo + i. Float error is far smaller than that
-        margin, so only these states can fail in exact arithmetic."""
-        sign = 1 if self.direction == "le" else -1
-        return [
-            self.k_lo + i
-            for i, v in enumerate(self.values)
-            if sign * (self.bound - v) < _NEAR_BOUNDARY
-        ]
-
-
-def _decide(check: _Check, n: int, backend: str, rational_cap: int) -> CheckRecord:
-    if check.values is None or len(check.values) == 0:
-        return CheckRecord(
-            check_id=check.check_id,
-            k_lo=check.k_lo,
-            k_hi=check.k_hi,
-            direction=check.direction,
-            bound=float(check.bound),
-            observed=None,
-            passed=None,
-            applicable=False,
-        )
-    obs = np.max(check.values) if check.direction == "le" else np.min(check.values)
-    if check.direction == "le":
-        diff = check.bound - obs
-    else:
-        diff = obs - check.bound
-    if diff >= 0:
-        passed = True
-    elif float(diff) > -_NEAR_BOUNDARY:
-        if backend == FLOAT and check.exact is not None and n <= rational_cap:
-            passed = bool(check.exact(check.near_boundary_states()))
+    ``values`` holds the check's values in backend arithmetic, values[i]
+    belonging to state k_lo + i; ``None`` or an empty list marks the check
+    not applicable. A float margin short of the bound by less than
+    ``_NEAR_BOUNDARY`` is re-checked by ``exact`` on the states whose own
+    margin is below ``_NEAR_BOUNDARY`` (float error is far smaller than that
+    margin, so only these states can fail in exact arithmetic), when ``exact``
+    is given and n fits the rational cap; otherwise it gets the relative
+    ``_ROUNDOFF_REL`` allowance.
+    """
+    observed = passed = None
+    if values is not None and len(values) > 0:
+        sign = 1 if direction == "le" else -1
+        obs = np.max(values) if sign == 1 else np.min(values)
+        diff = sign * (bound - obs)
+        if diff >= 0:
+            passed = True
+        elif float(diff) > -_NEAR_BOUNDARY:
+            if backend == FLOAT and exact is not None and n <= rational_cap:
+                near = [
+                    k_lo + i for i, v in enumerate(values) if sign * (bound - v) < _NEAR_BOUNDARY
+                ]
+                passed = bool(exact(near))
+            else:
+                passed = float(diff) >= -_ROUNDOFF_REL * max(1.0, abs(float(bound)))
         else:
-            passed = float(diff) >= -_ROUNDOFF_REL * max(1.0, abs(float(check.bound)))
-    else:
-        passed = False
+            passed = False
+        observed = float(obs)
     return CheckRecord(
-        check_id=check.check_id,
-        k_lo=check.k_lo,
-        k_hi=check.k_hi,
-        direction=check.direction,
-        bound=float(check.bound),
-        observed=float(obs),
+        check_id=check_id,
+        k_lo=k_lo,
+        k_hi=k_hi,
+        direction=direction,
+        bound=float(bound),
+        observed=observed,
         passed=passed,
-        applicable=True,
+        applicable=observed is not None,
     )
 
 
@@ -404,24 +399,24 @@ def verify_inequalities(
     ks = np.arange(1, n + 2)
     inv = np.concatenate(([0.0], (1 / delta[1:]).astype(float)))
 
-    checks: list[_Check] = []
+    records: list[CheckRecord] = []
+
+    def record(*check) -> None:
+        records.append(_decide(*check, n=n, backend=backend, rational_cap=rational_cap))
 
     diffs = np.diff(delta)
-    checks.append(_Check("delta-diff-lower", 1, n, "ge", 1.0 / (e * n), diffs))
-    checks.append(_Check("delta-diff-upper", 1, n, "le", 2.0 / (n - 1), diffs))
+    record("delta-diff-lower", 1, n, "ge", 1.0 / (e * n), diffs)
+    record("delta-diff-upper", 1, n, "le", 2.0 / (n - 1), diffs)
 
     sdiffs = np.diff(dstar)
     lo_bound = Fraction(1, n) if rational else 1.0 / n
-    checks.append(_Check("delta-star-diff-lower", 1, n + 1, "ge", lo_bound, sdiffs))
-    checks.append(_Check("delta-star-diff-upper", 1, n + 1, "le", 2.0 * e / n, sdiffs))
+    record("delta-star-diff-lower", 1, n + 1, "ge", lo_bound, sdiffs)
+    record("delta-star-diff-upper", 1, n + 1, "le", 2.0 * e / n, sdiffs)
 
     ratios = delta[1:] * n / ks[:-1]
-    checks.append(_Check("delta-sandwich-lower", 1, n, "ge", 1.0 / e, ratios))
-    checks.append(
-        _Check(
-            "delta-sandwich-upper", 1, n, "le", one, ratios,
-            exact=partial(_exact_delta_sandwich_upper, n),
-        )
+    record("delta-sandwich-lower", 1, n, "ge", 1.0 / e, ratios)
+    record(
+        "delta-sandwich-upper", 1, n, "le", one, ratios, partial(_exact_delta_sandwich_upper, n)
     )
 
     if rational:
@@ -432,17 +427,13 @@ def verify_inequalities(
         lo_env = _pow_bases(1.0 + 1.0 / n, ks - 1) * ks / n
         hi_env = pow_base(1.0 + 1.0 / n, n) * ks / n
     zero = Fraction(0) if rational else 0.0
-    checks.append(
-        _Check(
-            "delta-star-sandwich-lower", 1, n + 1, "ge", zero, dstar[1:] - lo_env,
-            exact=partial(_exact_dstar_sandwich, n, False),
-        )
+    record(
+        "delta-star-sandwich-lower", 1, n + 1, "ge", zero, dstar[1:] - lo_env,
+        partial(_exact_dstar_sandwich, n, False),
     )
-    checks.append(
-        _Check(
-            "delta-star-sandwich-upper", 1, n + 1, "le", zero, dstar[1:] - hi_env,
-            exact=partial(_exact_dstar_sandwich, n, True),
-        )
+    record(
+        "delta-star-sandwich-upper", 1, n + 1, "le", zero, dstar[1:] - hi_env,
+        partial(_exact_dstar_sandwich, n, True),
     )
 
     if rational:
@@ -461,40 +452,21 @@ def verify_inequalities(
                 tail_ratios.append(Fraction(tail * num, scale * den))
     else:
         tail_ratios = _float_tail_ratios(n)
-    checks.append(_Check("tail-factorial", 1, n, "le", one, tail_ratios))
+    record("tail-factorial", 1, n, "le", one, tail_ratios)
 
     # One value per k, the largest ratio over its k - 1 pairs.
     coef = 2.0 * e * e * n * n / (n - 1)
-    diff_upper_ratios = _inv_drift_diff_ratios(inv, coef)
-    checks.append(_Check("inv-drift-diff-upper", 2, n, "le", 1.0, diff_upper_ratios))
+    record("inv-drift-diff-upper", 2, n, "le", 1.0, _inv_drift_diff_ratios(inv, coef))
 
     lower_ks = ks[1:half]
     diff_lower_ratios = (inv[lower_ks - 1] - inv[lower_ks]) / (n / (e * lower_ks * lower_ks))
-    checks.append(
-        _Check(
-            "inv-drift-diff-lower", 2, half, "ge", 1.0,
-            diff_lower_ratios if half >= 2 else None,
-        )
-    )
+    record("inv-drift-diff-lower", 2, half, "ge", 1.0, diff_lower_ratios if half >= 2 else None)
 
-    checks.append(
-        _Check(
-            "eta-unit-lower", 1, n, "ge", one, eta_vals[1:],
-            exact=partial(_exact_eta_unit, n),
-        )
-    )
-    checks.append(
-        _Check(
-            "eta-upper", 1, half, "le", 1.0 + 2.0 * math.exp(2.5) / (n - 1),
-            eta_vals[1 : half + 1],
-        )
-    )
-    checks.append(
-        _Check(
-            "eta-lower", 2, half, "ge", 1.0 + math.exp(-2.0) / (4.0 * n),
-            eta_vals[2 : half + 1] if half >= 2 else None,
-        )
-    )
+    record("eta-unit-lower", 1, n, "ge", one, eta_vals[1:], partial(_exact_eta_unit, n))
+    eta_hi = 1.0 + 2.0 * math.exp(2.5) / (n - 1)
+    record("eta-upper", 1, half, "le", eta_hi, eta_vals[1 : half + 1])
+    eta_lo = 1.0 + math.exp(-2.0) / (4.0 * n)
+    record("eta-lower", 2, half, "ge", eta_lo, eta_vals[2 : half + 1] if half >= 2 else None)
 
     eta_star_max = max(eta_vals[1 : half + 1])
     eta_star_min = min(eta_vals[2 : n + 1])
@@ -505,31 +477,24 @@ def verify_inequalities(
     else:
         lower_sum = math.fsum((1 / (eta_star_max * delta[1 : half + 1])).tolist())
         upper_sum = 1 / delta[1] + math.fsum((1 / (eta_star_min * delta[2 : half + 1])).tolist())
-    checks.append(_Check("theorem-lower", 1, half, "ge", one, [g_half / lower_sum]))
-    checks.append(_Check("theorem-upper", 1, half, "le", one, [g_half / upper_sum]))
+    record("theorem-lower", 1, half, "ge", one, [g_half / lower_sum])
+    record("theorem-upper", 1, half, "le", one, [g_half / upper_sum])
 
     if n >= 4:
         q_half = float(q[half])
         logn = math.log(n)
-        checks.append(
-            _Check("corridor-lower", half, half, "ge", q_half - CORRIDOR_C1 * logn, [float(g_half)])
-        )
-        checks.append(
-            _Check("corridor-upper", half, half, "le", q_half - CORRIDOR_C2 * logn, [float(g_half)])
-        )
+        g_obs = [float(g_half)]
+        c1_bound, c2_bound = q_half - CORRIDOR_C1 * logn, q_half - CORRIDOR_C2 * logn
     else:
-        checks.append(_Check("corridor-lower", half, half, "ge", 0.0, None))
-        checks.append(_Check("corridor-upper", half, half, "le", 0.0, None))
+        g_obs = None
+        c1_bound = c2_bound = 0.0
+    record("corridor-lower", half, half, "ge", c1_bound, g_obs)
+    record("corridor-upper", half, half, "le", c2_bound, g_obs)
 
     harmonics = np.array(_harmonic_prefix(n)[1:])
-    checks.append(
-        _Check(
-            "q-harmonic-envelope", 1, n, "le", 1.0,
-            np.array(q[1:], dtype=float) / (e * n * harmonics),
-        )
-    )
+    envelope = np.array(q[1:], dtype=float) / (e * n * harmonics)
+    record("q-harmonic-envelope", 1, n, "le", 1.0, envelope)
 
-    records = tuple(_decide(c, n, backend, rational_cap) for c in checks)
     return BoundReport(
         n=n,
         backend=backend,
@@ -538,5 +503,5 @@ def verify_inequalities(
         eta_star_max_range=(1, half),
         eta_star_min=eta_star_min,
         eta_star_min_range=(2, n),
-        checks=records,
+        checks=tuple(records),
     )

@@ -139,8 +139,6 @@ def _cmd_drift(args) -> None:
 def _cmd_runtime(args) -> None:
     n = args.n
     start = args.start if args.start is not None else n // 2
-    if not 0 <= start <= n:
-        raise DomainError(f"start {start} outside [0, {n}]")
     prof = runtime_profile(n, args.backend, up_to=start)
     g = prof.g[start]
     q = prof.q[start]
@@ -352,10 +350,10 @@ def _precision(text: str) -> int:
     return digits
 
 
-def _add_output_options(sp, default_format: str) -> None:
+def _add_output_options(sp, default_format: str, formats=("csv", "json")) -> None:
     sp.add_argument("--out", metavar="PATH", default=None, help="write to PATH instead of stdout")
     sp.add_argument(
-        "--format", choices=("csv", "json"), default=default_format,
+        "--format", choices=formats, default=default_format,
         help=f"output format (default {default_format})",
     )
     sp.add_argument(
@@ -423,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples-out", metavar="PATH", default=None,
         help="also write per-replicate hitting times as CSV to PATH",
     )
-    _add_output_options(p, "json")
+    _add_output_options(p, "json", formats=("json",))
     p.set_defaults(handler=_cmd_sim)
 
     return parser

@@ -55,7 +55,7 @@ from functools import partial
 
 import numpy as np
 
-from .backends import DomainError, check_memory, check_n, thread_map
+from .backends import DomainError, check_memory, check_n, resolve_threads, thread_map
 from .drift import _band_improvement, _band_width, _float_band
 
 __all__ = [
@@ -335,6 +335,7 @@ def run(config: SimConfig, threads: int | None = 1) -> tuple[RunStats, np.ndarra
     the thread count because every chunk owns an independent child stream
     and results are reassembled in chunk order.
     """
+    resolve_threads(threads)  # a bad thread count fails before any table is built
     n = config.n
     reps = config.replicates
     max_iters = config.max_iters if config.max_iters is not None else default_max_iters(n)

@@ -1,7 +1,16 @@
-"""Reference values summed in plain Fractions, independent of the package."""
+"""Reference values for the tests, computed without the kernel band.
+
+``plain_fraction_drift`` sums in plain Fractions, independent of the package.
+``float_kernel_row`` builds an untruncated float row from flip-count pmfs;
+it shares only the package's ``pow_base`` for (1 - 1/n)^m.
+"""
 
 from fractions import Fraction as F
 from math import comb
+
+import numpy as np
+
+from onemax_runtime.backends import pow_base
 
 
 def plain_fraction_drift(n, k):
@@ -17,3 +26,22 @@ def plain_fraction_drift(n, k):
         ),
         F(0),
     )
+
+
+def float_kernel_row(n, k):
+    """Kernel row p(k, 0..k) from the untruncated float pmfs of Bin(k, 1/n)
+    and Bin(n - k, 1/n), each by the ratio recurrence from pow_base(1 - 1/n,
+    m); p(k, k) is one minus the rest of the row."""
+
+    def pmf(m):
+        out = np.empty(m + 1)
+        out[0] = pow_base(1.0 - 1.0 / n, m)
+        i = np.arange(1.0, m + 1)
+        out[1:] = out[0] * np.cumprod((m - i + 1.0) / (i * (n - 1.0)))
+        return out
+
+    pa, pb = pmf(k), pmf(n - k)
+    jumps = np.correlate(pa, pb, mode="full")[len(pb) - 1 :]
+    row = jumps[::-1].copy()
+    row[k] = 1.0 - row[:k].sum()
+    return row

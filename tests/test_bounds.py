@@ -20,26 +20,10 @@ from onemax_runtime import (
     verify_inequalities,
 )
 from onemax_runtime.backends import FLOAT, RATIONAL, pow_base
-from reference_sums import plain_fraction_drift
+from reference_sums import float_kernel_row, plain_fraction_drift
 
 drift_mod = importlib.import_module("onemax_runtime.drift")
 
-
-def full_row_float(n, k):
-    """Kernel row p(k, 0..k) from untruncated float flip-count pmfs."""
-
-    def pmf(m):
-        out = np.empty(m + 1)
-        out[0] = pow_base(1.0 - 1.0 / n, m)
-        i = np.arange(1.0, m + 1)
-        out[1:] = out[0] * np.cumprod((m - i + 1.0) / (i * (n - 1.0)))
-        return out
-
-    pa, pb = pmf(k), pmf(n - k)
-    jumps = np.correlate(pa, pb, mode="full")[len(pb) - 1 :]
-    row = jumps[::-1].copy()
-    row[k] = 1.0 - row[:k].sum()
-    return row
 
 ALL_CHECK_IDS = {
     "delta-diff-lower",
@@ -193,15 +177,15 @@ def test_tail_factorial_covers_every_positive_tail(monkeypatch):
     n = 128
     expected = 0
     for k in range(1, n + 1):
-        cums = np.cumsum(full_row_float(n, k))
+        cums = np.cumsum(float_kernel_row(n, k))
         expected += sum(1 for l in range(1, k + 1) if cums[k - l] > 0.0)
 
     seen = {}
     decide = bounds_mod._decide
 
-    def spy(check, *args):
-        seen[check.check_id] = len(check.values)
-        return decide(check, *args)
+    def spy(check_id, k_lo, k_hi, direction, bound, values, *args, **kwargs):
+        seen[check_id] = len(values)
+        return decide(check_id, k_lo, k_hi, direction, bound, values, *args, **kwargs)
 
     monkeypatch.setattr(bounds_mod, "_decide", spy)
     report = verify_inequalities(n)
@@ -217,7 +201,7 @@ def test_eta_matches_full_row_sum():
     for k in range(1, n + 1):
         q.append(q[-1] + 1.0 / table.delta[k])
     for k in range(1, n + 1):
-        row = full_row_float(n, k)
+        row = float_kernel_row(n, k)
         expected = math.fsum(row[l] * (q[k] - q[l]) for l in range(k))
         assert eta(kern, table, k) == pytest.approx(expected, rel=1e-14)
 
@@ -268,9 +252,9 @@ def test_rational_check_values_match_plain_fractions(monkeypatch):
     seen = {}
     decide = bounds_mod._decide
 
-    def spy(check, *args):
-        seen[check.check_id] = check.values
-        return decide(check, *args)
+    def spy(check_id, k_lo, k_hi, direction, bound, values, *args, **kwargs):
+        seen[check_id] = values
+        return decide(check_id, k_lo, k_hi, direction, bound, values, *args, **kwargs)
 
     monkeypatch.setattr(bounds_mod, "_decide", spy)
     verify_inequalities(n, "rational")
@@ -306,9 +290,9 @@ def float_check_values(n, monkeypatch):
     seen = {}
     decide = bounds_mod._decide
 
-    def spy(check, *args):
-        seen[check.check_id] = check.values
-        return decide(check, *args)
+    def spy(check_id, k_lo, k_hi, direction, bound, values, *args, **kwargs):
+        seen[check_id] = values
+        return decide(check_id, k_lo, k_hi, direction, bound, values, *args, **kwargs)
 
     monkeypatch.setattr(bounds_mod, "_decide", spy)
     verify_inequalities(n)

@@ -247,6 +247,23 @@ def test_sim_bad_start(capsys):
     assert "fixed:K" in err
 
 
+def test_sim_writes_json_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", "--n", "20", "--reps", "10", "--seed", "1", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--format" in captured.err
+
+
+@pytest.mark.parametrize("start", ["65", "-1"])
+def test_runtime_start_outside_the_states_is_usage_error(capsys, start):
+    code, out, err = run_cli(capsys, "runtime", "64", "--start", start)
+    assert code == 2
+    assert out == ""
+    assert "outside [0, 64]" in err
+
+
 def test_out_file_matches_stdout(tmp_path, capsys):
     _, stdout_text, _ = run_cli(capsys, "drift", "6")
     path = tmp_path / "table.csv"

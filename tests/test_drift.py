@@ -20,27 +20,11 @@ from onemax_runtime import (
     transition_tail,
 )
 from onemax_runtime.backends import pow_base
-from reference_sums import plain_fraction_drift
+from reference_sums import float_kernel_row, plain_fraction_drift
 
 drift_module = importlib.import_module("onemax_runtime.drift")
 _float_band = drift_module._float_band
 _underflow_width = drift_module._underflow_width
-
-
-def float_pmf(m, n):
-    """Pmf of Bin(m, 1/n), all m + 1 terms, by the float ratio recurrence."""
-    out = np.empty(m + 1)
-    out[0] = pow_base(1.0 - 1.0 / n, m)
-    i = np.arange(1.0, m + 1)
-    out[1:] = out[0] * np.cumprod((m - i + 1.0) / (i * (n - 1.0)))
-    return out
-
-
-def full_jump_row(n, k):
-    """jumps[d] = p(k, k - d) for d = 1..k from untruncated flip-count pmfs."""
-    pa = float_pmf(k, n)
-    pb = float_pmf(n - k, n)
-    return np.correlate(pa, pb, mode="full")[len(pb) - 1 :]
 
 
 def brute_kernel_row(n, k):
@@ -307,7 +291,7 @@ def test_band_matches_full_rows(n):
     wide = _float_band(n, range(n + 1), _underflow_width(n, n)).shape[1] - 1
     tiny = np.finfo(float).tiny
     for k in range(1, n + 1):
-        full = full_jump_row(n, k)
+        full = float_kernel_row(n, k)[::-1]  # full[d] = p(k, k - d)
         d_max = min(k, width)
         np.testing.assert_allclose(band[k, 1 : d_max + 1], full[1 : d_max + 1], rtol=1e-13, atol=tiny)
         assert not band[k, d_max + 1 :].any()
@@ -329,7 +313,7 @@ def test_chain_band_matches_full_rows_on_sampled_rows(n):
     sampled = {1, 2, 3, width - 1, width, width + 1, n // 3, n // 2, n // 2 + 1, n - 1, n}
     sampled |= set(rng.integers(1, n + 1, size=12).tolist())
     for k in sorted(sampled):
-        full = full_jump_row(n, k)
+        full = float_kernel_row(n, k)[::-1]  # full[d] = p(k, k - d)
         d_max = min(k, width)
         rel = np.abs(band[k, 1 : d_max + 1] / full[1 : d_max + 1] - 1.0)
         assert rel.max() <= 2e-15, (k, rel.max())

@@ -18,6 +18,7 @@ from onemax_runtime import (
     SimConfig,
     build_kernel,
     default_max_iters,
+    figure2_rows,
     run,
     runtime_profile,
     step_bitstring,
@@ -191,6 +192,20 @@ def test_worker_count_is_bounded_by_tasks_and_cores(monkeypatch):
     monkeypatch.setenv(THREADS_ENV_VAR, "many")
     with pytest.raises(DomainError):
         worker_count(None, 5)
+
+
+@pytest.mark.parametrize("threads", ["3", 2.5, True, False])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda threads: run(SimConfig(n=8, start=4, replicates=4, seed=0), threads=threads),
+        lambda threads: figure2_rows(4, 5, threads=threads),
+    ],
+    ids=["run", "figure2_rows"],
+)
+def test_thread_count_must_be_an_integer(call, threads):
+    with pytest.raises(DomainError, match="threads must be an integer"):
+        call(threads)
 
 
 def test_fixed_start_mean_matches_exact_expectation():
