@@ -14,19 +14,19 @@ the expected one-step drop of the inverse-drift sum q from state k. It is
 at least 1 everywhere; over k <= n/2 it stays within 1 + O(1/n) of 1, which
 is what pins g(k) to q(k) up to Theta(log n).
 
-Margins are evaluated in the backend's own arithmetic, so the rational
-backend decides rational-bound checks exactly. Float comparisons at a true
-equality point (the normalized-drift sandwich is tight at k = 1 and
-k = n + 1, and eta(1) = 1 exactly) can land a few ulp on the wrong side; a
-float verdict within 1e-9 of the bound is re-checked in exact arithmetic
-when the instance fits the rational cap and the bound is itself rational,
-and otherwise gets a relative 1e-12 roundoff allowance. The exact re-check
-covers only the states whose float margin is below 1e-9 (at the tight
-points that is one or two states), not the whole range. Genuine violations
-report as failures, not raises. ``_decide`` is the one place a verdict is
-reached: ``verify_inequalities`` states each check as one call with its id,
-range, direction, bound, values and exact re-check, if it has one, and keeps
-the ``CheckRecord`` that comes back.
+Every verdict is reached the same way: a value passes when it is on the
+bound's side in the arithmetic it was computed in (exact for the rational
+backend's drift, eta, tail and theorem values), with no tolerance. Four
+bounds hold with equality at an endpoint, by an identity:
+Delta(n) = E[Bin(n, 1/n)] = 1, delta*(1) = 1/n,
+delta*(n + 1) = ((n + 1)/n)^(n + 1) and eta(1) = s_1 / Delta(1) = 1. The
+call that states such a check lists those states, and they pass as proved,
+whatever their float value rounds to (its error grows like n 2^-52 at
+delta*(n + 1)). Genuine violations report as failures, not raises.
+``_decide`` is the one place a verdict is reached: ``verify_inequalities``
+states each check as one call with its id, range, direction, bound, values
+and identity states, if it has any, and keeps the ``CheckRecord`` that
+comes back.
 
 The float suite works on whole arrays, a block of states at a time. Its own
 per-state Python work is one ``math.log(k / n)`` per state for the tail
@@ -44,7 +44,8 @@ running sums q and H. The check columns are numpy arrays:
   blocks of about ``_PAIR_BLOCK`` pairs (about 1 MB of working memory);
 * eta(k) is one 2-D product of band rows and drops per block of states,
   summed along the rows;
-* the (1 + 1/n)^(k-1) envelopes come from ``_pow_bases``.
+* the (1 + 1/n)^(k-1) envelopes come from one ``_pow_bases`` call, whose
+  last entry, (1 + 1/n)^n, is the upper envelope's factor.
 
 Each block does the operations of the per-state loop it replaces, so every
 check value is the same bit for bit, except eta and the checks derived from
@@ -57,7 +58,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
@@ -70,22 +70,17 @@ from .backends import (
     check_backend,
     check_n,
     check_rational_cap,
-    pow_base,
 )
 from .drift import (
     _BANDS,
     _BLOCK,
     DriftTable,
     TransitionKernel,
-    _band_drift,
     _check_state,
     _drift_table,
-    _exact_numerators,
     _float_band,
     _pow_bases,
     _underflow_width,
-    drift,
-    normalized_drift,
 )
 from .hitting import (
     CORRIDOR_C1,
@@ -103,9 +98,6 @@ __all__ = [
     "eta_star",
     "verify_inequalities",
 ]
-
-_NEAR_BOUNDARY = 1e-9
-_ROUNDOFF_REL = 1e-12
 
 # (k, j) pairs per block of the inverse-drift difference ratios: 256 KB per
 # array of the block, about 1 MB of working memory in all, for any n.
@@ -231,41 +223,29 @@ def _decide(
     direction: str,
     bound,
     values,
-    exact=None,
-    *,
-    n: int,
-    backend: str,
-    rational_cap: int,
+    equal_at=(),
 ) -> CheckRecord:
     """The record of one check, the one place a verdict is reached.
 
     ``values`` holds the check's values in backend arithmetic, values[i]
     belonging to state k_lo + i; ``None`` or an empty list marks the check
-    not applicable. A float margin short of the bound by less than
-    ``_NEAR_BOUNDARY`` is re-checked by ``exact`` on the states whose own
-    margin is below ``_NEAR_BOUNDARY`` (float error is far smaller than that
-    margin, so only these states can fail in exact arithmetic), when ``exact``
-    is given and n fits the rational cap; otherwise it gets the relative
-    ``_ROUNDOFF_REL`` allowance.
+    not applicable. ``equal_at`` lists the states where the check holds with
+    equality by an identity: they pass without arithmetic. Every other state
+    passes only when its value is on the bound's side, with no tolerance.
+    ``observed`` is the extremum over every state, the identity states
+    included, so it shows the rounding there.
     """
     observed = passed = None
     if values is not None and len(values) > 0:
-        sign = 1 if direction == "le" else -1
-        obs = np.max(values) if sign == 1 else np.min(values)
-        diff = sign * (bound - obs)
-        if diff >= 0:
-            passed = True
-        elif float(diff) > -_NEAR_BOUNDARY:
-            if backend == FLOAT and exact is not None and n <= rational_cap:
-                near = [
-                    k_lo + i for i, v in enumerate(values) if sign * (bound - v) < _NEAR_BOUNDARY
-                ]
-                passed = bool(exact(near))
-            else:
-                passed = float(diff) >= -_ROUNDOFF_REL * max(1.0, abs(float(bound)))
-        else:
-            passed = False
-        observed = float(obs)
+        extremum = np.max if direction == "le" else np.min
+        holds = (lambda v: v <= bound) if direction == "le" else (lambda v: v >= bound)
+        worst = extremum(values)
+        observed = float(worst)
+        if equal_at and not holds(worst):
+            # The extremum may sit at an identity state: decide on the others.
+            rest = np.delete(values, [k - k_lo for k in equal_at])
+            worst = extremum(rest) if len(rest) > 0 else bound
+        passed = bool(holds(worst))
     return CheckRecord(
         check_id=check_id,
         k_lo=k_lo,
@@ -342,27 +322,6 @@ def _inv_drift_diff_ratios(inv: np.ndarray, coef: float) -> np.ndarray:
     return out
 
 
-def _exact_delta_sandwich_upper(n: int, states: list[int]) -> bool:
-    return all(drift(n, k, RATIONAL) <= Fraction(k, n) for k in states)
-
-
-def _exact_dstar_sandwich(n: int, upper: bool, states: list[int]) -> bool:
-    grow = Fraction(n + 1, n)
-    for k in states:
-        ds = normalized_drift(n, k, RATIONAL)
-        if upper and ds > grow**n * Fraction(k, n):
-            return False
-        if not upper and ds < grow ** (k - 1) * Fraction(k, n):
-            return False
-    return True
-
-
-def _exact_eta_unit(n: int, states: list[int]) -> bool:
-    nums = _exact_numerators(n, range(max(states) + 1))
-    delta = _band_drift(n, RATIONAL, nums)
-    return all(e >= 1 for e in _exact_etas(n, nums, delta, states))
-
-
 def verify_inequalities(
     n: int,
     backend: str = FLOAT,
@@ -373,7 +332,8 @@ def verify_inequalities(
     Returns a report whose records are data: a failed check is a result, not
     an exception. Checks needing n >= 4 (the eta lower bound, the refined
     inverse-drift difference and the corridor itself) are marked not
-    applicable below that.
+    applicable below that. ``rational_cap`` only gates the rational backend;
+    no float verdict reads it.
     """
     check_n(n)
     check_backend(backend)
@@ -402,7 +362,7 @@ def verify_inequalities(
     records: list[CheckRecord] = []
 
     def record(*check) -> None:
-        records.append(_decide(*check, n=n, backend=backend, rational_cap=rational_cap))
+        records.append(_decide(*check))
 
     diffs = np.diff(delta)
     record("delta-diff-lower", 1, n, "ge", 1.0 / (e * n), diffs)
@@ -415,26 +375,23 @@ def verify_inequalities(
 
     ratios = delta[1:] * n / ks[:-1]
     record("delta-sandwich-lower", 1, n, "ge", 1.0 / e, ratios)
-    record(
-        "delta-sandwich-upper", 1, n, "le", one, ratios, partial(_exact_delta_sandwich_upper, n)
-    )
+    # Delta(n) = E[Bin(n, 1/n)] = 1.
+    record("delta-sandwich-upper", 1, n, "le", one, ratios, [n])
 
     if rational:
         grow = Fraction(n + 1, n)
         lo_env = [grow ** (k - 1) * Fraction(k, n) for k in range(1, n + 2)]
         hi_env = [grow**n * Fraction(k, n) for k in range(1, n + 2)]
     else:
-        lo_env = _pow_bases(1.0 + 1.0 / n, ks - 1) * ks / n
-        hi_env = pow_base(1.0 + 1.0 / n, n) * ks / n
+        # (1 + 1/n)^(k-1) for k = 1..n+1; the last one is (1 + 1/n)^n.
+        grows = _pow_bases(1.0 + 1.0 / n, ks - 1)
+        lo_env = grows * ks / n
+        hi_env = grows[-1] * ks / n
     zero = Fraction(0) if rational else 0.0
-    record(
-        "delta-star-sandwich-lower", 1, n + 1, "ge", zero, dstar[1:] - lo_env,
-        partial(_exact_dstar_sandwich, n, False),
-    )
-    record(
-        "delta-star-sandwich-upper", 1, n + 1, "le", zero, dstar[1:] - hi_env,
-        partial(_exact_dstar_sandwich, n, True),
-    )
+    # delta*(1) = 1/n, and delta*(n+1) = sum_l C(n+1, l) l n^-l = ((n+1)/n)^(n+1).
+    record("delta-star-sandwich-lower", 1, n + 1, "ge", zero, dstar[1:] - lo_env, [1, n + 1])
+    # delta*(n+1) = ((n+1)/n)^(n+1), as above.
+    record("delta-star-sandwich-upper", 1, n + 1, "le", zero, dstar[1:] - hi_env, [n + 1])
 
     if rational:
         # P[drop >= l] l! (n/k)^l = T l! n^l / (n^n k^l) with the integer tail
@@ -462,7 +419,8 @@ def verify_inequalities(
     diff_lower_ratios = (inv[lower_ks - 1] - inv[lower_ks]) / (n / (e * lower_ks * lower_ks))
     record("inv-drift-diff-lower", 2, half, "ge", 1.0, diff_lower_ratios if half >= 2 else None)
 
-    record("eta-unit-lower", 1, n, "ge", one, eta_vals[1:], partial(_exact_eta_unit, n))
+    # eta(1) = p(1, 0) q(1) = s_1 / Delta(1) = 1: the one move from state 1 is to 0.
+    record("eta-unit-lower", 1, n, "ge", one, eta_vals[1:], [1])
     eta_hi = 1.0 + 2.0 * math.exp(2.5) / (n - 1)
     record("eta-upper", 1, half, "le", eta_hi, eta_vals[1 : half + 1])
     eta_lo = 1.0 + math.exp(-2.0) / (4.0 * n)
