@@ -28,18 +28,18 @@ states each check as one call with its id, range, direction, bound, values
 and identity states, if it has any, and keeps the ``CheckRecord`` that
 comes back.
 
-The float suite works on whole arrays, a block of states at a time. Its own
-per-state Python work is one ``math.log(k / n)`` per state for the tail
-bounds, kept because numpy's vectorised log does not always round the same
-way. What it reads from ``drift`` and ``hitting`` is computed there as
-before: the compensated row sums of the drift, the improvement probability
-and the hitting recurrence (run only up to n/2, where g is checked), and the
-running sums q and H. The check columns are numpy arrays:
+The float suite works on whole arrays, a block of states at a time, with no
+per-state Python loop of its own. What it reads from ``drift`` and
+``hitting`` is computed there: the correctly rounded row sums of the drift
+and the improvement probability, the hitting recurrence (run only up to
+n/2, where g is checked), and the running sums q and H. The check columns
+are numpy arrays:
 
-* the ``tail-factorial`` ratios come from a band of the underflow width that
-  is built, summed and turned into ratios ``_BLOCK`` states at a time; one
-  flat array of the positive ratios (at most n times the width) is kept,
-  while the band, tails and log bounds exist for one block only;
+* the ``tail-factorial`` ratios are built in scaled form, ``_BLOCK`` states
+  at a time, by a backward recurrence in l over scaled pmf terms that stay
+  normal numbers (``_float_tail_ratios``): no tail is formed as a float, so
+  none underflows, and no band of the underflow width is built; one flat
+  array of the ratios, at most n times that width, is kept;
 * the O(n^2) ``inv-drift-diff-upper`` pairs are all evaluated, as (k, j)
   blocks of about ``_PAIR_BLOCK`` pairs (about 1 MB of working memory);
 * eta(k) is one 2-D product of band rows and drops per block of states,
@@ -49,8 +49,9 @@ running sums q and H. The check columns are numpy arrays:
 
 Each block does the operations of the per-state loop it replaces, so every
 check value is the same bit for bit, except eta and the checks derived from
-it: numpy's row sum replaces ``math.fsum`` there, and stays within 1e-15
-relative of it.
+it, where numpy's row sum replaces ``math.fsum`` and stays within 1e-15
+relative of it, and the tail ratios, which are within 1e-14 relative of
+the exact ones at n <= 64.
 """
 
 from __future__ import annotations
@@ -76,9 +77,10 @@ from .drift import (
     _BLOCK,
     DriftTable,
     TransitionKernel,
+    _PAIR_TERMS,
+    _binom_pmfs,
     _check_state,
     _drift_table,
-    _float_band,
     _pow_bases,
     _underflow_width,
 )
@@ -260,35 +262,73 @@ def _decide(
 
 def _float_tail_ratios(n: int) -> np.ndarray:
     """P[the step from k drops at least l] / ((k/n)^l / l!) for every state
-    k >= 1 and every l whose tail is positive, by state and then by l.
+    k >= 1 and every l <= min(k, W), by state and then by l, where W is the
+    underflow width of state n: past it every tail is 0.0 in double
+    precision.
 
-    The tails are read from a band of the underflow width, which keeps every
-    positive entry of a row, not from the narrower chain band. They are
-    running sums over the band from its far end, which adds the entries in
-    the order a full row's cumulative sum does. The band is built, summed
-    and turned into ratios ``_BLOCK`` states at a time, each block at the
-    underflow width of its largest state (entries past it are exact zeros,
-    which add nothing to a tail). The only array kept across blocks is the
-    flat one of the positive-tail ratios, sized for every (k, l) pair (at
-    most n times the width).
+    No tail is formed as a float, so none underflows. With A ~ Bin(k, 1/n)
+    the flipped zero-bits, B ~ Bin(n - k, 1/n) the flipped one-bits and
+    x = k/n, the ratio R_l = P[A - B >= l] l! / x^l runs backward in l:
+
+        R_l = E_l + x / (l + 1) R_(l+1),
+        E_l = P[A - B = l] l! / x^l
+            = sum_(m < 10) Ah_(l+m) x^m l! / (l+m)! P[B = m],
+
+    where Ah_a = P[A = a] a! / x^a = (k)_a / k^a (1 - 1/n)^(k-a) is a
+    cumulative product of (k - a + 1) n / (k (n - 1)) from the base
+    (1 - 1/n)^k of ``_pow_bases``. E_l is the band entry p(k, k - l) scaled
+    by l! / x^l, with the band's ``_PAIR_TERMS`` pair terms; those it omits
+    are below 2^-66 of it. The factor l! / (l+m)! is G(l) / (G(l+m) c^m)
+    with G(a) = a! / c^a and c = (L + 9) / e, so G stays between about e^-c
+    and 40 for every index used, and Ah_a / G(a) and x^m / c^m are normal
+    numbers. The recurrence starts from R_(L+1) = 0 with L = W + 16 for
+    every block: R_(L+1) reaches R_l, l <= W, only through 16 or more
+    factors below 1 / W, or is exactly 0 when L > k.
+
+    The ratios are built ``_BLOCK`` states at a time, with l along the
+    first axis; each state's column is its own sequence of operations, so
+    the ratios do not depend on ``_BLOCK``. The only array kept across
+    blocks is the flat one of the ratios (at most n W of them).
     """
     width = _underflow_width(n, n)
-    l = np.arange(1, width + 1)
-    log_fact = np.array([math.lgamma(x + 1) for x in range(1, width + 1)])
+    cols = width + 16
+    a = np.arange(cols + _PAIR_TERMS, dtype=float)
+    c = a[-1] / math.e
+    scaled_fact = np.ones(len(a))
+    scaled_fact[1:] = np.cumprod(a[1:] / c)
+    l = a[1 : cols + 1, None]
+    m = np.arange(_PAIR_TERMS, dtype=float)[:, None]
     out = np.empty(n * width)
     filled = 0
     for lo in range(1, n + 1, _BLOCK):
-        states = range(lo, min(lo + _BLOCK, n + 1))
-        cols = _underflow_width(n, states[-1])
-        tails = np.cumsum(_float_band(n, states, cols)[:, :0:-1], axis=1)[:, ::-1]
-        positive = tails > 0.0
-        log_kn = np.array([math.log(k / n) for k in states])
-        log_bound = np.multiply.outer(log_kn, l[:cols])
-        log_bound -= log_fact[:cols]
-        logs = np.log(tails[positive])
-        logs -= log_bound[positive]
-        np.exp(logs, out=out[filled : filled + len(logs)])
-        filled += len(logs)
+        ks = np.arange(lo, min(lo + _BLOCK, n + 1))
+        k = ks.astype(float)
+        x = k / n
+        # hat[a] = Ah_a / G(a), one row per a and one column per state.
+        hat = np.empty((len(a), len(ks)))
+        hat[0] = _pow_bases(1.0 - 1.0 / n, ks)
+        factors = hat[1:]
+        np.add.outer(1.0 - a[1:], k, out=factors)
+        np.maximum(factors, 0.0, out=factors)
+        factors *= n
+        factors /= k * (n - 1.0)
+        np.multiply.accumulate(hat, axis=0, out=hat)
+        hat /= scaled_fact[:, None]
+        weights = _binom_pmfs(n - ks, n, _PAIR_TERMS).T * (x / c) ** m
+        ratios = hat[1 : cols + 1] * weights[0]
+        term = np.empty_like(ratios)
+        for j in range(1, _PAIR_TERMS):
+            np.multiply(hat[1 + j : cols + 1 + j], weights[j], out=term)
+            ratios += term
+        ratios *= scaled_fact[1 : cols + 1, None]
+        coef = x / (l + 1.0)
+        for i in range(cols - 2, -1, -1):
+            np.multiply(coef[i], ratios[i + 1], out=term[i])
+            ratios[i] += term[i]
+        keep = (l[:width] <= k).T
+        values = ratios[:width].T[keep]
+        out[filled : filled + len(values)] = values
+        filled += len(values)
     return out[:filled]
 
 
@@ -370,7 +410,8 @@ def verify_inequalities(
 
     sdiffs = np.diff(dstar)
     lo_bound = Fraction(1, n) if rational else 1.0 / n
-    record("delta-star-diff-lower", 1, n + 1, "ge", lo_bound, sdiffs)
+    # delta*(1) - delta*(0) = 1/n.
+    record("delta-star-diff-lower", 1, n + 1, "ge", lo_bound, sdiffs, [1])
     record("delta-star-diff-upper", 1, n + 1, "le", 2.0 * e / n, sdiffs)
 
     ratios = delta[1:] * n / ks[:-1]

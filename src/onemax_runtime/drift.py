@@ -60,13 +60,21 @@ each row; each entry p(k, k-d) = sum_l pa[d+l] pb[l] adds its first 10 pair
 terms in ascending l, and the terms it omits are below 2^-66 of it. Band
 entries agree with full rows to 6.7e-16 relative (n = 1500 and 4096).
 
+Row sums of the float band are correctly rounded and equal ``math.fsum``
+bit for bit, but are taken over a block of rows at once (``_row_fsums``):
+a compensated sum carries the rounding error of every addition, and a
+bound on what it still misses certifies that the result rounds as the exact
+sum does. The rare row it cannot certify, state 0 in practice, is summed
+by ``math.fsum``. The improvement probability s_k and the drift column are
+such sums.
+
 The underflow width (``_underflow_width``, about 160 columns for states up
 to n/2 and 180 up to n) keeps every entry that is not 0.0 in double
 precision. It is used where the contract is "every positive entry": the
-``tail-factorial`` check in ``bounds`` builds its tails from a band of that
-width through the same builder, the single-row ``transition_prob`` and
-``transition_tail`` read a row of that width, and the normalized-drift
-column is cut there because its terms past it are exact zeros.
+single-row ``transition_prob`` and ``transition_tail`` read a row of that
+width, and the normalized-drift column is cut there because its terms past
+it are exact zeros. The ``tail-factorial`` check in ``bounds`` takes its
+range of drops from it, but builds no band of that width.
 """
 
 from __future__ import annotations
@@ -414,21 +422,86 @@ def _exact_numerators(n: int, states: Sequence[int]) -> list[list[int]]:
 _BANDS = {FLOAT: _float_band, RATIONAL: _exact_numerators}
 
 
+# Rows per block of ``_row_fsums``: each block is copied with its columns
+# contiguous, 1.4 MB at 21 columns, so the band is never copied whole.
+_ROW_BLOCK = 8192
+
+
+def _row_fsums(x: np.ndarray, weights: np.ndarray | None = None) -> list[float]:
+    """``math.fsum`` of every row of x * weights (weights per column, default
+    none), bit for bit, as a list.
+
+    A block of rows is summed column by column over all its rows at once,
+    with error-free transformations (Ogita, Rump and Oishi, "Accurate sum
+    and dot product", SIAM J. Sci. Comput. 26(6), 2005): s <- fl(s + x_j),
+    and the exact error of each step, by TwoSum, is added into e. Then
+    (r, t) = TwoSum(s, e), so r + t = s + e exactly. For m nonnegative
+    terms, the exact sum S is r + t + rho, where rho is the rounding of the
+    float sum e: |rho| <= gamma_(m-1) m u S < 2 m^2 u^2 r (u = 2^-53). So r
+    is the correctly rounded sum, which is what ``math.fsum`` returns,
+    whenever t + rho stays inside half the gap to either neighbour of r:
+    spacing(r)/2 above, and below as well unless r is a power of two, where
+    the gap below is half as wide. A row this does not certify, near a tie
+    or summing to 0.0 (whose half gap rounds to 0), or a row with a negative
+    term, is summed by ``math.fsum``. A band has about one such row, its
+    state 0. An array with no columns sums to zeros.
+
+    The sums go straight into a list of the final size: a whole-array
+    result would be freed right after its conversion, and at n = 10^6 that
+    alone raised the peak RSS of ``runtime`` by a few MB.
+    """
+    rows, m = x.shape
+    out = [0.0] * rows
+    if m == 0:
+        return out
+    # 2 m^2 u^2, and the smallest subnormal, which keeps the bound on rho an
+    # upper bound where r * rel underflows.
+    rel = 2.0 * m * m * 2.0**-106
+    tiny = 2.0**-1074
+    for lo in range(0, rows, _ROW_BLOCK):
+        block = x[lo : lo + _ROW_BLOCK].T
+        cols = block * weights[:, None] if weights is not None else np.ascontiguousarray(block)
+        s = cols[0].copy()
+        e = np.zeros_like(s)
+        total, back, err = np.empty_like(s), np.empty_like(s), np.empty_like(s)
+        for term in cols[1:]:
+            # TwoSum: total + (s - (total - back)) + (term - back) = s + term.
+            np.add(s, term, out=total)
+            np.subtract(total, s, out=back)
+            np.subtract(total, back, out=err)
+            np.subtract(s, err, out=err)
+            np.subtract(term, back, out=back)
+            err += back
+            e += err
+            s, total = total, s
+        r = s + e
+        back = r - s
+        t = (s - (r - back)) + (e - back)
+        bound = r * rel + tiny
+        up = np.spacing(r) / 2
+        down = np.where(np.frexp(r)[0] == 0.5, up / 2, up)
+        ok = (t + bound < up) & (bound - t < down) & ~(cols < 0).any(axis=0)
+        for i in np.flatnonzero(~ok).tolist():
+            r[i] = math.fsum(cols[:, i].tolist())
+        out[lo : lo + len(r)] = r.tolist()
+    return out
+
+
 def _band_improvement(band: np.ndarray) -> list[float]:
     """s_k = P[an accepted step moves from k], the row sum over d >= 1, of
-    a float band."""
-    return [math.fsum(row[1:].tolist()) for row in band]
+    a float band, correctly rounded."""
+    return _row_fsums(band[:, 1:])
 
 
 def _band_drift(n: int, backend: str, band) -> list:
     """The drift of each row of a ``_BANDS`` band: its first moment
-    sum_d d p(k, k - d). A rational row is summed on its integer
+    sum_d d p(k, k - d). A float row is the correctly rounded sum of the
+    products d p(k, k - d); a rational row is summed on its integer
     numerators and divided by n^n once."""
     if backend == RATIONAL:
         scale = n**n
         return [Fraction(sum(d * x for d, x in enumerate(row)), scale) for row in band]
-    d = np.arange(band.shape[1])
-    return [math.fsum((d * row).tolist()) for row in band]
+    return _row_fsums(band, np.arange(band.shape[1], dtype=float))
 
 
 class _BandRows(Sequence):

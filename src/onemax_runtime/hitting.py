@@ -8,7 +8,9 @@ recurrence
     g(k) = (1 + sum_{j=1..k-1} p(k, j) g(j)) / sum_{j=0..k-1} p(k, j),
 
 because the chain never moves up. Both backends solve it over the kernel
-band. The float backend sums each row with ``math.fsum``. The rational
+band. The float backend takes correctly rounded row sums, equal to
+``math.fsum``: s_k from the whole-array row sums of ``drift``, and the sum
+over the earlier states of each row one state at a time. The rational
 backend runs it on the band's integer numerators over n^n: g(k) = G_k / D_k,
 where D_k is the running product of the numerators of the row sums s_k and
 G_k is an integer, so each g(k) is one Fraction, reduced once. The companion

@@ -171,9 +171,32 @@ def test_identity_points_hold_exactly():
         assert eta(kern, build_drift_table(n, "rational"), 1) == 1
 
 
+@pytest.mark.parametrize(
+    "n, backend", [(2, "float"), (3, "float"), (64, "float"), (1024, "float"), (8, "rational")]
+)
+def test_delta_star_diff_lower_lists_its_identity_state(n, backend, monkeypatch):
+    """delta*(1) - delta*(0) = 1/n is passed as the identity state 1, and
+    the record still observes the smallest difference over every state."""
+    seen = {}
+    decide = bounds_mod._decide
+
+    def spy(check_id, k_lo, k_hi, direction, bound, values, equal_at=()):
+        seen[check_id] = (values, list(equal_at))
+        return decide(check_id, k_lo, k_hi, direction, bound, values, equal_at)
+
+    monkeypatch.setattr(bounds_mod, "_decide", spy)
+    rec = verify_inequalities(n, backend).check("delta-star-diff-lower")
+    values, equal_at = seen["delta-star-diff-lower"]
+    assert equal_at == [1]
+    assert values[0] == (F(1, n) if backend == "rational" else 1.0 / n)
+    assert rec.observed == float(min(values))
+    assert rec.passed
+
+
 def test_tail_factorial_covers_every_positive_tail(monkeypatch):
-    """The band evaluates the same (k, l) pairs as full rows: all with a
-    positive tail P[step from k drops at least l]."""
+    """The ratios cover the same (k, l) pairs as full rows: all with a
+    positive tail P[step from k drops at least l]. At n = 128 that is every
+    l <= k, and the underflow width is n."""
     n = 128
     expected = 0
     for k in range(1, n + 1):
@@ -303,6 +326,7 @@ def identity_points(n, dstar):
     where a check of the suite holds with equality by an identity; every
     one of these checks starts at k = 1."""
     return [
+        ("delta-star-diff-lower", 1, 1.0 / n, dstar[1]),
         ("delta-sandwich-upper", n, 1.0, 1.0),
         ("delta-star-sandwich-lower", 1, 0.0, dstar[1]),
         ("delta-star-sandwich-lower", n + 1, 0.0, dstar[n + 1]),
@@ -370,26 +394,38 @@ def test_delta_star_envelopes_equal_scalar_pow_base(n, monkeypatch):
     ]
 
 
-def whole_array_tail_ratios(n):
-    """The tail-factorial ratios from one band of every state at once."""
-    width = drift_mod._underflow_width(n, n)
-    band = drift_mod._float_band(n, range(1, n + 1), width)
-    tails = np.cumsum(band[:, :0:-1], axis=1)[:, ::-1]
-    l = np.arange(1, width + 1)
-    log_kn = np.array([math.log(k / n) for k in range(1, n + 1)])
-    log_fact = np.array([math.lgamma(x + 1) for x in range(1, width + 1)])
-    positive = tails > 0.0
-    log_bound = l * log_kn[:, None] - log_fact
-    return np.exp(np.log(tails[positive]) - log_bound[positive]).tolist()
-
-
 @pytest.mark.parametrize("n", [2, 50, 600])
 def test_tail_ratios_do_not_depend_on_the_block_size(n, monkeypatch):
-    expected = whole_array_tail_ratios(n)
-    assert bounds_mod._float_tail_ratios(n).tolist() == expected
+    expected = bounds_mod._float_tail_ratios(n).tolist()
     monkeypatch.setattr(bounds_mod, "_BLOCK", 7)
-    monkeypatch.setattr(drift_mod, "_BLOCK", 7)
     assert bounds_mod._float_tail_ratios(n).tolist() == expected
+    monkeypatch.setattr(bounds_mod, "_BLOCK", n + 1)
+    assert bounds_mod._float_tail_ratios(n).tolist() == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 16, 33, 64])
+def test_float_tail_ratios_are_within_1e_14_of_the_exact_ones(n, monkeypatch):
+    """Every (k, l) pair, in the order of the rational suite: at these n the
+    underflow width is n, so the float ratios cover every l <= k too."""
+    seen = {}
+    decide = bounds_mod._decide
+
+    def spy(check_id, k_lo, k_hi, direction, bound, values, *args, **kwargs):
+        seen[check_id] = values
+        return decide(check_id, k_lo, k_hi, direction, bound, values, *args, **kwargs)
+
+    monkeypatch.setattr(bounds_mod, "_decide", spy)
+    verify_inequalities(n, "rational")
+    exact = seen["tail-factorial"]
+    got = bounds_mod._float_tail_ratios(n).tolist()
+    assert len(got) == len(exact) == n * (n + 1) // 2
+    assert all(abs(F(v) - x) <= F(1, 10**14) * x for v, x in zip(got, exact))
+
+
+def test_float_tail_ratios_at_thirty_thousand_stay_below_one():
+    """Formed as floats, 6 of the tails here round to the smallest subnormal
+    and their ratios read up to 1.0267; in scaled form none is formed."""
+    assert bounds_mod._float_tail_ratios(30_000).max() <= 1.0
 
 
 @pytest.mark.parametrize("n", [5, 64, 1024])

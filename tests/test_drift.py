@@ -10,11 +10,13 @@ import pytest
 
 from onemax_runtime import (
     CapacityError,
+    SimConfig,
     build_drift_table,
     build_kernel,
     drift,
     normalized_drift,
     normalized_drift_gf,
+    run,
     runtime_profile,
     transition_prob,
     transition_tail,
@@ -378,3 +380,86 @@ def test_pow_base_accuracy():
     assert abs(big / (0.9999999 ** (2 * 10**6)) - 1) < 1e-12
     with pytest.raises(ValueError):
         pow_base(0.5, -1)
+
+
+_row_fsums = drift_module._row_fsums
+
+
+def fsum_rows(x):
+    return [math.fsum(row) for row in x.tolist()]
+
+
+@pytest.mark.parametrize("n", [*range(2, 70), 1024, 1500, 4096, 12345])
+def test_row_fsums_equal_fsum_on_the_band_rows(n):
+    """The s_k rows and the drift rows of the n/2 and n bands, bit for bit."""
+    for max_state in (n // 2, n):
+        band = _float_band(n, range(max_state + 1))
+        d = np.arange(band.shape[1], dtype=float)
+        assert _row_fsums(band[:, 1:]) == fsum_rows(band[:, 1:])
+        assert _row_fsums(band, d) == fsum_rows(band * d)
+
+
+def test_row_fsums_fall_back_to_fsum_where_the_rounding_is_close(monkeypatch):
+    """Rows at or near a tie reach ``math.fsum`` and come back correct."""
+    rows = np.array(
+        [
+            # A tie: 1 + 2^-53 rounds to even, 1.0.
+            [1.0, 2.0**-53, 0.0],
+            # Past the tie, but the float error sum drops 2^-110: 1 + 2^-52.
+            [1.0, 2.0**-53, 2.0**-110],
+            # A tie below 1.0, which rounds up to the power of two 1.0.
+            [1.0 - 2.0**-53, 2.0**-54, 0.0],
+            # Past the tie by 2^-80, which the error sum holds exactly, so the
+            # compensated sum decides it alone: 1 + 2^-52.
+            [1.0, 2.0**-53, 2.0**-80],
+        ]
+    )
+    fsum = math.fsum
+    expected = fsum_rows(rows)
+    assert expected == [1.0, 1.0 + 2.0**-52, 1.0, 1.0 + 2.0**-52]
+    fallbacks = []
+
+    def spy(terms):
+        fallbacks.append(list(terms))
+        return fsum(terms)
+
+    monkeypatch.setattr(math, "fsum", spy)
+    assert _row_fsums(rows) == expected
+    assert fallbacks == rows[:3].tolist()
+
+
+def test_row_fsums_sum_negative_rows_by_fsum(monkeypatch):
+    """The certificate's bound holds for nonnegative terms only."""
+    rows = np.array([[1.0, -1.0, 1e-20], [0.5, 0.25, 0.125]])
+    fsum = math.fsum
+    fallbacks = []
+
+    def spy(terms):
+        fallbacks.append(list(terms))
+        return fsum(terms)
+
+    monkeypatch.setattr(math, "fsum", spy)
+    assert _row_fsums(rows) == [1e-20, 0.875]
+    assert fallbacks == [[1.0, -1.0, 1e-20]]
+
+
+def test_row_fsums_do_not_depend_on_the_block_size(monkeypatch):
+    n = 300
+    band = _float_band(n, range(n + 1))
+    d = np.arange(band.shape[1], dtype=float)
+    rows = np.random.default_rng(3).random((50, 21)) * 2.0 ** -np.arange(21.0)
+    expected = [_row_fsums(band[:, 1:]), _row_fsums(band, d), _row_fsums(rows)]
+    monkeypatch.setattr(drift_module, "_ROW_BLOCK", 7)
+    got = [_row_fsums(band[:, 1:]), _row_fsums(band, d), _row_fsums(rows)]
+    assert got == expected
+    assert expected[2] == fsum_rows(rows)
+
+
+def test_a_band_with_no_move_columns_sums_to_zeros():
+    band = _float_band(8, [0])
+    assert band.shape == (1, 1)
+    assert drift_module._band_improvement(band) == [0.0]
+    assert drift_module._band_drift(8, "float", band) == [0.0]
+    assert runtime_profile(8, up_to=0).g == (0.0,)
+    stats, samples = run(SimConfig(n=8, start=0, replicates=4, seed=1))
+    assert samples.tolist() == [0, 0, 0, 0]
