@@ -43,15 +43,29 @@ are numpy arrays:
 * the O(n^2) ``inv-drift-diff-upper`` pairs are all evaluated, as (k, j)
   blocks of about ``_PAIR_BLOCK`` pairs (about 1 MB of working memory);
 * eta(k) is one 2-D product of band rows and drops per block of states,
-  summed along the rows;
-* the (1 + 1/n)^(k-1) envelopes come from one ``_pow_bases`` call, whose
-  last entry, (1 + 1/n)^n, is the upper envelope's factor.
+  summed along the rows.
+
+Both backends run one body. The backend is read only where the band, the
+drift column, g, eta and the tail ratios are built (``_BANDS``,
+``_drift_table``, ``_profile``, ``_etas``, ``_tail_ratios``); the scalar
+zero and one come from the drift column. The rest is the same code for
+floats and Fractions:
+
+* the (1 + 1/n)^(k-1) envelopes come from one ``_pow_bases`` call, exact
+  powers for a Fraction base; its last entry, (1 + 1/n)^n, is the upper
+  envelope's factor;
+* the theorem sums use the identity sum_{k<=h} 1/(eta delta(k)) = q(h)/eta.
 
 Each block does the operations of the per-state loop it replaces, so every
 check value is the same bit for bit, except eta and the checks derived from
 it, where numpy's row sum replaces ``math.fsum`` and stays within 1e-15
 relative of it, and the tail ratios, which are within 1e-14 relative of
-the exact ones at n <= 64.
+the exact ones at n <= 64. The float theorem values, once an ``fsum`` of
+1/(eta delta(k)), moved by at most 4.2e-15 relative with the identity.
+
+The tail ratios, n times the underflow width of floats, are the suite's
+largest array; ``verify_inequalities`` checks them against
+``MEMORY_LIMIT`` before it builds anything.
 """
 
 from __future__ import annotations
@@ -69,6 +83,7 @@ from .backends import (
     RATIONAL,
     Scalar,
     check_backend,
+    check_memory,
     check_n,
     check_rational_cap,
 )
@@ -186,6 +201,28 @@ def _etas(n: int, backend: str, band, delta, states) -> list:
         drops = q[ks] - q[np.maximum(ks - d, 0)]
         out.append((band[ks[:, 0], 1:] * drops).sum(axis=1))
     return np.concatenate(out).tolist()
+
+
+def _tail_ratios(n: int, backend: str, band) -> list:
+    """P[the step from k drops at least l] l! (n/k)^l for every state k >= 1
+    and every l <= k, by state and then by l; the float ratios stop at the
+    underflow width (``_float_tail_ratios``). An exact ratio is
+    T l! n^l / (n^n k^l) with the integer tail numerator T, n^n minus the
+    band row's numerators below l."""
+    if backend != RATIONAL:
+        return _float_tail_ratios(n)
+    scale = n**n
+    out = []
+    for k in range(1, n + 1):
+        row = band[k]
+        tail = scale
+        num = den = 1
+        for l in range(1, k + 1):
+            tail -= row[l - 1]
+            num *= l * n
+            den *= k
+            out.append(Fraction(tail * num, scale * den))
+    return out
 
 
 def eta(kernel: TransitionKernel, drift_table: DriftTable, k: int) -> Scalar:
@@ -373,13 +410,16 @@ def verify_inequalities(
     an exception. Checks needing n >= 4 (the eta lower bound, the refined
     inverse-drift difference and the corridor itself) are marked not
     applicable below that. ``rational_cap`` only gates the rational backend;
-    no float verdict reads it.
+    no float verdict reads it. Raises :class:`CapacityError` before anything
+    is built when the tail ratios would exceed ``MEMORY_LIMIT`` (from about
+    n = 1.5 10^6).
     """
     check_n(n)
     check_backend(backend)
     check_rational_cap(n, backend, rational_cap)
 
-    rational = backend == RATIONAL
+    # The suite's largest array: n times the underflow width of float ratios.
+    check_memory(8 * n * _underflow_width(n, n), f"the tail ratios of {n} states")
     band = _BANDS[backend](n, range(n + 1))
     table = _drift_table(n, backend, band)
     half = n // 2
@@ -388,10 +428,10 @@ def verify_inequalities(
     g_half = _profile(n, backend, band[: half + 1], table.delta).g[half]
     q = _inverse_drift_prefix(table.delta)
     e = math.e
-    one = Fraction(1) if rational else 1.0
+    zero = table.delta[0]
+    one = zero + 1
 
-    eta_vals = [Fraction(0) if rational else 0.0]
-    eta_vals += _etas(n, backend, band, table.delta, range(1, n + 1))
+    eta_vals = [zero, *_etas(n, backend, band, table.delta, range(1, n + 1))]
 
     # The drift columns as arrays: float64, or objects holding the Fractions.
     delta = np.array(table.delta)
@@ -409,9 +449,8 @@ def verify_inequalities(
     record("delta-diff-upper", 1, n, "le", 2.0 / (n - 1), diffs)
 
     sdiffs = np.diff(dstar)
-    lo_bound = Fraction(1, n) if rational else 1.0 / n
     # delta*(1) - delta*(0) = 1/n.
-    record("delta-star-diff-lower", 1, n + 1, "ge", lo_bound, sdiffs, [1])
+    record("delta-star-diff-lower", 1, n + 1, "ge", one / n, sdiffs, [1])
     record("delta-star-diff-upper", 1, n + 1, "le", 2.0 * e / n, sdiffs)
 
     ratios = delta[1:] * n / ks[:-1]
@@ -419,38 +458,16 @@ def verify_inequalities(
     # Delta(n) = E[Bin(n, 1/n)] = 1.
     record("delta-sandwich-upper", 1, n, "le", one, ratios, [n])
 
-    if rational:
-        grow = Fraction(n + 1, n)
-        lo_env = [grow ** (k - 1) * Fraction(k, n) for k in range(1, n + 2)]
-        hi_env = [grow**n * Fraction(k, n) for k in range(1, n + 2)]
-    else:
-        # (1 + 1/n)^(k-1) for k = 1..n+1; the last one is (1 + 1/n)^n.
-        grows = _pow_bases(1.0 + 1.0 / n, ks - 1)
-        lo_env = grows * ks / n
-        hi_env = grows[-1] * ks / n
-    zero = Fraction(0) if rational else 0.0
+    # (1 + 1/n)^(k-1) for k = 1..n+1; the last one is (1 + 1/n)^n.
+    grows = _pow_bases(one + one / n, ks - 1)
+    lo_env = grows * ks / n
+    hi_env = grows[-1] * ks / n
     # delta*(1) = 1/n, and delta*(n+1) = sum_l C(n+1, l) l n^-l = ((n+1)/n)^(n+1).
     record("delta-star-sandwich-lower", 1, n + 1, "ge", zero, dstar[1:] - lo_env, [1, n + 1])
     # delta*(n+1) = ((n+1)/n)^(n+1), as above.
     record("delta-star-sandwich-upper", 1, n + 1, "le", zero, dstar[1:] - hi_env, [n + 1])
 
-    if rational:
-        # P[drop >= l] l! (n/k)^l = T l! n^l / (n^n k^l) with the integer tail
-        # numerator T = n^n minus the row's numerators below l.
-        scale = n**n
-        tail_ratios: list = []
-        for k in range(1, n + 1):
-            row = band[k]
-            tail = scale
-            num = den = 1
-            for l in range(1, k + 1):
-                tail -= row[l - 1]
-                num *= l * n
-                den *= k
-                tail_ratios.append(Fraction(tail * num, scale * den))
-    else:
-        tail_ratios = _float_tail_ratios(n)
-    record("tail-factorial", 1, n, "le", one, tail_ratios)
+    record("tail-factorial", 1, n, "le", one, _tail_ratios(n, backend, band))
 
     # One value per k, the largest ratio over its k - 1 pairs.
     coef = 2.0 * e * e * n * n / (n - 1)
@@ -469,13 +486,9 @@ def verify_inequalities(
 
     eta_star_max = max(eta_vals[1 : half + 1])
     eta_star_min = min(eta_vals[2 : n + 1])
-    if rational:
-        # sum_{k<=h} 1 / (eta delta(k)) = q(h) / eta, exactly.
-        lower_sum = q[half] / eta_star_max
-        upper_sum = 1 / delta[1] + (q[half] - q[1]) / eta_star_min
-    else:
-        lower_sum = math.fsum((1 / (eta_star_max * delta[1 : half + 1])).tolist())
-        upper_sum = 1 / delta[1] + math.fsum((1 / (eta_star_min * delta[2 : half + 1])).tolist())
+    # sum_{k<=h} 1 / (eta delta(k)) = q(h) / eta.
+    lower_sum = q[half] / eta_star_max
+    upper_sum = 1 / delta[1] + (q[half] - q[1]) / eta_star_min
     record("theorem-lower", 1, half, "ge", one, [g_half / lower_sum])
     record("theorem-upper", 1, half, "le", one, [g_half / upper_sum])
 

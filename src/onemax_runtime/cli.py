@@ -27,6 +27,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import astuple, fields
 from fractions import Fraction
 
 from .asymptotics import (
@@ -37,7 +38,7 @@ from .asymptotics import (
     runtime_estimate,
 )
 from .backends import BACKENDS, FLOAT, DomainError, NumericError
-from .bounds import verify_inequalities
+from .bounds import CheckRecord, verify_inequalities
 from .drift import _normalized_drift_float, build_drift_table
 from .hitting import CORRIDOR_C1, CORRIDOR_C2, runtime_profile
 from .simulate import ENGINE_JUMP, ENGINES, UNIFORM_START, SimConfig, run
@@ -165,33 +166,8 @@ def _cmd_runtime(args) -> None:
 def _cmd_bounds(args) -> None:
     report = verify_inequalities(args.n, args.backend)
     if args.format == "csv":
-        rows = [
-            (
-                rec.check_id,
-                rec.k_lo,
-                rec.k_hi,
-                rec.direction,
-                rec.bound,
-                rec.observed,
-                rec.passed,
-                rec.applicable,
-            )
-            for rec in report.checks
-        ]
-        _emit_table(
-            (
-                "check_id",
-                "k_lo",
-                "k_hi",
-                "direction",
-                "bound",
-                "observed",
-                "pass",
-                "applicable",
-            ),
-            rows,
-            args,
-        )
+        columns = ["pass" if f.name == "passed" else f.name for f in fields(CheckRecord)]
+        _emit_table(columns, [astuple(rec) for rec in report.checks], args)
         return
     obj = {
         "n": report.n,

@@ -123,14 +123,15 @@ def _check_state(n: int, k: int, hi: int, lo: int = 0) -> int:
     return k
 
 
-def _pow_bases(base: float, exponents) -> np.ndarray:
+def _pow_bases(base: Scalar, exponents) -> np.ndarray:
     """``pow_base(base, m)`` for every m of an integer array, bit for bit.
 
     Exponents up to 10**6 share the squarings base^(2^j): each
     result multiplies in the ones of its set bits from the lowest up,
     starting from 1.0, which are the operations ``pow_base`` does in the
-    same order (a factor 1.0 for a clear bit is exact). Exponents above
-    10**6, where ``pow_base`` switches to exp/log, take it one by one.
+    same order (a clear bit's factor, base**0, is exact). A ``Fraction``
+    base gives exact powers, m = 0 included. Exponents above 10**6, where
+    ``pow_base`` switches to exp/log, take it one by one.
     """
     m = np.asarray(exponents, dtype=np.int64)
     top = int(m.max(initial=0))
@@ -140,7 +141,7 @@ def _pow_bases(base: float, exponents) -> np.ndarray:
     for _ in range(1, top.bit_length()):
         squares.append(squares[-1] * squares[-1])
     bits = (m[:, None] >> np.arange(len(squares))) & 1
-    return np.multiply.accumulate(np.where(bits == 1, squares, 1.0), axis=1)[:, -1]
+    return np.multiply.accumulate(np.where(bits == 1, squares, base**0), axis=1)[:, -1]
 
 
 def _binom_pmfs(ms: np.ndarray, n: int, terms: int) -> np.ndarray:

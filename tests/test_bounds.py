@@ -422,6 +422,16 @@ def test_float_tail_ratios_are_within_1e_14_of_the_exact_ones(n, monkeypatch):
     assert all(abs(F(v) - x) <= F(1, 10**14) * x for v, x in zip(got, exact))
 
 
+def test_float_theorem_values_are_within_1e_13_of_the_exact_ones():
+    """Both backends sum 1/(eta delta(k)) over k <= n/2 as q(n/2)/eta."""
+    for n in range(4, 65):
+        exact = verify_inequalities(n, "rational")
+        got = verify_inequalities(n)
+        for check_id in ("theorem-lower", "theorem-upper"):
+            x = exact.check(check_id).observed
+            assert abs(got.check(check_id).observed - x) <= 1e-13 * x, (n, check_id)
+
+
 def test_float_tail_ratios_at_thirty_thousand_stay_below_one():
     """Formed as floats, 6 of the tails here round to the smallest subnormal
     and their ratios read up to 1.0267; in scaled form none is formed."""

@@ -1,5 +1,7 @@
 """Command-line contract: schemas, rendering, exit codes, determinism."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -125,6 +127,25 @@ def test_bounds_csv_format(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "check_id,k_lo,k_hi,direction,bound,observed,pass,applicable"
     assert len(lines) == 20
+
+
+@pytest.mark.parametrize("backend", ["float", "rational"])
+@pytest.mark.parametrize("n", ["2", "8"])
+def test_bounds_csv_and_json_carry_the_same_checks(capsys, n, backend):
+    _, out, _ = run_cli(capsys, "bounds", n, "--backend", backend)
+    checks = json.loads(out)["checks"]
+    _, out, _ = run_cli(capsys, "bounds", n, "--backend", backend, "--format", "csv")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    flags = {"true": True, "false": False, "": None}
+    assert len(rows) == len(checks) == 19
+    for row, check in zip(rows, checks):
+        assert row["check_id"] == check["check_id"]
+        assert [int(row["k_lo"]), int(row["k_hi"])] == check["range"]
+        assert row["direction"] == check["direction"]
+        assert float(row["bound"]) == check["bound"]
+        assert (float(row["observed"]) if row["observed"] else None) == check["observed"]
+        assert flags[row["pass"]] is check["pass"]
+        assert flags[row["applicable"]] is check["applicable"]
 
 
 def test_asym_schema_and_gate(capsys):
@@ -309,6 +330,7 @@ def test_rational_capacity_is_usage_error(capsys):
         ("sim", "--n", "1000000000", "--reps", "10", "--seed", "0"),
         ("sim", "--n", "1000000000", "--reps", "10", "--seed", "0", "--engine", "bitstring"),
         ("sim", "--n", "10", "--reps", str(10**15), "--seed", "0"),
+        ("bounds", "2000000"),
     ],
 )
 def test_huge_requests_exit_2_before_allocating(capsys, argv):

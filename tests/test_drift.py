@@ -343,6 +343,14 @@ def test_blocked_pmf_bases_equal_pow_base_bit_for_bit():
     assert drift_module._pow_bases(base, np.array(big)).tolist() == [pow_base(base, m) for m in big]
 
 
+def test_pow_bases_of_a_fraction_are_exact():
+    for n in range(2, 17):
+        base = F(n + 1, n)
+        got = drift_module._pow_bases(base, range(n + 1)).tolist()
+        assert got == [base**m for m in range(n + 1)]
+        assert all(type(v) is F for v in got)
+
+
 def test_float_transition_prob_keeps_jumps_past_the_chain_band():
     """Single-row float probabilities keep every positive entry, also jumps
     far past the chain band's 20 columns."""
