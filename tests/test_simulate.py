@@ -32,6 +32,7 @@ from onemax_runtime.backends import (
     worker_count,
 )
 from onemax_runtime.simulate import (
+    _ROUND_ROWS,
     _START_BLOCK,
     ENGINES,
     _draw_jumps,
@@ -330,6 +331,29 @@ def test_bitstring_hitting_time_law_matches_kernel():
     assert _hitting_law_pvalue(samples, n, k) > 1e-4
 
 
+def test_statechain_hitting_time_law_matches_kernel():
+    """The flip counts read off one flip sampler (zeros flipped are the
+    flips among the first k of n bits) have the chain's law."""
+    n, k, reps = 6, 5, 200000
+    cfg = SimConfig(n=n, start=k, replicates=reps, seed=38, engine=ENGINE_STATECHAIN)
+    _, samples = run(cfg)
+    assert _hitting_law_pvalue(samples, n, k) > 1e-4
+
+
+def test_bitstring_look_ahead_rounds_keep_the_hitting_time_law():
+    """Chunks of 256-455 strings draw r >= 4 mutations of each string a
+    round from the first round on; a round that applied every accepted
+    mutation of a string, not only its first change, would fail here."""
+    n, k = 6, 5
+    assert _ROUND_ROWS // 455 >= 4
+    runs = [
+        SimConfig(n=n, start=k, replicates=256 + seed, seed=seed, engine=ENGINE_BITSTRING)
+        for seed in range(200)
+    ]
+    samples = np.concatenate([run(cfg)[1] for cfg in runs])
+    assert _hitting_law_pvalue(samples, n, k) > 1e-4
+
+
 def test_jump_lookup_is_exact():
     """Each table entry is a boundary of its own row: u = cdf[k, j] draws
     d = j + 1 and the next double up draws d = j + 2. Near k = n an offset
@@ -431,8 +455,8 @@ def test_every_engine_starts_at_optimum_with_zero_steps(engine):
 def test_run_ending_at_the_budget_is_not_truncated(engine):
     """A budget only cuts: the runs it leaves whole keep their times.
 
-    The per-step engines draw the same numbers in the first rounds whatever
-    the budget; from k = 1 a jump run is one Geometric(s_1) wait.
+    A lane past the budget keeps drawing while any lane of its chunk runs
+    below it, so every lane draws the numbers of the uncapped run.
     """
     cfg = SimConfig(n=2, start=1, replicates=2000, seed=35, engine=engine)
     _, free = run(cfg)
@@ -440,6 +464,24 @@ def test_run_ending_at_the_budget_is_not_truncated(engine):
     assert (free == 4).any()
     assert (capped == np.minimum(free, 4)).all()
     assert stats.truncated == int((free > 4).sum())
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(
+    "n, start, budget",
+    [(30, 15, 150), (30, "uniform", 200), (12, 6, 20), (100, 50, 1500)],
+)
+def test_a_budget_only_cuts_runs_of_many_rounds(engine, n, start, budget):
+    """Lanes take different numbers of steps a round (jump waits, bitstring
+    look-ahead), so a lane the budget stops must not change what the others
+    draw."""
+    for seed in (1, 2, 3):
+        cfg = SimConfig(n=n, start=start, replicates=600, seed=seed, engine=engine)
+        _, free = run(cfg)
+        stats, capped = run(dataclasses.replace(cfg, max_iters=budget))
+        assert 0 < stats.truncated < cfg.replicates
+        assert (capped == np.minimum(free, budget)).all()
+        assert stats.truncated == int((free > budget).sum())
 
 
 @pytest.mark.parametrize(
@@ -468,3 +510,4 @@ def test_run_ending_at_the_budget_is_not_truncated(engine):
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         SimConfig(**kwargs)
+
