@@ -7,7 +7,9 @@ values carry denominators of order n^n and beyond, so table builders cap it
 (default n <= 64) and raise :class:`CapacityError` beyond the cap. Work whose
 memory grows with its inputs (the float kernel band, one bitstring simulation
 chunk, the kept simulation samples) is checked against :data:`MEMORY_LIMIT`
-before it is allocated and raises :class:`CapacityError` above it. Both
+before it is allocated and raises :class:`CapacityError` above it. The
+inequality suite, whose time grows with the n(n - 1)/2 pairs it checks,
+raises it when they exceed ``bounds.PAIR_LIMIT``. Both
 backends read the chain from one kernel band: floats, or for the rational
 backend integer numerators over the common denominator n^n. Rational
 quantities add and multiply those integers over a denominator known in
@@ -61,7 +63,8 @@ class DomainError(ValueError):
 
 class CapacityError(DomainError):
     """Raised when a request exceeds a documented capacity: the rational
-    backend's cap on n, or :data:`MEMORY_LIMIT` for one array. It is raised
+    backend's cap on n, :data:`MEMORY_LIMIT` for one array, or the
+    inequality suite's ``bounds.PAIR_LIMIT`` on its pairs. It is raised
     before anything is allocated."""
 
 

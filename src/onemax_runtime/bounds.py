@@ -38,8 +38,8 @@ are numpy arrays:
 * the ``tail-factorial`` ratios are built in scaled form, ``_BLOCK`` states
   at a time, by a backward recurrence in l over scaled pmf terms that stay
   normal numbers (``_float_tail_ratios``): no tail is formed as a float, so
-  none underflows, and no band of the underflow width is built; one flat
-  array of the ratios, at most n times that width, is kept;
+  none underflows, and no band of the underflow width is built; each block
+  is reduced to one value per state, its largest ratio, and dropped;
 * the O(n^2) ``inv-drift-diff-upper`` pairs are all evaluated, as (k, j)
   blocks of about ``_PAIR_BLOCK`` pairs (about 1 MB of working memory);
 * eta(k) is one 2-D product of band rows and drops per block of states,
@@ -63,9 +63,10 @@ relative of it, and the tail ratios, which are within 1e-14 relative of
 the exact ones at n <= 64. The float theorem values, once an ``fsum`` of
 1/(eta delta(k)), moved by at most 4.2e-15 relative with the identity.
 
-The tail ratios, n times the underflow width of floats, are the suite's
-largest array; ``verify_inequalities`` checks them against
-``MEMORY_LIMIT`` before it builds anything.
+So the float suite holds O(n) values and a few block-sized arrays. Its
+time is not O(n): the pair check evaluates n(n - 1)/2 pairs, and
+``verify_inequalities`` refuses an n whose pairs exceed ``PAIR_LIMIT``
+before it builds anything.
 """
 
 from __future__ import annotations
@@ -73,17 +74,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
 from .backends import (
     DEFAULT_RATIONAL_CAP,
     FLOAT,
+    CapacityError,
     DomainError,
     RATIONAL,
     Scalar,
     check_backend,
-    check_memory,
     check_n,
     check_rational_cap,
 )
@@ -119,6 +121,10 @@ __all__ = [
 # (k, j) pairs per block of the inverse-drift difference ratios: 256 KB per
 # array of the block, about 1 MB of working memory in all, for any n.
 _PAIR_BLOCK = 2**15
+
+# Most (k, j) pairs the inverse-drift difference check may evaluate, n up to
+# 447214: at 5.6-8 ns a pair (2-core x86_64 host), 9 to 13 minutes.
+PAIR_LIMIT = 10**11
 
 
 @dataclass(frozen=True)
@@ -161,8 +167,9 @@ class BoundReport:
 
 
 def _exact_etas(n: int, nums: list[list[int]], delta, states) -> list[Fraction]:
-    """eta(k) for each k of ``states`` from the integer numerators P[k][d]
-    of p(k, k - d) over N = n^n and the exact drift column ``delta``.
+    """eta(k) for each k of the ascending ``states`` from the integer
+    numerators P[k][d] of p(k, k - d) over N = n^n and the exact drift
+    column ``delta``.
 
     Swapping the sums gives eta(k) = sum_{i=1..k} T_k(k-i+1) / (N delta(i))
     with the tail numerator T_k(m) = sum_{d>=m} P[k][d]. With
@@ -172,7 +179,7 @@ def _exact_etas(n: int, nums: list[list[int]], delta, states) -> list[Fraction]:
     """
     scale = n**n
     prods = [1]
-    for d in delta[1 : max(states) + 1]:
+    for d in delta[1 : states[-1] + 1]:
         prods.append(prods[-1] * d.numerator)
     out = []
     for k in states:
@@ -186,14 +193,15 @@ def _exact_etas(n: int, nums: list[list[int]], delta, states) -> list[Fraction]:
 
 
 def _etas(n: int, backend: str, band, delta, states) -> list:
-    """eta(k) for each k of ``states`` from a ``_BANDS`` band and the drift
-    column ``delta``; a float eta(k) is sum_d p(k, k - d) (q(k) - q(k - d))
-    over row k of the band, summed for a block of states as one 2-D product
-    of band rows and drops with a row sum. Band entries past d = k are exact
-    zeros, so the drops there, read at the clamped index 0, add nothing."""
+    """eta(k) for each k of the ascending ``states`` from a ``_BANDS`` band
+    and the drift column ``delta``; a float eta(k) is
+    sum_d p(k, k - d) (q(k) - q(k - d)) over row k of the band, summed for
+    a block of states as one 2-D product of band rows and drops with a row
+    sum. Band entries past d = k are exact zeros, so the drops there, read
+    at the clamped index 0, add nothing."""
     if backend == RATIONAL:
         return _exact_etas(n, band, delta, states)
-    q = np.array(_inverse_drift_prefix(delta[: max(states) + 1]))
+    q = np.array(_inverse_drift_prefix(delta[: states[-1] + 1]))
     d = np.arange(1, band.shape[1])
     out = []
     for lo in range(0, len(states), _BLOCK):
@@ -203,14 +211,22 @@ def _etas(n: int, backend: str, band, delta, states) -> list:
     return np.concatenate(out).tolist()
 
 
-def _tail_ratios(n: int, backend: str, band) -> list:
-    """P[the step from k drops at least l] l! (n/k)^l for every state k >= 1
-    and every l <= k, by state and then by l; the float ratios stop at the
-    underflow width (``_float_tail_ratios``). An exact ratio is
-    T l! n^l / (n^n k^l) with the integer tail numerator T, n^n minus the
-    band row's numerators below l."""
+def _tail_ratios(n: int, backend: str, band) -> list | np.ndarray:
+    """The ``tail-factorial`` values, from the ratios
+    P[the step from k drops at least l] l! (n/k)^l.
+
+    Exact: every ratio, for every state k >= 1 and every l <= k, by state
+    and then by l; a ratio is T l! n^l / (n^n k^l) with the integer tail
+    numerator T, n^n minus the band row's numerators below l. Float: one
+    value per state k >= 1, the largest ratio over l <= min(k, W) of
+    ``_float_tail_ratios``, so only one block of ratios is held at a time.
+    """
     if backend != RATIONAL:
-        return _float_tail_ratios(n)
+        largest = []
+        for ks, ratios in _float_tail_ratios(n):
+            l = np.arange(1, len(ratios) + 1)[:, None]
+            largest.append(np.max(ratios, axis=0, where=l <= ks, initial=-np.inf))
+        return np.concatenate(largest)
     scale = n**n
     out = []
     for k in range(1, n + 1):
@@ -297,11 +313,15 @@ def _decide(
     )
 
 
-def _float_tail_ratios(n: int) -> np.ndarray:
+def _float_tail_ratios(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """P[the step from k drops at least l] / ((k/n)^l / l!) for every state
-    k >= 1 and every l <= min(k, W), by state and then by l, where W is the
-    underflow width of state n: past it every tail is 0.0 in double
-    precision.
+    k >= 1 and every l <= min(k, W), where W is the underflow width of
+    state n: past it every tail is 0.0 in double precision.
+
+    Yields one pair (ks, ratios) per block of states, in ascending k:
+    ratios[l - 1, i] is R_l of state ks[i] for l = 1..W, and its entries
+    with l > k are not ratios (they are zeros). Read by state and then by
+    l, the entries with l <= k are the ratios in (k, l) order.
 
     No tail is formed as a float, so none underflows. With A ~ Bin(k, 1/n)
     the flipped zero-bits, B ~ Bin(n - k, 1/n) the flipped one-bits and
@@ -324,8 +344,8 @@ def _float_tail_ratios(n: int) -> np.ndarray:
 
     The ratios are built ``_BLOCK`` states at a time, with l along the
     first axis; each state's column is its own sequence of operations, so
-    the ratios do not depend on ``_BLOCK``. The only array kept across
-    blocks is the flat one of the ratios (at most n W of them).
+    the ratios do not depend on ``_BLOCK``. Every block is built in the same
+    arrays, so a block's ratios are valid until the next block is asked for.
     """
     width = _underflow_width(n, n)
     cols = width + 16
@@ -333,16 +353,18 @@ def _float_tail_ratios(n: int) -> np.ndarray:
     c = a[-1] / math.e
     scaled_fact = np.ones(len(a))
     scaled_fact[1:] = np.cumprod(a[1:] / c)
-    l = a[1 : cols + 1, None]
     m = np.arange(_PAIR_TERMS, dtype=float)[:, None]
-    out = np.empty(n * width)
-    filled = 0
+    # One set of block arrays serves every block; the last may be shorter.
+    size = min(_BLOCK, n)
+    hat_buf = np.empty((len(a), size))
+    ratios_buf = np.empty((cols, size))
+    term_buf = np.empty((cols, size))
     for lo in range(1, n + 1, _BLOCK):
         ks = np.arange(lo, min(lo + _BLOCK, n + 1))
         k = ks.astype(float)
         x = k / n
         # hat[a] = Ah_a / G(a), one row per a and one column per state.
-        hat = np.empty((len(a), len(ks)))
+        hat = hat_buf[:, : len(ks)]
         hat[0] = _pow_bases(1.0 - 1.0 / n, ks)
         factors = hat[1:]
         np.add.outer(1.0 - a[1:], k, out=factors)
@@ -352,21 +374,18 @@ def _float_tail_ratios(n: int) -> np.ndarray:
         np.multiply.accumulate(hat, axis=0, out=hat)
         hat /= scaled_fact[:, None]
         weights = _binom_pmfs(n - ks, n, _PAIR_TERMS).T * (x / c) ** m
-        ratios = hat[1 : cols + 1] * weights[0]
-        term = np.empty_like(ratios)
+        ratios = np.multiply(hat[1 : cols + 1], weights[0], out=ratios_buf[:, : len(ks)])
+        term = term_buf[:, : len(ks)]
         for j in range(1, _PAIR_TERMS):
             np.multiply(hat[1 + j : cols + 1 + j], weights[j], out=term)
             ratios += term
         ratios *= scaled_fact[1 : cols + 1, None]
-        coef = x / (l + 1.0)
+        # R_l = E_l + x / (l + 1) R_(l+1), with l = a[i + 1] on row i.
         for i in range(cols - 2, -1, -1):
-            np.multiply(coef[i], ratios[i + 1], out=term[i])
+            np.divide(x, a[i + 1] + 1.0, out=term[i])
+            term[i] *= ratios[i + 1]
             ratios[i] += term[i]
-        keep = (l[:width] <= k).T
-        values = ratios[:width].T[keep]
-        out[filled : filled + len(values)] = values
-        filled += len(values)
-    return out[:filled]
+        yield ks, ratios[:width]
 
 
 def _inv_drift_diff_ratios(inv: np.ndarray, coef: float) -> np.ndarray:
@@ -411,15 +430,18 @@ def verify_inequalities(
     inverse-drift difference and the corridor itself) are marked not
     applicable below that. ``rational_cap`` only gates the rational backend;
     no float verdict reads it. Raises :class:`CapacityError` before anything
-    is built when the tail ratios would exceed ``MEMORY_LIMIT`` (from about
-    n = 1.5 10^6).
+    is built when the n(n - 1)/2 pairs of ``inv-drift-diff-upper`` exceed
+    ``PAIR_LIMIT`` (from n = 447215).
     """
     check_n(n)
     check_backend(backend)
     check_rational_cap(n, backend, rational_cap)
-
-    # The suite's largest array: n times the underflow width of float ratios.
-    check_memory(8 * n * _underflow_width(n, n), f"the tail ratios of {n} states")
+    pairs = n * (n - 1) // 2
+    if pairs > PAIR_LIMIT:
+        raise CapacityError(
+            f"the inequality suite at n = {n} would evaluate {pairs:,} pairs, "
+            f"above the {PAIR_LIMIT:,} pair limit"
+        )
     band = _BANDS[backend](n, range(n + 1))
     table = _drift_table(n, backend, band)
     half = n // 2
@@ -467,6 +489,7 @@ def verify_inequalities(
     # delta*(n+1) = ((n+1)/n)^(n+1), as above.
     record("delta-star-sandwich-upper", 1, n + 1, "le", zero, dstar[1:] - hi_env, [n + 1])
 
+    # Float: one value per k, the largest ratio over l; exact: every ratio.
     record("tail-factorial", 1, n, "le", one, _tail_ratios(n, backend, band))
 
     # One value per k, the largest ratio over its k - 1 pairs.

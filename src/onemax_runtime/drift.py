@@ -74,7 +74,8 @@ precision. It is used where the contract is "every positive entry": the
 single-row ``transition_prob`` and ``transition_tail`` read a row of that
 width, and the normalized-drift column is cut there because its terms past
 it are exact zeros. The ``tail-factorial`` check in ``bounds`` takes its
-range of drops from it, but builds no band of that width.
+range of drops from it, but builds no band of that width: it holds the
+ratios of one block of states at a time.
 """
 
 from __future__ import annotations
@@ -243,27 +244,42 @@ def _normalized_drift_float(n: int, states: Sequence[int]) -> list[float]:
     along each row, so every prefix is the same for any number of rows or
     columns. The final sum is one dot product per state, cut to the state's
     own length: ``np.vecdot`` over the rows that span the block's columns,
-    ``np.dot`` on the shorter ones.
+    ``np.dot`` on the shorter ones. Each step writes in place, into three
+    arrays of the first block's size that every block reuses.
     """
     width = _underflow_width(n, n + 1)
     closed = isinstance(states, range) and len(states) > 0 and states[0] + states[-1] == n + 1
     ks = np.asarray(states, dtype=np.int64)
     out = np.empty(len(ks))
     size, mid = len(ks), (len(ks) + 1) // 2
+    buffers = None
     for lo in range(0, mid, _BLOCK // 2):
         hi = min(lo + _BLOCK // 2, mid)
         front, back = slice(lo, hi), slice(max(size - hi, hi), size - lo)
         block = np.concatenate((ks[front], ks[back]))
         rows = block if closed else np.concatenate((block, n + 1 - block[::-1]))
         cols = min(int(block.max()), width)
+        if buffers is None:
+            # The first block has the most rows, so its arrays serve every block.
+            buffers = np.empty((3, len(rows), width))
+        prods = buffers[0, : len(rows), :cols]
+        v, terms = buffers[1:, : len(block), :cols]
         i = np.arange(1.0, cols + 1)
-        prods = np.cumprod((rows[:, None] - i + 1.0) / (i * n), axis=1)
+        np.subtract(rows[:, None], i, out=prods)
+        prods += 1.0
+        prods /= i * n
+        np.cumprod(prods, axis=1, out=prods)
         # The mirror of row r sits at len(rows) - 1 - r.
         u = prods[: len(block)]
-        v = np.ones_like(u)
+        v[:, :1] = 1.0
         # v_j is an exact (signed) zero for j > m, so the prefix sums stop at m.
         v[:, 1:] = prods[::-1][: len(block), :-1]
-        terms = i * np.cumsum(v, axis=1) - np.cumsum(v * (i - 1.0), axis=1)
+        # terms = i cumsum(v) - cumsum(v (i - 1)), the second sum formed in v.
+        np.cumsum(v, axis=1, out=terms)
+        terms *= i
+        v *= i - 1.0
+        np.cumsum(v, axis=1, out=v)
+        terms -= v
         values = np.vecdot(u, terms)
         if len(block) > 1:
             # Rows with k < cols are shorter than the block; a lone state never is.

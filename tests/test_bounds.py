@@ -193,7 +193,7 @@ def test_delta_star_diff_lower_lists_its_identity_state(n, backend, monkeypatch)
     assert rec.passed
 
 
-def test_tail_factorial_covers_every_positive_tail(monkeypatch):
+def test_tail_factorial_covers_every_positive_tail():
     """The ratios cover the same (k, l) pairs as full rows: all with a
     positive tail P[step from k drops at least l]. At n = 128 that is every
     l <= k, and the underflow width is n."""
@@ -203,17 +203,22 @@ def test_tail_factorial_covers_every_positive_tail(monkeypatch):
         cums = np.cumsum(float_kernel_row(n, k))
         expected += sum(1 for l in range(1, k + 1) if cums[k - l] > 0.0)
 
-    seen = {}
-    decide = bounds_mod._decide
+    assert len(float_tail_ratios(n)) == expected
+    assert verify_inequalities(n).check("tail-factorial").passed
 
-    def spy(check_id, k_lo, k_hi, direction, bound, values, *args, **kwargs):
-        seen[check_id] = len(values)
-        return decide(check_id, k_lo, k_hi, direction, bound, values, *args, **kwargs)
 
-    monkeypatch.setattr(bounds_mod, "_decide", spy)
-    report = verify_inequalities(n)
-    assert seen["tail-factorial"] == expected
-    assert report.check("tail-factorial").passed
+@pytest.mark.parametrize("n", [*range(2, 65), 1024])
+def test_tail_factorial_decides_on_the_largest_ratio_of_each_state(n, monkeypatch):
+    """The float suite hands the verdict one value per state, the largest of
+    its ratios, so the check's extremum is that of every ratio."""
+    values = float_check_values(n, monkeypatch)["tail-factorial"]
+    ratios = float_tail_ratios(n)
+    assert values.max() == ratios.max()
+    # State k has min(k, W) ratios, W the underflow width.
+    counts = np.minimum(np.arange(1, n + 1), drift_mod._underflow_width(n, n))
+    assert counts.sum() == len(ratios)
+    starts = np.cumsum(counts) - counts
+    assert values.tolist() == np.maximum.reduceat(ratios, starts).tolist()
 
 
 def test_eta_matches_full_row_sum():
@@ -321,6 +326,16 @@ def float_check_values(n, monkeypatch):
     return seen
 
 
+def float_tail_ratios(n):
+    """Every float tail ratio, by state and then by l: the blocks of
+    ``_float_tail_ratios`` concatenated, each cut to its l <= k entries."""
+    blocks = []
+    for ks, ratios in bounds_mod._float_tail_ratios(n):
+        l = np.arange(1, len(ratios) + 1)
+        blocks.append(ratios.T[l <= ks[:, None]])
+    return np.concatenate(blocks)
+
+
 def identity_points(n, dstar):
     """(check id, state, bound, size of the terms compared) for each state
     where a check of the suite holds with equality by an identity; every
@@ -396,11 +411,11 @@ def test_delta_star_envelopes_equal_scalar_pow_base(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 50, 600])
 def test_tail_ratios_do_not_depend_on_the_block_size(n, monkeypatch):
-    expected = bounds_mod._float_tail_ratios(n).tolist()
+    expected = float_tail_ratios(n).tolist()
     monkeypatch.setattr(bounds_mod, "_BLOCK", 7)
-    assert bounds_mod._float_tail_ratios(n).tolist() == expected
+    assert float_tail_ratios(n).tolist() == expected
     monkeypatch.setattr(bounds_mod, "_BLOCK", n + 1)
-    assert bounds_mod._float_tail_ratios(n).tolist() == expected
+    assert float_tail_ratios(n).tolist() == expected
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 16, 33, 64])
@@ -417,7 +432,7 @@ def test_float_tail_ratios_are_within_1e_14_of_the_exact_ones(n, monkeypatch):
     monkeypatch.setattr(bounds_mod, "_decide", spy)
     verify_inequalities(n, "rational")
     exact = seen["tail-factorial"]
-    got = bounds_mod._float_tail_ratios(n).tolist()
+    got = float_tail_ratios(n).tolist()
     assert len(got) == len(exact) == n * (n + 1) // 2
     assert all(abs(F(v) - x) <= F(1, 10**14) * x for v, x in zip(got, exact))
 
@@ -435,7 +450,7 @@ def test_float_theorem_values_are_within_1e_13_of_the_exact_ones():
 def test_float_tail_ratios_at_thirty_thousand_stay_below_one():
     """Formed as floats, 6 of the tails here round to the smallest subnormal
     and their ratios read up to 1.0267; in scaled form none is formed."""
-    assert bounds_mod._float_tail_ratios(30_000).max() <= 1.0
+    assert float_tail_ratios(30_000).max() <= 1.0
 
 
 @pytest.mark.parametrize("n", [5, 64, 1024])
@@ -455,6 +470,24 @@ def test_float_eta_is_within_1e_15_of_the_compensated_row_sum(n):
         expected = math.fsum((band[k, 1 : d_max + 1] * drops).tolist())
         assert abs(got[k] - expected) <= 1e-15 * expected, k
     assert got[1] == math.fsum([band[1, 1] * q[1]])
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_float_suite_memory_grows_by_under_1000_bytes_per_state():
+    """The suite holds O(n) values and arrays of a block's size: from
+    n = 10^4 to 2 10^4 its traced peak grows by under 1000 bytes a state.
+    An array of every tail ratio alone would add 8 W = 1416 bytes a state."""
+    small, large = 10_000, 20_000
+    growth = traced_peak(verify_inequalities, large) - traced_peak(verify_inequalities, small)
+    assert growth < 1000 * (large - small)
 
 
 def test_float_suite_at_ten_thousand_stays_small():
