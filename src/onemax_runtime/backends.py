@@ -5,17 +5,15 @@ The float backend uses IEEE double arithmetic and numpy vectorization; the
 rational backend returns exact ``fractions.Fraction`` values. Its exact
 values carry denominators of order n^n and beyond, so table builders cap it
 (default n <= 64) and raise :class:`CapacityError` beyond the cap. Work whose
-memory grows with its inputs (the float kernel band, one bitstring simulation
-chunk, the kept simulation samples) is checked against :data:`MEMORY_LIMIT`
-before it is allocated and raises :class:`CapacityError` above it. The
-inequality suite, whose time grows with the n(n - 1)/2 pairs it checks,
-raises it when they exceed ``bounds.PAIR_LIMIT``. Both
-backends read the chain from one kernel band: floats, or for the rational
-backend integer numerators over the common denominator n^n. Rational
-quantities add and multiply those integers over a denominator known in
-advance and build one Fraction per returned value. Invalid arguments raise
-:class:`DomainError`, so that a caller can tell its own mistakes from faults
-inside a computation.
+memory grows with its inputs (the float kernel band, the inequality suite,
+one bitstring simulation chunk, the kept simulation samples) is checked
+against :data:`MEMORY_LIMIT` before it is allocated and raises
+:class:`CapacityError` above it. Both backends read the chain from one
+kernel band: floats, or for the rational backend integer numerators over the
+common denominator n^n. Rational quantities add and multiply those integers
+over a denominator known in advance and build one Fraction per returned
+value. Invalid arguments raise :class:`DomainError`, so that a caller can
+tell its own mistakes from faults inside a computation.
 
 Simulation runs its chunks on a thread pool sized by :func:`worker_count`;
 the result is the same for every thread count.
@@ -63,9 +61,8 @@ class DomainError(ValueError):
 
 class CapacityError(DomainError):
     """Raised when a request exceeds a documented capacity: the rational
-    backend's cap on n, :data:`MEMORY_LIMIT` for one array, or the
-    inequality suite's ``bounds.PAIR_LIMIT`` on its pairs. It is raised
-    before anything is allocated."""
+    backend's cap on n, or :data:`MEMORY_LIMIT` for one array or for the
+    inequality suite. It is raised before anything is allocated."""
 
 
 class NumericError(ArithmeticError):

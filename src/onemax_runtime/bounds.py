@@ -40,8 +40,14 @@ are numpy arrays:
   normal numbers (``_float_tail_ratios``): no tail is formed as a float, so
   none underflows, and no band of the underflow width is built; each block
   is reduced to one value per state, its largest ratio, and dropped;
-* the O(n^2) ``inv-drift-diff-upper`` pairs are all evaluated, as (k, j)
-  blocks of about ``_PAIR_BLOCK`` pairs (about 1 MB of working memory);
+* ``inv-drift-diff-upper`` bounds (inv(j) - inv(k)) / (coef (1/j - 1/k))
+  by 1 for every pair j < k, with inv = 1/Delta. Both differences telescope
+  over the adjacent pairs (i, i + 1), i = j..k-1, and every weight
+  1/i - 1/(i + 1) is positive, so each pair's ratio is a weighted mean of
+  its adjacent ratios: the largest ratio over all pairs is the largest of
+  the n - 1 adjacent ones, for any sequence inv. The check reads those, one
+  per k = 2..n, from the differences inv(k - 1) - inv(k) that
+  ``inv-drift-diff-lower`` reads too;
 * eta(k) is one 2-D product of band rows and drops per block of states,
   summed along the rows.
 
@@ -63,10 +69,10 @@ relative of it, and the tail ratios, which are within 1e-14 relative of
 the exact ones at n <= 64. The float theorem values, once an ``fsum`` of
 1/(eta delta(k)), moved by at most 4.2e-15 relative with the identity.
 
-So the float suite holds O(n) values and a few block-sized arrays. Its
-time is not O(n): the pair check evaluates n(n - 1)/2 pairs, and
-``verify_inequalities`` refuses an n whose pairs exceed ``PAIR_LIMIT``
-before it builds anything.
+So the float suite holds O(n) values and a few block-sized arrays, under
+``_SUITE_BYTES_PER_STATE`` bytes a state, and ``verify_inequalities``
+refuses an n whose suite would exceed ``MEMORY_LIMIT`` before it builds
+anything.
 """
 
 from __future__ import annotations
@@ -81,11 +87,11 @@ import numpy as np
 from .backends import (
     DEFAULT_RATIONAL_CAP,
     FLOAT,
-    CapacityError,
     DomainError,
     RATIONAL,
     Scalar,
     check_backend,
+    check_memory,
     check_n,
     check_rational_cap,
 )
@@ -118,13 +124,10 @@ __all__ = [
     "verify_inequalities",
 ]
 
-# (k, j) pairs per block of the inverse-drift difference ratios: 256 KB per
-# array of the block, about 1 MB of working memory in all, for any n.
-_PAIR_BLOCK = 2**15
-
-# Most (k, j) pairs the inverse-drift difference check may evaluate, n up to
-# 447214: at 5.6-8 ns a pair (2-core x86_64 host), 9 to 13 minutes.
-PAIR_LIMIT = 10**11
+# Memory the float suite may hold per state, checked against MEMORY_LIMIT:
+# its peak RSS above the interpreter's is 830-880 bytes a state from n = 10^5
+# to 10^6 (2-core x86_64 host).
+_SUITE_BYTES_PER_STATE = 1000
 
 
 @dataclass(frozen=True)
@@ -388,36 +391,6 @@ def _float_tail_ratios(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield ks, ratios[:width]
 
 
-def _inv_drift_diff_ratios(inv: np.ndarray, coef: float) -> np.ndarray:
-    """For k = 2..n, the largest over j = 1..k-1 of
-    (inv[j] - inv[k]) / (coef (k - j) / (k j)), from the float inverse
-    drifts inv[k] = 1/delta(k) (inv[0] unused).
-
-    Every pair is evaluated, in blocks of about ``_PAIR_BLOCK`` pairs: a
-    block of rows k = lo..hi-1 against every j below its last row. The
-    j < lo pair with every row of the block; the triangle lo <= j < k is
-    divided where j < k only. k and j are exact integers in floats, so
-    k - j and k j are the values integer arithmetic gives. One masked divide
-    over the whole block would be shorter, but ``where=`` over the whole
-    block, not only the triangle, made this function about 20% slower at
-    n = 1024.
-    """
-    n = len(inv) - 1
-    out = np.empty(n - 1)
-    step = max(1, _PAIR_BLOCK // n)
-    for lo in range(2, n + 1, step):
-        hi = min(lo + step, n + 1)
-        k = np.arange(lo, hi, dtype=float)[:, None]
-        inv_k = inv[lo:hi, None]
-        j = np.arange(1.0, lo)
-        best = ((inv[1:lo] - inv_k) / (coef * (k - j) / (k * j))).max(axis=1)
-        j = np.arange(float(lo), hi - 1)
-        tri = np.full((len(k), len(j)), -np.inf)
-        np.divide(inv[lo : hi - 1] - inv_k, coef * (k - j) / (k * j), out=tri, where=j < k)
-        out[lo - 2 : hi - 2] = np.maximum(best, tri.max(axis=1, initial=-np.inf))
-    return out
-
-
 def verify_inequalities(
     n: int,
     backend: str = FLOAT,
@@ -430,18 +403,17 @@ def verify_inequalities(
     inverse-drift difference and the corridor itself) are marked not
     applicable below that. ``rational_cap`` only gates the rational backend;
     no float verdict reads it. Raises :class:`CapacityError` before anything
-    is built when the n(n - 1)/2 pairs of ``inv-drift-diff-upper`` exceed
-    ``PAIR_LIMIT`` (from n = 447215).
+    is built when ``_SUITE_BYTES_PER_STATE`` bytes a state exceed
+    ``MEMORY_LIMIT`` (from n = 2147484).
+
+    ``inv-drift-diff-upper`` holds for every pair j < k exactly when it holds
+    for the n - 1 adjacent pairs (k - 1, k): a pair's ratio is a mean of its
+    adjacent ratios with the positive weights 1/i - 1/(i + 1), i = j..k-1.
     """
     check_n(n)
     check_backend(backend)
     check_rational_cap(n, backend, rational_cap)
-    pairs = n * (n - 1) // 2
-    if pairs > PAIR_LIMIT:
-        raise CapacityError(
-            f"the inequality suite at n = {n} would evaluate {pairs:,} pairs, "
-            f"above the {PAIR_LIMIT:,} pair limit"
-        )
+    check_memory(n * _SUITE_BYTES_PER_STATE, f"the inequality suite at n = {n}")
     band = _BANDS[backend](n, range(n + 1))
     table = _drift_table(n, backend, band)
     half = n // 2
@@ -492,12 +464,14 @@ def verify_inequalities(
     # Float: one value per k, the largest ratio over l; exact: every ratio.
     record("tail-factorial", 1, n, "le", one, _tail_ratios(n, backend, band))
 
-    # One value per k, the largest ratio over its k - 1 pairs.
+    # inv(k - 1) - inv(k) for k = 2..n. The adjacent ratios bound every pair's.
+    inv_ks = ks[1:n]
+    inv_drops = inv[1:n] - inv[2:]
     coef = 2.0 * e * e * n * n / (n - 1)
-    record("inv-drift-diff-upper", 2, n, "le", 1.0, _inv_drift_diff_ratios(inv, coef))
+    record("inv-drift-diff-upper", 2, n, "le", 1.0, inv_drops / (coef / (inv_ks * (inv_ks - 1))))
 
-    lower_ks = ks[1:half]
-    diff_lower_ratios = (inv[lower_ks - 1] - inv[lower_ks]) / (n / (e * lower_ks * lower_ks))
+    lower_ks = inv_ks[: half - 1]
+    diff_lower_ratios = inv_drops[: half - 1] / (n / (e * lower_ks * lower_ks))
     record("inv-drift-diff-lower", 2, half, "ge", 1.0, diff_lower_ratios if half >= 2 else None)
 
     # eta(1) = p(1, 0) q(1) = s_1 / Delta(1) = 1: the one move from state 1 is to 0.

@@ -362,37 +362,42 @@ def test_float_values_at_identity_states_stay_within_rounding(n, monkeypatch):
         assert abs(value - bound) <= (n + 1) * 2.0**-52 * max(1.0, size), (check_id, k)
 
 
+def largest_pair_ratios(inv, coef):
+    """For k = 2..n, the largest over j = 1..k-1 of
+    (inv[j] - inv[k]) / (coef (k - j) / (k j)), one k at a time."""
+    out = []
+    for k in range(2, len(inv)):
+        l = np.arange(1, k)
+        out.append(float(((inv[k - l] - inv[k]) / (coef * l / (k * (k - l)))).max()))
+    return out
+
+
+def adjacent_ratios(inv, coef):
+    """For k = 2..n, the ratio of the adjacent pair (k - 1, k)."""
+    return [float((inv[k - 1] - inv[k]) / (coef / (k * (k - 1)))) for k in range(2, len(inv))]
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 64, 700])
 def test_inv_drift_diff_upper_equals_the_per_k_loop(n, monkeypatch):
-    """The blocked pair ratios are bit for bit the per-k loop over
-    l = 1..k-1; n = 700 spans 16 pair blocks, the last one partial."""
+    """The check reads the adjacent ratios, and their largest is bit for bit
+    the largest ratio over all pairs j < k."""
     delta = build_drift_table(n).delta
     inv = np.array([0.0] + [1 / d for d in delta[1:]])
     coef = 2.0 * math.e * math.e * n * n / (n - 1)
-    expected = []
-    for k in range(2, n + 1):
-        l = np.arange(1, k)
-        lhs = inv[k - l] - inv[k]
-        rhs = coef * l / (k * (k - l))
-        expected.append(float((lhs / rhs).max()))
     got = float_check_values(n, monkeypatch)["inv-drift-diff-upper"]
-    assert got.tolist() == expected
+    assert got.tolist() == adjacent_ratios(inv, coef)
+    assert got.max() == max(largest_pair_ratios(inv, coef))
 
 
-@pytest.mark.parametrize("n, pair_block", [(3, 2**15), (64, 2**15), (300, 2**15), (300, 1000)])
-def test_inv_drift_diff_ratios_keep_every_pair(n, pair_block, monkeypatch):
-    """On the chain's inverse drifts the largest ratio of every k > 2 sits at
-    j = 1, so those values alone cannot show a pair lost elsewhere. Random
-    inverse drifts move the largest ratio across all j, and a small
-    ``_PAIR_BLOCK`` gives many blocks of both the rectangle and the triangle."""
-    monkeypatch.setattr(bounds_mod, "_PAIR_BLOCK", pair_block)
+@pytest.mark.parametrize("n", [3, 64, 300, 1000])
+def test_largest_pair_ratio_is_the_largest_adjacent_ratio(n):
+    """A pair's ratio is a mean of its adjacent ratios with positive weights
+    1/i - 1/(i + 1), for any sequence inv. On the chain's inverse drifts the
+    largest ratio of every k > 2 sits at j = 1; random inverse drifts move
+    it across all j."""
     inv = np.random.default_rng(n).uniform(0.5, 2.0, n + 1)
     coef = 3.0
-    expected = []
-    for k in range(2, n + 1):
-        l = np.arange(1, k)
-        expected.append(float(((inv[k - l] - inv[k]) / (coef * l / (k * (k - l)))).max()))
-    assert bounds_mod._inv_drift_diff_ratios(inv, coef).tolist() == expected
+    assert max(largest_pair_ratios(inv, coef)) == max(adjacent_ratios(inv, coef))
 
 
 @pytest.mark.parametrize("n", [2, 3, 64, 1000])
@@ -491,8 +496,8 @@ def test_float_suite_memory_grows_by_under_1000_bytes_per_state():
 
 
 def test_float_suite_at_ten_thousand_stays_small():
-    """The tails, pair ratios and eta sums are built in blocks: no n x 180
-    array and no list of every tail ratio is held."""
+    """The tails and eta sums are built in blocks: no n x 180 array and no
+    list of every tail ratio is held."""
     tracemalloc.start()
     try:
         report = verify_inequalities(10_000)
