@@ -52,22 +52,19 @@ are numpy arrays:
   summed along the rows.
 
 Both backends run one body. The backend is read only where the band, the
-drift column, g, eta and the tail ratios are built (``_BANDS``,
-``_drift_table``, ``_profile``, ``_etas``, ``_tail_ratios``); the scalar
-zero and one come from the drift column. The rest is the same code for
-floats and Fractions:
+drift columns, g, eta and the tail ratios are built (``_BANDS``,
+``_band_drift``, ``_normalized_drift_column``, ``_profile``, ``_etas``,
+``_tail_ratios``); the scalar zero and one come from the drift column. The
+rest is the same code for floats and Fractions:
 
 * the (1 + 1/n)^(k-1) envelopes come from one ``_pow_bases`` call, exact
   powers for a Fraction base; its last entry, (1 + 1/n)^n, is the upper
   envelope's factor;
 * the theorem sums use the identity sum_{k<=h} 1/(eta delta(k)) = q(h)/eta.
 
-Each block does the operations of the per-state loop it replaces, so every
-check value is the same bit for bit, except eta and the checks derived from
-it, where numpy's row sum replaces ``math.fsum`` and stays within 1e-15
-relative of it, and the tail ratios, which are within 1e-14 relative of
-the exact ones at n <= 64. The float theorem values, once an ``fsum`` of
-1/(eta delta(k)), moved by at most 4.2e-15 relative with the identity.
+A float eta(k) is numpy's row sum, within 1e-15 relative of ``math.fsum``
+of its terms, and the float tail ratios are within 1e-14 relative of the
+exact ones at n <= 64.
 
 So the float suite holds O(n) values and a few block-sized arrays, under
 ``_SUITE_BYTES_PER_STATE`` bytes a state, and ``verify_inequalities``
@@ -102,8 +99,9 @@ from .drift import (
     TransitionKernel,
     _PAIR_TERMS,
     _binom_pmfs,
+    _band_drift,
     _check_state,
-    _drift_table,
+    _normalized_drift_column,
     _pow_bases,
     _underflow_width,
 )
@@ -195,23 +193,23 @@ def _exact_etas(n: int, nums: list[list[int]], delta, states) -> list[Fraction]:
     return out
 
 
-def _etas(n: int, backend: str, band, delta, states) -> list:
-    """eta(k) for each k of the ascending ``states`` from a ``_BANDS`` band
-    and the drift column ``delta``; a float eta(k) is
+def _etas(n: int, backend: str, band, delta, q, states) -> np.ndarray:
+    """eta(k) for each k of the ascending ``states`` as an array, from a
+    ``_BANDS`` band, the drift column ``delta`` and its sums ``q``: an exact
+    eta(k) reads ``delta``, and a float eta(k) is
     sum_d p(k, k - d) (q(k) - q(k - d)) over row k of the band, summed for
     a block of states as one 2-D product of band rows and drops with a row
     sum. Band entries past d = k are exact zeros, so the drops there, read
     at the clamped index 0, add nothing."""
     if backend == RATIONAL:
-        return _exact_etas(n, band, delta, states)
-    q = np.array(_inverse_drift_prefix(delta[: states[-1] + 1]))
+        return np.array(_exact_etas(n, band, delta, states), dtype=object)
     d = np.arange(1, band.shape[1])
     out = []
     for lo in range(0, len(states), _BLOCK):
         ks = np.asarray(states[lo : lo + _BLOCK])[:, None]
         drops = q[ks] - q[np.maximum(ks - d, 0)]
         out.append((band[ks[:, 0], 1:] * drops).sum(axis=1))
-    return np.concatenate(out).tolist()
+    return np.concatenate(out)
 
 
 def _tail_ratios(n: int, backend: str, band) -> list | np.ndarray:
@@ -249,11 +247,9 @@ def eta(kernel: TransitionKernel, drift_table: DriftTable, k: int) -> Scalar:
 
     A float eta(k) is numpy's row sum of the band row times the drops, not a
     compensated sum, so it can differ from ``math.fsum`` of the same terms in
-    the last bits (within 1e-15 relative); ``eta_star`` reads the same sums.
+    the last bits (within 1e-15 relative). It is ``eta_star`` over k alone.
     """
-    _check_same_chain(kernel, drift_table)
-    _check_state(kernel.n, k, kernel.max_state, lo=1)
-    return _etas(kernel.n, kernel.backend, kernel._chain, drift_table.delta, [k])[0]
+    return eta_star(kernel, drift_table, k, k)
 
 
 def eta_star(
@@ -270,7 +266,9 @@ def eta_star(
     _check_state(kernel.n, k_hi, kernel.max_state, lo=k_lo)
     _check_same_chain(kernel, drift_table)
     states = range(k_lo, k_hi + 1)
-    values = _etas(kernel.n, kernel.backend, kernel._chain, drift_table.delta, states)
+    delta = drift_table.delta[: k_hi + 1]
+    q = _inverse_drift_prefix(delta)
+    values = _etas(kernel.n, kernel.backend, kernel._chain, delta, q, states).tolist()
     return max(values) if mode == "max" else min(values)
 
 
@@ -285,13 +283,16 @@ def _decide(
 ) -> CheckRecord:
     """The record of one check, the one place a verdict is reached.
 
-    ``values`` holds the check's values in backend arithmetic, values[i]
-    belonging to state k_lo + i; ``None`` or an empty list marks the check
-    not applicable. ``equal_at`` lists the states where the check holds with
-    equality by an identity: they pass without arithmetic. Every other state
-    passes only when its value is on the bound's side, with no tolerance.
-    ``observed`` is the extremum over every state, the identity states
-    included, so it shows the rounding there.
+    ``values`` holds the check's values in backend arithmetic; ``None`` or
+    an empty list marks the check not applicable. Most checks hand over one
+    value per state, values[i] belonging to state k_lo + i, and only those
+    pass ``equal_at``, the states where the check holds with equality by an
+    identity: they pass without arithmetic. The others hand over values of
+    another shape: the rational ``tail-factorial`` every (k, l) ratio, the
+    theorem checks one value for the whole range 1..n/2. Every value that is
+    not at an identity state passes only when it is on the bound's side,
+    with no tolerance. ``observed`` is the extremum over every value, the
+    identity states included, so it shows the rounding there.
     """
     observed = passed = None
     if values is not None and len(values) > 0:
@@ -415,21 +416,20 @@ def verify_inequalities(
     check_rational_cap(n, backend, rational_cap)
     check_memory(n * _SUITE_BYTES_PER_STATE, f"the inequality suite at n = {n}")
     band = _BANDS[backend](n, range(n + 1))
-    table = _drift_table(n, backend, band)
+    # The drift columns as arrays: float64, or objects holding the Fractions.
+    delta = _band_drift(n, backend, band)
+    dstar = np.concatenate((delta[:1], _normalized_drift_column(n, backend)))
+    q = _inverse_drift_prefix(delta)
     half = n // 2
     # The checks read g at n/2 only, and the recurrence runs up in k, so it
     # stops there.
-    g_half = _profile(n, backend, band[: half + 1], table.delta).g[half]
-    q = _inverse_drift_prefix(table.delta)
+    g_half = _profile(n, backend, band[: half + 1], q).g[half]
     e = math.e
-    zero = table.delta[0]
+    zero = delta.item(0)
     one = zero + 1
 
-    eta_vals = [zero, *_etas(n, backend, band, table.delta, range(1, n + 1))]
-
-    # The drift columns as arrays: float64, or objects holding the Fractions.
-    delta = np.array(table.delta)
-    dstar = np.array(table.delta_star)
+    eta_vals = np.concatenate(([zero], _etas(n, backend, band, delta, q, range(1, n + 1))))
+    eta_tuple = tuple(eta_vals.tolist())
     ks = np.arange(1, n + 2)
     inv = np.concatenate(([0.0], (1 / delta[1:]).astype(float)))
 
@@ -481,8 +481,8 @@ def verify_inequalities(
     eta_lo = 1.0 + math.exp(-2.0) / (4.0 * n)
     record("eta-lower", 2, half, "ge", eta_lo, eta_vals[2 : half + 1] if half >= 2 else None)
 
-    eta_star_max = max(eta_vals[1 : half + 1])
-    eta_star_min = min(eta_vals[2 : n + 1])
+    eta_star_max = max(eta_tuple[1 : half + 1])
+    eta_star_min = min(eta_tuple[2 : n + 1])
     # sum_{k<=h} 1 / (eta delta(k)) = q(h) / eta.
     lower_sum = q[half] / eta_star_max
     upper_sum = 1 / delta[1] + (q[half] - q[1]) / eta_star_min
@@ -507,7 +507,7 @@ def verify_inequalities(
     return BoundReport(
         n=n,
         backend=backend,
-        eta=tuple(eta_vals),
+        eta=eta_tuple,
         eta_star_max=eta_star_max,
         eta_star_max_range=(1, half),
         eta_star_min=eta_star_min,

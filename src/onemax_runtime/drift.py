@@ -178,7 +178,7 @@ def drift(n: int, k: int, backend: str = FLOAT) -> Scalar:
         band = _exact_numerators(n, [k])
     else:
         band = _float_band(n, [k], _band_width(n, n))
-    return _band_drift(n, backend, band)[0]
+    return _band_drift(n, backend, band).item(0)
 
 
 def normalized_drift(n: int, k: int, backend: str = FLOAT) -> Scalar:
@@ -444,9 +444,9 @@ _BANDS = {FLOAT: _float_band, RATIONAL: _exact_numerators}
 _ROW_BLOCK = 8192
 
 
-def _row_fsums(x: np.ndarray, weights: np.ndarray | None = None) -> list[float]:
+def _row_fsums(x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """``math.fsum`` of every row of x * weights (weights per column, default
-    none), bit for bit, as a list.
+    none), bit for bit, as a float64 array.
 
     A block of rows is summed column by column over all its rows at once,
     with error-free transformations (Ogita, Rump and Oishi, "Accurate sum
@@ -462,13 +462,9 @@ def _row_fsums(x: np.ndarray, weights: np.ndarray | None = None) -> list[float]:
     or summing to 0.0 (whose half gap rounds to 0), or a row with a negative
     term, is summed by ``math.fsum``. A band has about one such row, its
     state 0. An array with no columns sums to zeros.
-
-    The sums go straight into a list of the final size: a whole-array
-    result would be freed right after its conversion, and at n = 10^6 that
-    alone raised the peak RSS of ``runtime`` by a few MB.
     """
     rows, m = x.shape
-    out = [0.0] * rows
+    out = np.zeros(rows)
     if m == 0:
         return out
     # 2 m^2 u^2, and the smallest subnormal, which keeps the bound on rho an
@@ -500,24 +496,26 @@ def _row_fsums(x: np.ndarray, weights: np.ndarray | None = None) -> list[float]:
         ok = (t + bound < up) & (bound - t < down) & ~(cols < 0).any(axis=0)
         for i in np.flatnonzero(~ok).tolist():
             r[i] = math.fsum(cols[:, i].tolist())
-        out[lo : lo + len(r)] = r.tolist()
+        out[lo : lo + len(r)] = r
     return out
 
 
-def _band_improvement(band: np.ndarray) -> list[float]:
+def _band_improvement(band: np.ndarray) -> np.ndarray:
     """s_k = P[an accepted step moves from k], the row sum over d >= 1, of
     a float band, correctly rounded."""
     return _row_fsums(band[:, 1:])
 
 
-def _band_drift(n: int, backend: str, band) -> list:
+def _band_drift(n: int, backend: str, band) -> np.ndarray:
     """The drift of each row of a ``_BANDS`` band: its first moment
-    sum_d d p(k, k - d). A float row is the correctly rounded sum of the
-    products d p(k, k - d); a rational row is summed on its integer
-    numerators and divided by n^n once."""
+    sum_d d p(k, k - d), as a float64 array or an object array of Fractions.
+    A float row is the correctly rounded sum of the products d p(k, k - d);
+    a rational row is summed on its integer numerators and divided by n^n
+    once."""
     if backend == RATIONAL:
         scale = n**n
-        return [Fraction(sum(d * x for d, x in enumerate(row)), scale) for row in band]
+        drifts = [Fraction(sum(d * x for d, x in enumerate(row)), scale) for row in band]
+        return np.array(drifts, dtype=object)
     return _row_fsums(band, np.arange(band.shape[1], dtype=float))
 
 
@@ -651,7 +649,7 @@ def _normalized_drift_column(n: int, backend: str) -> list:
 def _drift_table(n: int, backend: str, band) -> DriftTable:
     """Drift table whose drift column is the first moment of ``band``, a
     ``_BANDS`` band of all states 0..n."""
-    delta = tuple(_band_drift(n, backend, band))
+    delta = tuple(_band_drift(n, backend, band).tolist())
     delta_star = (delta[0], *_normalized_drift_column(n, backend))
     return DriftTable(n=n, backend=backend, delta=delta, delta_star=delta_star)
 

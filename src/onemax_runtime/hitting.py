@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 import numpy as np
 
@@ -118,16 +117,17 @@ def _harmonic_prefix(m: int) -> list[float]:
     return out
 
 
-def _inverse_drift_prefix(delta) -> list:
-    """q(k) = sum_{j=1..k} 1/delta(j) for every k of a drift column.
+def _inverse_drift_prefix(delta) -> np.ndarray:
+    """q(k) = sum_{j=1..k} 1/delta(j) for every k of a drift column, as an
+    array of the column's scalars.
 
     The running sum starts from delta(0), which is the zero of the column's
-    scalar type.
+    scalar type, and adds in order, so Fractions stay exact.
     """
-    return list(accumulate((1 / d for d in delta[1:]), initial=delta[0]))
+    return np.cumsum(np.concatenate((delta[:1], 1 / np.asarray(delta[1:]))))
 
 
-def _band_hitting_times(band: np.ndarray) -> list[float]:
+def _band_hitting_times(band: np.ndarray) -> np.ndarray:
     """g(k) from a float band: the recurrence of order D, one row sum per
     state."""
     improve = _band_improvement(band)
@@ -137,7 +137,7 @@ def _band_hitting_times(band: np.ndarray) -> list[float]:
         d_max = min(k - 1, width)
         hit = math.fsum((band[k, 1 : d_max + 1] * g[k - d_max : k][::-1]).tolist())
         g[k] = (1 + hit) / improve[k]
-    return g.tolist()
+    return g
 
 
 def _exact_hitting_times(n: int, nums: list[list[int]]) -> list[Fraction]:
@@ -165,15 +165,14 @@ def _exact_hitting_times(n: int, nums: list[list[int]]) -> list[Fraction]:
     return g
 
 
-def _profile(n: int, backend: str, band, delta) -> HittingProfile:
-    """g over the states of a ``_BANDS`` band, and q over the same states
-    from the drift column ``delta``."""
+def _profile(n: int, backend: str, band, q) -> HittingProfile:
+    """g over the states of a ``_BANDS`` band, and the inverse-drift sums
+    ``q`` cut to the same states."""
     if backend == RATIONAL:
         g = _exact_hitting_times(n, band)
     else:
-        g = _band_hitting_times(band)
-    q = _inverse_drift_prefix(delta[: len(band)])
-    return HittingProfile(n=n, backend=backend, g=tuple(g), q=tuple(q))
+        g = _band_hitting_times(band).tolist()
+    return HittingProfile(n=n, backend=backend, g=tuple(g), q=tuple(q[: len(band)].tolist()))
 
 
 def _check_same_chain(kernel: TransitionKernel, drift_table: DriftTable) -> None:
@@ -196,7 +195,8 @@ def hitting_profile(kernel: TransitionKernel, drift_table: DriftTable) -> Hittin
     denominators of the inverse-drift sums.
     """
     _check_same_chain(kernel, drift_table)
-    return _profile(kernel.n, kernel.backend, kernel._chain, drift_table.delta)
+    q = _inverse_drift_prefix(drift_table.delta[: kernel.max_state + 1])
+    return _profile(kernel.n, kernel.backend, kernel._chain, q)
 
 
 def runtime_profile(
@@ -220,13 +220,13 @@ def runtime_profile(
         up_to = n
     _check_state(n, up_to, n)
     band = _BANDS[backend](n, range(up_to + 1))
-    return _profile(n, backend, band, _band_drift(n, backend, band))
+    return _profile(n, backend, band, _inverse_drift_prefix(_band_drift(n, backend, band)))
 
 
 def inverse_drift_sum(drift_table: DriftTable, k0: int) -> Scalar:
     """q(k0) = sum_{j=1..k0} 1/delta(j) from a prebuilt drift table."""
     _check_state(drift_table.n, k0, drift_table.n)
-    return _inverse_drift_prefix(drift_table.delta[: k0 + 1])[k0]
+    return _inverse_drift_prefix(drift_table.delta[: k0 + 1]).item(k0)
 
 
 def closed_form_g(n: int, k: int) -> Fraction:

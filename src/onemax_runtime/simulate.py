@@ -304,7 +304,7 @@ def _jump_tables(n: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     cdf = np.cumsum(band[:, 1:], axis=1)
     cdf[0] = 1.0  # state 0 never moves
     cdf /= cdf[:, -1:].copy()  # dividing by a view of cdf would copy all of cdf
-    s = np.array(_band_improvement(band))
+    s = _band_improvement(band)
     rate = np.zeros_like(s)
     rate[1:] = -1.0 / np.log1p(-s[1:])
     return rate, cdf

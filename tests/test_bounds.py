@@ -15,6 +15,8 @@ from onemax_runtime import (
     drift,
     eta,
     eta_star,
+    hitting_profile,
+    inverse_drift_sum,
     normalized_drift,
     runtime_profile,
     transition_prob,
@@ -25,6 +27,7 @@ from onemax_runtime.backends import pow_base
 from reference_sums import float_kernel_row, plain_fraction_drift
 
 drift_mod = importlib.import_module("onemax_runtime.drift")
+hitting_mod = importlib.import_module("onemax_runtime.hitting")
 
 
 ALL_CHECK_IDS = {
@@ -506,3 +509,56 @@ def test_float_suite_at_ten_thousand_stays_small():
         tracemalloc.stop()
     assert peak < 40 * 2**20
     assert all(rec.passed for rec in report.checks if rec.applicable)
+
+
+def count_calls(monkeypatch, name, modules):
+    """Wrap the function ``name`` in every module that holds it; returns the
+    list the wrapper appends to on each call."""
+    calls = []
+    for module in modules:
+        if hasattr(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, original=original):
+                calls.append(args)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("backend", ["float", "rational"])
+@pytest.mark.parametrize("n", [2, 9, 64])
+def test_each_call_builds_q_once(n, backend, monkeypatch):
+    """verify_inequalities, runtime_profile and hitting_profile each build
+    the inverse-drift sums q once, and the suite builds no drift table."""
+    kern, table = build_kernel(n, backend), build_drift_table(n, backend)
+    modules = (drift_mod, hitting_mod, bounds_mod)
+    q_calls = count_calls(monkeypatch, "_inverse_drift_prefix", modules)
+    table_calls = count_calls(monkeypatch, "_drift_table", modules)
+    verify_inequalities(n, backend)
+    assert (len(q_calls), len(table_calls)) == (1, 0)
+    runtime_profile(n, backend)
+    assert len(q_calls) == 2
+    hitting_profile(kern, table)
+    assert len(q_calls) == 3
+
+
+@pytest.mark.parametrize("n", [2, 9, 64])
+def test_public_float_values_are_python_floats(n):
+    """Every float a public result carries is a ``float``, not a numpy
+    scalar."""
+    kern, table = build_kernel(n), build_drift_table(n)
+    report = verify_inequalities(n)
+    values = [*table.delta, *table.delta_star]
+    for prof in (runtime_profile(n), hitting_profile(kern, table)):
+        values += [*prof.g, *prof.q]
+    values += [*report.eta, report.eta_star_max, report.eta_star_min]
+    for rec in report.checks:
+        values += [rec.bound] + ([rec.observed] if rec.applicable else [])
+    values += [drift(n, k) for k in range(n + 1)]
+    values += [normalized_drift(n, k) for k in range(n + 2)]
+    values += [inverse_drift_sum(table, k) for k in range(n + 1)]
+    values += [eta(kern, table, k) for k in range(1, n + 1)]
+    values += [eta_star(kern, table, 1, n, mode) for mode in ("max", "min")]
+    assert {type(v) for v in values} == {float}
