@@ -372,7 +372,7 @@ def figure1_rows(n_lo: int, n_hi: int, threads: int | None = 1) -> list[tuple]:
     _check_grid(n_lo, n_hi, threads)
     rows = []
     for n in range(n_lo, n_hi + 1):
-        column = _normalized_drift_float(n, range(1, n + 1))
+        column = _normalized_drift_float(n, range(1, n + 1)).tolist()
         for k, exact in enumerate(column, start=1):
             ev = evaluate_expansion(n, k)
             inv = _inverse_orders(n, ev.s1, ev.t1, ev.t2)

@@ -35,11 +35,12 @@ and the improvement probability, the hitting recurrence (run only up to
 n/2, where g is checked), and the running sums q and H. The check columns
 are numpy arrays:
 
-* the ``tail-factorial`` ratios are built in scaled form, ``_BLOCK`` states
-  at a time, by a backward recurrence in l over scaled pmf terms that stay
-  normal numbers (``_float_tail_ratios``): no tail is formed as a float, so
-  none underflows, and no band of the underflow width is built; each block
-  is reduced to one value per state, its largest ratio, and dropped;
+* the ``tail-factorial`` ratios are built in scaled form, ``_TAIL_BLOCK``
+  states at a time, by a backward recurrence in l over scaled pmf terms
+  that stay normal numbers (``_float_tail_ratios``): no tail is formed as a
+  float, so none underflows, and no band of the underflow width is built;
+  each block is reduced to one value per state, its largest ratio, and
+  dropped;
 * ``inv-drift-diff-upper`` bounds (inv(j) - inv(k)) / (coef (1/j - 1/k))
   by 1 for every pair j < k, with inv = 1/Delta. Both differences telescope
   over the adjacent pairs (i, i + 1), i = j..k-1, and every weight
@@ -53,9 +54,9 @@ are numpy arrays:
 
 Both backends run one body. The backend is read only where the band, the
 drift columns, g, eta and the tail ratios are built (``_BANDS``,
-``_band_drift``, ``_normalized_drift_column``, ``_profile``, ``_etas``,
-``_tail_ratios``); the scalar zero and one come from the drift column. The
-rest is the same code for floats and Fractions:
+``_band_drift``, ``_normalized_drift_column``, ``_hitting_times``,
+``_etas``, ``_tail_ratios``); the scalar zero and one come from the drift
+column. The rest is the same code for floats and Fractions:
 
 * the (1 + 1/n)^(k-1) envelopes come from one ``_pow_bases`` call, exact
   powers for a Fraction base; its last entry, (1 + 1/n)^n, is the upper
@@ -66,7 +67,10 @@ A float eta(k) is numpy's row sum, within 1e-15 relative of ``math.fsum``
 of its terms, and the float tail ratios are within 1e-14 relative of the
 exact ones at n <= 64.
 
-So the float suite holds O(n) values and a few block-sized arrays, under
+So the float suite holds O(n) values and a few block-sized arrays. The
+band, its largest array at 168 bytes a state, is dropped once g, eta and
+the tail ratios have read it, before the checks build their arrays, and
+each check's arrays are dropped after its verdict. Its peak stays under
 ``_SUITE_BYTES_PER_STATE`` bytes a state, and ``verify_inequalities``
 refuses an n whose suite would exceed ``MEMORY_LIMIT`` before it builds
 anything.
@@ -110,8 +114,8 @@ from .hitting import (
     CORRIDOR_C2,
     _check_same_chain,
     _harmonic_prefix,
+    _hitting_times,
     _inverse_drift_prefix,
-    _profile,
 )
 
 __all__ = [
@@ -123,9 +127,13 @@ __all__ = [
 ]
 
 # Memory the float suite may hold per state, checked against MEMORY_LIMIT:
-# its peak RSS above the interpreter's is 830-880 bytes a state from n = 10^5
-# to 10^6 (2-core x86_64 host).
-_SUITE_BYTES_PER_STATE = 1000
+# its peak RSS above the interpreter's is 200-215 bytes a state from n = 10^5
+# to 10^6 (2-core x86_64 host), most of it the band.
+_SUITE_BYTES_PER_STATE = 250
+
+# States per block of ``_float_tail_ratios``: its three arrays of about 200
+# drops (the underflow width and 16 more) take about 1.2 MB for any n.
+_TAIL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -204,12 +212,12 @@ def _etas(n: int, backend: str, band, delta, q, states) -> np.ndarray:
     if backend == RATIONAL:
         return np.array(_exact_etas(n, band, delta, states), dtype=object)
     d = np.arange(1, band.shape[1])
-    out = []
+    out = np.empty(len(states))
     for lo in range(0, len(states), _BLOCK):
         ks = np.asarray(states[lo : lo + _BLOCK])[:, None]
         drops = q[ks] - q[np.maximum(ks - d, 0)]
-        out.append((band[ks[:, 0], 1:] * drops).sum(axis=1))
-    return np.concatenate(out)
+        out[lo : lo + len(ks)] = (band[ks[:, 0], 1:] * drops).sum(axis=1)
+    return out
 
 
 def _tail_ratios(n: int, backend: str, band) -> list | np.ndarray:
@@ -223,11 +231,11 @@ def _tail_ratios(n: int, backend: str, band) -> list | np.ndarray:
     ``_float_tail_ratios``, so only one block of ratios is held at a time.
     """
     if backend != RATIONAL:
-        largest = []
+        largest = np.empty(n)
         for ks, ratios in _float_tail_ratios(n):
             l = np.arange(1, len(ratios) + 1)[:, None]
-            largest.append(np.max(ratios, axis=0, where=l <= ks, initial=-np.inf))
-        return np.concatenate(largest)
+            largest[ks - 1] = np.max(ratios, axis=0, where=l <= ks, initial=-np.inf)
+        return largest
     scale = n**n
     out = []
     for k in range(1, n + 1):
@@ -240,6 +248,12 @@ def _tail_ratios(n: int, backend: str, band) -> list | np.ndarray:
             den *= k
             out.append(Fraction(tail * num, scale * den))
     return out
+
+
+def _extremum(values: np.ndarray, mode: str) -> Scalar:
+    """The largest ("max") or smallest ("min") entry of a float64 array or
+    an object array of Fractions, as a Python float or a Fraction."""
+    return values.item(values.argmax() if mode == "max" else values.argmin())
 
 
 def eta(kernel: TransitionKernel, drift_table: DriftTable, k: int) -> Scalar:
@@ -268,8 +282,7 @@ def eta_star(
     states = range(k_lo, k_hi + 1)
     delta = drift_table.delta[: k_hi + 1]
     q = _inverse_drift_prefix(delta)
-    values = _etas(kernel.n, kernel.backend, kernel._chain, delta, q, states).tolist()
-    return max(values) if mode == "max" else min(values)
+    return _extremum(_etas(kernel.n, kernel.backend, kernel._chain, delta, q, states), mode)
 
 
 def _decide(
@@ -346,10 +359,11 @@ def _float_tail_ratios(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     every block: R_(L+1) reaches R_l, l <= W, only through 16 or more
     factors below 1 / W, or is exactly 0 when L > k.
 
-    The ratios are built ``_BLOCK`` states at a time, with l along the
+    The ratios are built ``_TAIL_BLOCK`` states at a time, with l along the
     first axis; each state's column is its own sequence of operations, so
-    the ratios do not depend on ``_BLOCK``. Every block is built in the same
-    arrays, so a block's ratios are valid until the next block is asked for.
+    the ratios do not depend on ``_TAIL_BLOCK``. Every block is built in the
+    same arrays, so a block's ratios are valid until the next block is asked
+    for.
     """
     width = _underflow_width(n, n)
     cols = width + 16
@@ -359,12 +373,12 @@ def _float_tail_ratios(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     scaled_fact[1:] = np.cumprod(a[1:] / c)
     m = np.arange(_PAIR_TERMS, dtype=float)[:, None]
     # One set of block arrays serves every block; the last may be shorter.
-    size = min(_BLOCK, n)
+    size = min(_TAIL_BLOCK, n)
     hat_buf = np.empty((len(a), size))
     ratios_buf = np.empty((cols, size))
     term_buf = np.empty((cols, size))
-    for lo in range(1, n + 1, _BLOCK):
-        ks = np.arange(lo, min(lo + _BLOCK, n + 1))
+    for lo in range(1, n + 1, _TAIL_BLOCK):
+        ks = np.arange(lo, min(lo + _TAIL_BLOCK, n + 1))
         k = ks.astype(float)
         x = k / n
         # hat[a] = Ah_a / G(a), one row per a and one column per state.
@@ -384,9 +398,10 @@ def _float_tail_ratios(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             np.multiply(hat[1 + j : cols + 1 + j], weights[j], out=term)
             ratios += term
         ratios *= scaled_fact[1 : cols + 1, None]
-        # R_l = E_l + x / (l + 1) R_(l+1), with l = a[i + 1] on row i.
+        # R_l = E_l + x / (l + 1) R_(l+1), with l = a[i + 1] on row i; the
+        # factors x / (l + 1) of every row are formed at once.
+        np.divide(x, a[1:cols, None] + 1.0, out=term[:-1])
         for i in range(cols - 2, -1, -1):
-            np.divide(x, a[i + 1] + 1.0, out=term[i])
             term[i] *= ratios[i + 1]
             ratios[i] += term[i]
         yield ks, ratios[:width]
@@ -405,7 +420,7 @@ def verify_inequalities(
     applicable below that. ``rational_cap`` only gates the rational backend;
     no float verdict reads it. Raises :class:`CapacityError` before anything
     is built when ``_SUITE_BYTES_PER_STATE`` bytes a state exceed
-    ``MEMORY_LIMIT`` (from n = 2147484).
+    ``MEMORY_LIMIT`` (from n = 8589935).
 
     ``inv-drift-diff-upper`` holds for every pair j < k exactly when it holds
     for the n - 1 adjacent pairs (k - 1, k): a pair's ratio is a mean of its
@@ -416,22 +431,23 @@ def verify_inequalities(
     check_rational_cap(n, backend, rational_cap)
     check_memory(n * _SUITE_BYTES_PER_STATE, f"the inequality suite at n = {n}")
     band = _BANDS[backend](n, range(n + 1))
-    # The drift columns as arrays: float64, or objects holding the Fractions.
+    # The drift column as an array: float64, or objects holding the Fractions.
     delta = _band_drift(n, backend, band)
-    dstar = np.concatenate((delta[:1], _normalized_drift_column(n, backend)))
     q = _inverse_drift_prefix(delta)
     half = n // 2
     # The checks read g at n/2 only, and the recurrence runs up in k, so it
     # stops there.
-    g_half = _profile(n, backend, band[: half + 1], q).g[half]
+    g_half = _hitting_times(n, backend, band[: half + 1]).item(half)
     e = math.e
     zero = delta.item(0)
     one = zero + 1
 
     eta_vals = np.concatenate(([zero], _etas(n, backend, band, delta, q, range(1, n + 1))))
-    eta_tuple = tuple(eta_vals.tolist())
+    tails = _tail_ratios(n, backend, band)
+    # g, eta and the tails have read the band, the largest array, so it goes
+    # before the checks build theirs; each check's arrays go after its verdict.
+    del band
     ks = np.arange(1, n + 2)
-    inv = np.concatenate(([0.0], (1 / delta[1:]).astype(float)))
 
     records: list[CheckRecord] = []
 
@@ -441,16 +457,20 @@ def verify_inequalities(
     diffs = np.diff(delta)
     record("delta-diff-lower", 1, n, "ge", 1.0 / (e * n), diffs)
     record("delta-diff-upper", 1, n, "le", 2.0 / (n - 1), diffs)
+    del diffs
 
+    dstar = np.concatenate((delta[:1], _normalized_drift_column(n, backend)))
     sdiffs = np.diff(dstar)
     # delta*(1) - delta*(0) = 1/n.
     record("delta-star-diff-lower", 1, n + 1, "ge", one / n, sdiffs, [1])
     record("delta-star-diff-upper", 1, n + 1, "le", 2.0 * e / n, sdiffs)
+    del sdiffs
 
     ratios = delta[1:] * n / ks[:-1]
     record("delta-sandwich-lower", 1, n, "ge", 1.0 / e, ratios)
     # Delta(n) = E[Bin(n, 1/n)] = 1.
     record("delta-sandwich-upper", 1, n, "le", one, ratios, [n])
+    del ratios
 
     # (1 + 1/n)^(k-1) for k = 1..n+1; the last one is (1 + 1/n)^n.
     grows = _pow_bases(one + one / n, ks - 1)
@@ -460,19 +480,24 @@ def verify_inequalities(
     record("delta-star-sandwich-lower", 1, n + 1, "ge", zero, dstar[1:] - lo_env, [1, n + 1])
     # delta*(n+1) = ((n+1)/n)^(n+1), as above.
     record("delta-star-sandwich-upper", 1, n + 1, "le", zero, dstar[1:] - hi_env, [n + 1])
+    del dstar, grows, lo_env, hi_env
 
     # Float: one value per k, the largest ratio over l; exact: every ratio.
-    record("tail-factorial", 1, n, "le", one, _tail_ratios(n, backend, band))
+    record("tail-factorial", 1, n, "le", one, tails)
+    del tails
 
     # inv(k - 1) - inv(k) for k = 2..n. The adjacent ratios bound every pair's.
+    inv = np.concatenate(([0.0], (1 / delta[1:]).astype(float)))
     inv_ks = ks[1:n]
     inv_drops = inv[1:n] - inv[2:]
+    del inv
     coef = 2.0 * e * e * n * n / (n - 1)
     record("inv-drift-diff-upper", 2, n, "le", 1.0, inv_drops / (coef / (inv_ks * (inv_ks - 1))))
 
     lower_ks = inv_ks[: half - 1]
     diff_lower_ratios = inv_drops[: half - 1] / (n / (e * lower_ks * lower_ks))
     record("inv-drift-diff-lower", 2, half, "ge", 1.0, diff_lower_ratios if half >= 2 else None)
+    del inv_drops, diff_lower_ratios
 
     # eta(1) = p(1, 0) q(1) = s_1 / Delta(1) = 1: the one move from state 1 is to 0.
     record("eta-unit-lower", 1, n, "ge", one, eta_vals[1:], [1])
@@ -481,8 +506,8 @@ def verify_inequalities(
     eta_lo = 1.0 + math.exp(-2.0) / (4.0 * n)
     record("eta-lower", 2, half, "ge", eta_lo, eta_vals[2 : half + 1] if half >= 2 else None)
 
-    eta_star_max = max(eta_tuple[1 : half + 1])
-    eta_star_min = min(eta_tuple[2 : n + 1])
+    eta_star_max = _extremum(eta_vals[1 : half + 1], "max")
+    eta_star_min = _extremum(eta_vals[2 : n + 1], "min")
     # sum_{k<=h} 1 / (eta delta(k)) = q(h) / eta.
     lower_sum = q[half] / eta_star_max
     upper_sum = 1 / delta[1] + (q[half] - q[1]) / eta_star_min
@@ -500,14 +525,13 @@ def verify_inequalities(
     record("corridor-lower", half, half, "ge", c1_bound, g_obs)
     record("corridor-upper", half, half, "le", c2_bound, g_obs)
 
-    harmonics = np.array(_harmonic_prefix(n)[1:])
-    envelope = np.array(q[1:], dtype=float) / (e * n * harmonics)
+    envelope = np.array(q[1:], dtype=float) / (e * n * _harmonic_prefix(n)[1:])
     record("q-harmonic-envelope", 1, n, "le", 1.0, envelope)
 
     return BoundReport(
         n=n,
         backend=backend,
-        eta=eta_tuple,
+        eta=tuple(eta_vals.tolist()),
         eta_star_max=eta_star_max,
         eta_star_max_range=(1, half),
         eta_star_min=eta_star_min,

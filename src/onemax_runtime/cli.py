@@ -66,25 +66,25 @@ def _unlimited_int_digits():
         sys.set_int_max_str_digits(limit)
 
 
+# Most cells are floats, so both formatters test for a float first: an
+# isinstance test against Fraction goes through abc.__instancecheck__.
 def _fmt_cell(value, precision: int) -> str:
+    if isinstance(value, float):
+        return format(value, f".{precision}g")
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, f".{precision}g")
     return str(value)
 
 
 def _json_value(value, precision: int):
+    if isinstance(value, float):
+        return float(format(value, f".{precision}g"))
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, Fraction):
         return {"num": value.numerator, "den": value.denominator}
-    if isinstance(value, float):
-        return float(format(value, f".{precision}g"))
     return value
 
 
@@ -202,7 +202,7 @@ def _cmd_asym(args) -> None:
         k_hi = math.floor((1 - eps) * n)
         if k_hi < 1:
             raise DomainError(f"eps = {eps} leaves no valid state for n = {n}")
-        column = _normalized_drift_float(n, range(1, k_hi + 1))
+        column = _normalized_drift_float(n, range(1, k_hi + 1)).tolist()
         for k, exact in enumerate(column, start=1):
             approx = expansion_delta_star(n, k, order=args.order, eps=eps)
             rows.append(

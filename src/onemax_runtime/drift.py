@@ -132,7 +132,9 @@ def _pow_bases(base: Scalar, exponents) -> np.ndarray:
     starting from 1.0, which are the operations ``pow_base`` does in the
     same order (a clear bit's factor, base**0, is exact). A ``Fraction``
     base gives exact powers, m = 0 included. Exponents above 10**6, where
-    ``pow_base`` switches to exp/log, take it one by one.
+    ``pow_base`` switches to exp/log, take it one by one. The products run
+    ``_BLOCK`` exponents at a time, so their 2-D arrays stay small for any
+    number of exponents.
     """
     m = np.asarray(exponents, dtype=np.int64)
     top = int(m.max(initial=0))
@@ -141,8 +143,12 @@ def _pow_bases(base: Scalar, exponents) -> np.ndarray:
     squares = [base]
     for _ in range(1, top.bit_length()):
         squares.append(squares[-1] * squares[-1])
-    bits = (m[:, None] >> np.arange(len(squares))) & 1
-    return np.multiply.accumulate(np.where(bits == 1, squares, base**0), axis=1)[:, -1]
+    out = np.full(len(m), base**0)
+    for lo in range(0, len(m), _BLOCK):
+        bits = (m[lo : lo + _BLOCK, None] >> np.arange(len(squares))) & 1
+        factors = np.where(bits == 1, squares, base**0)
+        out[lo : lo + _BLOCK] = np.multiply.accumulate(factors, axis=1)[:, -1]
+    return out
 
 
 def _binom_pmfs(ms: np.ndarray, n: int, terms: int) -> np.ndarray:
@@ -215,16 +221,21 @@ def normalized_drift(n: int, k: int, backend: str = FLOAT) -> Scalar:
             a, b = prefix[min(l - 1, top)]
             total = total * n + comb(k, l) * (l * a - b)
         return Fraction(total, n ** (k + top))
-    return _normalized_drift_float(n, [k])[0]
+    return _normalized_drift_float(n, [k]).item(0)
 
 
-# States per block of the vectorized normalized drift and float band: bounds
-# their scratch arrays at a few MB for any n.
+# States per block of the float band (also of ``_pow_bases`` and of eta in
+# ``bounds``): at the chain width the band's pmf arrays take about 0.1 MB.
 _BLOCK = 512
 
+# States per block of the vectorized normalized drift: its three arrays of the
+# underflow width (about 180 columns) take about 0.55 MB for any n.
+_DSTAR_BLOCK = 128
 
-def _normalized_drift_float(n: int, states: Sequence[int]) -> list[float]:
-    """Float normalized drift of each state in ``states`` (all in 0..n + 1).
+
+def _normalized_drift_float(n: int, states: Sequence[int]) -> np.ndarray:
+    """Float normalized drift of each state in ``states`` (all in 0..n + 1),
+    as a float64 array.
 
     With u_l = C(k, l) n^-l and v_j = C(m, j) n^-j, m = n + 1 - k, the value
     is sum_l u_l (l cv0[l-1] - cv1[l-1]) over the prefix sums cv0, cv1 of v_j
@@ -234,18 +245,18 @@ def _normalized_drift_float(n: int, states: Sequence[int]) -> list[float]:
     every value bit for bit as the full O(n) sums give it.
 
     The v row of state k is 1 followed by the u row of its mirror n + 1 - k,
-    so one cumulative product per row serves both. Blocks take ``_BLOCK // 2``
-    states from each end of ``states``. A ``range`` whose ends are mirrors,
-    such as 0..n + 1, is closed under k -> n + 1 - k, and so is each such
-    block, whose rows then serve as their own mirrors; for any other input a
-    block forms its mirrors' rows too. Only the columns up to the block's
-    largest state are formed, so a single state below the cut builds k
-    columns, not the full width. Cumulative products and sums are sequential
-    along each row, so every prefix is the same for any number of rows or
-    columns. The final sum is one dot product per state, cut to the state's
-    own length: ``np.vecdot`` over the rows that span the block's columns,
-    ``np.dot`` on the shorter ones. Each step writes in place, into three
-    arrays of the first block's size that every block reuses.
+    so one cumulative product per row serves both. Blocks take
+    ``_DSTAR_BLOCK // 2`` states from each end of ``states``. A ``range``
+    whose ends are mirrors, such as 0..n + 1, is closed under k -> n + 1 - k,
+    and so is each such block, whose rows then serve as their own mirrors; for
+    any other input a block forms its mirrors' rows too. Only the columns up
+    to the block's largest state are formed, so a single state below the cut
+    builds k columns, not the full width. Cumulative products and sums are
+    sequential along each row, so every prefix is the same for any number of
+    rows or columns. The final sum is one dot product per state, cut to the
+    state's own length: ``np.vecdot`` over the rows that span the block's
+    columns, ``np.dot`` on the shorter ones. Each step writes in place, into
+    three arrays of the first block's size that every block reuses.
     """
     width = _underflow_width(n, n + 1)
     closed = isinstance(states, range) and len(states) > 0 and states[0] + states[-1] == n + 1
@@ -253,8 +264,8 @@ def _normalized_drift_float(n: int, states: Sequence[int]) -> list[float]:
     out = np.empty(len(ks))
     size, mid = len(ks), (len(ks) + 1) // 2
     buffers = None
-    for lo in range(0, mid, _BLOCK // 2):
-        hi = min(lo + _BLOCK // 2, mid)
+    for lo in range(0, mid, _DSTAR_BLOCK // 2):
+        hi = min(lo + _DSTAR_BLOCK // 2, mid)
         front, back = slice(lo, hi), slice(max(size - hi, hi), size - lo)
         block = np.concatenate((ks[front], ks[back]))
         rows = block if closed else np.concatenate((block, n + 1 - block[::-1]))
@@ -288,7 +299,7 @@ def _normalized_drift_float(n: int, states: Sequence[int]) -> list[float]:
                 values[r] = np.dot(u[r, :k], terms[r, :k])
         out[front] = values[: hi - lo]
         out[back] = values[hi - lo :]
-    return out.tolist()
+    return out
 
 
 def _poly_mul(a: list[Fraction], b: list[Fraction], cap: int) -> list[Fraction]:
@@ -637,10 +648,11 @@ def build_drift_table(
     return _drift_table(n, backend, _BANDS[backend](n, range(n + 1)))
 
 
-def _normalized_drift_column(n: int, backend: str) -> list:
-    """The normalized drift of the states 1..n + 1 in one backend."""
+def _normalized_drift_column(n: int, backend: str) -> np.ndarray:
+    """The normalized drift of the states 1..n + 1 in one backend, as a
+    float64 array or an object array of Fractions."""
     if backend == RATIONAL:
-        return [normalized_drift(n, k, RATIONAL) for k in range(1, n + 2)]
+        return np.array([normalized_drift(n, k, RATIONAL) for k in range(1, n + 2)], dtype=object)
     # With state 0 the range is closed under k -> n + 1 - k, so every block
     # shares its cumulative products between a state and its mirror.
     return _normalized_drift_float(n, range(n + 2))[1:]
@@ -649,9 +661,11 @@ def _normalized_drift_column(n: int, backend: str) -> list:
 def _drift_table(n: int, backend: str, band) -> DriftTable:
     """Drift table whose drift column is the first moment of ``band``, a
     ``_BANDS`` band of all states 0..n."""
-    delta = tuple(_band_drift(n, backend, band).tolist())
-    delta_star = (delta[0], *_normalized_drift_column(n, backend))
-    return DriftTable(n=n, backend=backend, delta=delta, delta_star=delta_star)
+    delta = _band_drift(n, backend, band)
+    delta_star = np.concatenate((delta[:1], _normalized_drift_column(n, backend)))
+    return DriftTable(
+        n=n, backend=backend, delta=tuple(delta.tolist()), delta_star=tuple(delta_star.tolist())
+    )
 
 
 def build_kernel(

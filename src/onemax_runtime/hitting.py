@@ -104,16 +104,17 @@ def harmonic(m: int) -> float:
     )
 
 
-def _harmonic_prefix(m: int) -> list[float]:
-    """H_0..H_m by one compensated running sum, each within an ulp or two."""
-    out = [0.0]
+def _harmonic_prefix(m: int) -> np.ndarray:
+    """H_0..H_m by one compensated running sum, each within an ulp or two,
+    as a float64 array."""
+    out = np.zeros(m + 1)
     total = carry = 0.0
     for i in range(1, m + 1):
         term = 1.0 / i
         step = total + term
         carry += (total - step) + term  # exact: total >= term after i = 1
         total = step
-        out.append(total + carry)
+        out[i] = total + carry
     return out
 
 
@@ -165,14 +166,18 @@ def _exact_hitting_times(n: int, nums: list[list[int]]) -> list[Fraction]:
     return g
 
 
-def _profile(n: int, backend: str, band, q) -> HittingProfile:
-    """g over the states of a ``_BANDS`` band, and the inverse-drift sums
-    ``q`` cut to the same states."""
+def _hitting_times(n: int, backend: str, band) -> np.ndarray:
+    """g over the states of a ``_BANDS`` band, as a float64 array or an
+    object array of Fractions."""
     if backend == RATIONAL:
-        g = _exact_hitting_times(n, band)
-    else:
-        g = _band_hitting_times(band).tolist()
-    return HittingProfile(n=n, backend=backend, g=tuple(g), q=tuple(q[: len(band)].tolist()))
+        return np.array(_exact_hitting_times(n, band), dtype=object)
+    return _band_hitting_times(band)
+
+
+def _profile(n: int, backend: str, g: np.ndarray, q: np.ndarray) -> HittingProfile:
+    """The public profile of the hitting times ``g`` and the inverse-drift
+    sums ``q``, cut to the states of ``g``."""
+    return HittingProfile(n=n, backend=backend, g=tuple(g.tolist()), q=tuple(q[: len(g)].tolist()))
 
 
 def _check_same_chain(kernel: TransitionKernel, drift_table: DriftTable) -> None:
@@ -196,7 +201,8 @@ def hitting_profile(kernel: TransitionKernel, drift_table: DriftTable) -> Hittin
     """
     _check_same_chain(kernel, drift_table)
     q = _inverse_drift_prefix(drift_table.delta[: kernel.max_state + 1])
-    return _profile(kernel.n, kernel.backend, kernel._chain, q)
+    g = _hitting_times(kernel.n, kernel.backend, kernel._chain)
+    return _profile(kernel.n, kernel.backend, g, q)
 
 
 def runtime_profile(
@@ -220,7 +226,11 @@ def runtime_profile(
         up_to = n
     _check_state(n, up_to, n)
     band = _BANDS[backend](n, range(up_to + 1))
-    return _profile(n, backend, band, _inverse_drift_prefix(_band_drift(n, backend, band)))
+    q = _inverse_drift_prefix(_band_drift(n, backend, band))
+    g = _hitting_times(n, backend, band)
+    # The band is the largest array: it goes before the tuples are built.
+    del band
+    return _profile(n, backend, g, q)
 
 
 def inverse_drift_sum(drift_table: DriftTable, k0: int) -> Scalar:

@@ -420,9 +420,9 @@ def test_delta_star_envelopes_equal_scalar_pow_base(n, monkeypatch):
 @pytest.mark.parametrize("n", [2, 50, 600])
 def test_tail_ratios_do_not_depend_on_the_block_size(n, monkeypatch):
     expected = float_tail_ratios(n).tolist()
-    monkeypatch.setattr(bounds_mod, "_BLOCK", 7)
+    monkeypatch.setattr(bounds_mod, "_TAIL_BLOCK", 7)
     assert float_tail_ratios(n).tolist() == expected
-    monkeypatch.setattr(bounds_mod, "_BLOCK", n + 1)
+    monkeypatch.setattr(bounds_mod, "_TAIL_BLOCK", n + 1)
     assert float_tail_ratios(n).tolist() == expected
 
 
@@ -489,13 +489,16 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_float_suite_memory_grows_by_under_1000_bytes_per_state():
-    """The suite holds O(n) values and arrays of a block's size: from
-    n = 10^4 to 2 10^4 its traced peak grows by under 1000 bytes a state.
-    An array of every tail ratio alone would add 8 W = 1416 bytes a state."""
+def test_float_suite_memory_grows_by_under_400_bytes_per_state():
+    """The suite holds O(n) values and arrays of a block's size, and drops
+    the band (168 bytes a state) before the checks build their arrays, each
+    dropped after its verdict: from n = 10^4 to 2 10^4 its traced peak grows
+    by under 400 bytes a state. Holding every check array to the end grew
+    it by about 600; an array of every tail ratio alone would add
+    8 W = 1416."""
     small, large = 10_000, 20_000
     growth = traced_peak(verify_inequalities, large) - traced_peak(verify_inequalities, small)
-    assert growth < 1000 * (large - small)
+    assert growth < 400 * (large - small)
 
 
 def test_float_suite_at_ten_thousand_stays_small():

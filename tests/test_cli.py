@@ -330,8 +330,8 @@ def test_rational_capacity_is_usage_error(capsys):
         ("sim", "--n", "1000000000", "--reps", "10", "--seed", "0"),
         ("sim", "--n", "1000000000", "--reps", "10", "--seed", "0", "--engine", "bitstring"),
         ("sim", "--n", "10", "--reps", str(10**15), "--seed", "0"),
-        ("bounds", "3000000"),
-        ("bounds", "10000000"),
+        ("bounds", "9000000"),
+        ("bounds", "20000000"),
     ],
 )
 def test_huge_requests_exit_2_before_allocating(capsys, argv):

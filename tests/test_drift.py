@@ -158,7 +158,7 @@ def test_normalized_drift_is_bit_identical_for_any_state_set(n, block, monkeypat
     """Blocks closed under k -> n + 1 - k share their cumulative products,
     other blocks form their mirrors' rows, and blocks below the cut form
     fewer columns; none of it moves a value."""
-    monkeypatch.setattr(drift_module, "_BLOCK", block)
+    monkeypatch.setattr(drift_module, "_DSTAR_BLOCK", block)
     full = [0.0] + [full_normalized_drift(n, k) for k in range(1, n + 2)]
     for states in (
         range(n + 2),
@@ -169,7 +169,8 @@ def test_normalized_drift_is_bit_identical_for_any_state_set(n, block, monkeypat
         [n + 1, 1, 2, n],
         [2],
     ):
-        assert drift_module._normalized_drift_float(n, states) == [full[k] for k in states]
+        got = drift_module._normalized_drift_float(n, states)
+        assert got.tolist() == [full[k] for k in states]
 
 
 def test_kernel_rows_sum_to_one():
