@@ -3,17 +3,19 @@
 Three engines produce the same law by different routes:
 
 * ``bitstring`` keeps real bit vectors and flips each bit with probability
-  1/n: the algorithm itself. A round draws the flipped bits of all m running
-  strings as partial sums of Geometric(1/n) gaps (``_flip_sites``), reads the
-  child's zero count from the parent's bits there and flips exactly them in
-  an accepted child, so a step costs O(1) work, about one flip, instead of
-  O(n). While more than ``_ROUND_ROWS`` / 2 strings run, a round is one step
-  of each. Past that, a round draws r = ``_ROUND_ROWS`` // m mutations of
-  each string at once, all read against the parent's bits, and the string's
-  round ends at its first mutation that changes its bits (at least one flip,
-  and accepted); the later draws are discarded. That is exact: the mutations
-  are i.i.d. and the first change is a stopping time, so the rejected and
-  empty ones before it are the steps in which the parent stays put;
+  1/n: the algorithm itself. Beside the bits, each string keeps a zero
+  index: a permutation of its positions whose first zc entries are its zero
+  positions. A step that flips none of the zc zero bits is empty or flips
+  only one-bits, so it is rejected and changes nothing; a round therefore
+  runs each string to its next step that flips a zero bit. It draws the
+  steps skipped plus that one as a Geometric(1 - (1 - 1/n)^zc) wait, the
+  first flipped zero rank F given that one is flipped, and the flips past F
+  with ``_flip_sites``, which lays the ranks of all m running strings end to
+  end and draws the flipped ones as partial sums of Geometric(1/n) gaps. The
+  index turns ranks into positions; the child's zero count is read from the
+  parent's bits there, an accepted child flips exactly them, and a few swaps
+  keep the index. A round costs O(1) work a string, about one flip, instead
+  of O(n), and every round is a step that can change the string;
 * ``statechain`` samples only the two flip counts (zeros flipped, ones
   flipped) per step, which is the marginal the analysis works with, one
   round per mutation step. It draws the flips with the same sampler, on a
@@ -161,10 +163,11 @@ def _flip_sites(
     n: int, rows: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Standard bit mutation of the strings ``rows`` (nondecreasing) of a
-    flat array of length-n bit strings.
+    flat array of length-n strings: bits, or the ranks of a zero index.
 
     Returns ``(c, lane, sites)``: entry ``rows[i]`` flips c[i] ~ Bin(n, 1/n)
-    bits, and flip j is at ``sites[j] = rows[lane[j]] * n + position``.
+    of its n entries, and flip j is at ``sites[j] = rows[lane[j]] * n +
+    position``.
     ``lane`` is nondecreasing and the sites of one entry strictly ascend, so
     with distinct rows all sites strictly ascend. A row listed r times gets
     r independent mutations. Laid end to end, the m n bits flip as a
@@ -193,9 +196,10 @@ def _flip_sites(
 def step_bitstring(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One mutation-selection step on a bit vector of n >= 2 bits (True = one).
 
-    Flips every bit independently with probability 1/n (the same sampler as
-    the ``bitstring`` engine) and returns the offspring iff its one-count is
-    at least the parent's, else the parent.
+    Flips every bit independently with probability 1/n, the n bits drawn at
+    once by ``_flip_sites`` (which the ``bitstring`` engine uses for the
+    flips after the first flipped zero bit), and returns the offspring iff
+    its one-count is at least the parent's, else the parent.
     """
     if np.ndim(bits) != 1:
         raise DomainError(f"bits must be a 1-D vector, got shape {np.shape(bits)}")
@@ -218,8 +222,9 @@ def _start_states(n: int, start: int | str, m: int, rng: np.random.Generator) ->
     return np.full(m, start, dtype=np.int64)
 
 
-# Uniform start bits drawn per block of rows: bounds the float temporary of
-# the draw at 8 MB (one row when n > 2^20) whatever the chunk size.
+# Uniform start bits drawn, and their zero index sorted, per block of rows:
+# bounds the float temporary of the draw and the int64 one of the argsort at
+# 8 MB each (one row when n > 2^20) whatever the chunk size.
 _START_BLOCK = 1 << 20
 
 
@@ -336,43 +341,111 @@ def _jump_lanes(rate: np.ndarray, cdf: np.ndarray, n: int, start: int | str, m: 
     return step, _start_states(n, start, m, rng)
 
 
-# Mutations drawn per bitstring round: a round of m running strings draws
-# max(1, _ROUND_ROWS // m) steps of each. It is about a round's fixed cost
-# over its cost per mutation, so a few strings left look ahead instead of
-# paying that fixed cost once per step.
-_ROUND_ROWS = 2048
+def _index_dtype(n: int) -> np.dtype:
+    """The smallest unsigned dtype that holds n - 1, the zero index's."""
+    return np.min_scalar_type(n - 1)
+
+
+def _zero_index(cur: np.ndarray) -> np.ndarray:
+    """The zero index of the strings ``cur`` (rows of a bool array, True =
+    one): row i lists the zero positions of string i in order, then its one
+    positions, as ``_index_dtype(n)``.
+
+    It is a stable argsort of each row, taken block by block of rows so that
+    argsort's int64 result stays within ``_START_BLOCK`` entries (one row
+    when n > ``_START_BLOCK``); every row is sorted alone, so the index
+    equals that of one argsort of all rows.
+    """
+    m, n = cur.shape
+    index = np.empty((m, n), dtype=_index_dtype(n))
+    rows = max(1, _START_BLOCK // n)
+    for lo in range(0, m, rows):
+        index[lo : lo + rows] = np.argsort(cur[lo : lo + rows], axis=1, kind="stable")
+    return index
+
+
+def _swap(a: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """Swap a[x] with a[y], pair by pair; no entry is in two pairs."""
+    a[x], a[y] = a[y], a[x]
+
+
+def _bitstring_round(
+    bits: np.ndarray,
+    index: np.ndarray,
+    n: int,
+    idx: np.ndarray,
+    zc: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run strings ``idx`` (ascending, zero counts ``zc`` >= 1) up to and
+    including their next step that flips a zero bit.
+
+    ``bits`` holds the strings end to end (True = one). ``index`` is the
+    zero index, also end to end: the n entries of string i are a permutation
+    of 0..n-1 whose first zc entries are its zero positions. A step flips
+    rank r of string i, read as position ``index[i * n + r]``, with
+    probability 1/n, independently.
+
+    Returns (steps taken, new zero counts) and updates both arrays in place.
+    A step that flips no zero bit is empty or flips only one-bits, so it is
+    rejected: the steps up to the first that flips a zero bit number
+    W ~ Geometric(1 - (1 - 1/n)^zc), drawn as floor(E / (lam zc)) + 1 with
+    lam = -log1p(-1/n) and E standard exponential. In that step the first
+    flipped rank is the first success of Bernoulli(1/n) trials over the zero
+    ranks given one below zc, F = floor(-log1p(-U p) / lam) for
+    p = -expm1(-lam zc) and U uniform; every rank past F flips with
+    probability 1/n, drawn by ``_flip_sites`` over all n ranks and kept
+    above F. The child's zero count is read from the bits it flips.
+    """
+    lam = -math.log1p(-1.0 / n)
+    wait = (rng.standard_exponential(zc.size) / (lam * zc)).astype(np.int64) + 1
+    u = rng.random(zc.size) * -np.expm1(-lam * zc)
+    first = np.minimum((-np.log1p(-u) / lam).astype(np.int64), zc - 1)
+    _, lane, sites = _flip_sites(n, idx, rng)
+    base = idx * n
+    rank = sites - base[lane]
+    later = rank > first[lane]
+    lane, rank = lane[later], rank[later]
+    flips = base[lane] + index[sites[later]]
+    one = bits[flips]
+    b = np.bincount(lane[one], minlength=zc.size)
+    a = np.bincount(lane[~one], minlength=zc.size) + 1
+    ok = b <= a
+    # Only accepted children change anything from here on.
+    moved = ok[lane]
+    lane, rank, flips, one = lane[moved], rank[moved], flips[moved], one[moved]
+    bits[(base + index[base + first])[ok]] ^= True
+    bits[flips] ^= True
+    # The flipped zero ranks of each string in ascending order, F first:
+    # string i's run of them starts at zstart[i].
+    zl, zr = lane[~one], rank[~one]
+    later_zeros = np.where(ok, a - 1, 0)
+    zstart = np.arange(zc.size) + np.cumsum(later_zeros) - later_zeros
+    zero_ranks = np.empty(zc.size + zr.size, dtype=np.int64)
+    zero_ranks[zstart] = first
+    zero_ranks[np.arange(zr.size) + zl + 1] = zr
+    # Flipped one rank j of a string trades places with its flipped zero rank j ...
+    ol = lane[one]
+    j = np.arange(ol.size) - np.searchsorted(ol, ol)
+    _swap(index, base[ol] + rank[one], base[ol] + zero_ranks[zstart[ol] + j])
+    # ... and its other flipped zero ranks, largest first, leave the zero
+    # region by a swap with its last entry.
+    removed = np.where(ok, a - b, 0)
+    for s in range(1, int(removed.max()) + 1):
+        ls = np.flatnonzero(removed >= s)
+        _swap(index, base[ls] + zero_ranks[zstart[ls] + a[ls] - s], base[ls] + zc[ls] - s)
+    return wait, np.where(ok, zc - a + b, zc)
 
 
 def _bitstring_lanes(n: int, start: int | str, m: int, rng: np.random.Generator):
     if start == UNIFORM_START:
         cur = _uniform_bits(m, n, rng)
+        index = _zero_index(cur).reshape(-1)
     else:
         cur = np.ones((m, n), dtype=bool)
         cur[:, : int(start)] = False
-    bits = cur.reshape(-1)
-
-    def step(idx, zc):
-        r = _ROUND_ROWS // idx.size
-        if r <= 1:
-            c, lane, sites = _flip_sites(n, idx, rng)
-            # Each flipped one-bit adds a zero, each flipped zero-bit removes one.
-            ones = np.bincount(lane[bits[sites]], minlength=idx.size)
-            czc = zc + 2 * ones - c
-            bits[sites[(czc <= zc)[lane]]] ^= True
-            return 1, np.minimum(czc, zc)
-        # r mutations of each parent; a lane takes the first that changes its bits.
-        c, lane, sites = _flip_sites(n, np.repeat(idx, r), rng)
-        ones = np.bincount(lane[bits[sites]], minlength=c.size)
-        czc = np.repeat(zc, r) + 2 * ones - c
-        moves = ((c > 0) & (czc <= np.repeat(zc, r))).reshape(-1, r)
-        first = moves.argmax(axis=1)
-        row = np.arange(idx.size) * r + first
-        moved = moves.reshape(-1)[row]
-        accepted = np.zeros(c.size, dtype=bool)
-        accepted[row[moved]] = True
-        bits[sites[accepted[lane]]] ^= True
-        return np.where(moved, first + 1, r), np.where(moved, czc[row], zc)
-
+        index = np.tile(np.arange(n, dtype=_index_dtype(n)), m)
+    step = partial(_bitstring_round, cur.reshape(-1), index, n, rng=rng)
     return step, n - cur.sum(axis=1, dtype=np.int64)
 
 
@@ -391,7 +464,8 @@ def run(config: SimConfig, threads: int | None = 1) -> tuple[RunStats, np.ndarra
         kmax = n if config.start == UNIFORM_START else config.start
         lanes = partial(_jump_lanes, *_jump_tables(n, kmax))
     elif config.engine == ENGINE_BITSTRING:
-        check_memory(min(reps, CHUNK_SIZE) * n, "one chunk of bit strings")
+        nbytes = min(reps, CHUNK_SIZE) * n * (1 + _index_dtype(n).itemsize)
+        check_memory(nbytes, "one chunk of bit strings and their zero index")
         lanes = _bitstring_lanes
     else:
         lanes = _statechain_lanes

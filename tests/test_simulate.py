@@ -32,13 +32,15 @@ from onemax_runtime.backends import (
     worker_count,
 )
 from onemax_runtime.simulate import (
-    _ROUND_ROWS,
     _START_BLOCK,
     ENGINES,
+    _bitstring_lanes,
+    _bitstring_round,
     _draw_jumps,
     _flip_sites,
     _jump_tables,
     _uniform_bits,
+    _zero_index,
 )
 
 
@@ -322,11 +324,11 @@ def test_jump_hitting_time_law_matches_kernel():
     assert _hitting_law_pvalue(samples, n, k) > 1e-4
 
 
-def test_bitstring_hitting_time_law_matches_kernel():
+@pytest.mark.parametrize("n, k, seed", [(6, 5, 36), (9, 7, 39), (12, 6, 40)])
+def test_bitstring_hitting_time_law_matches_kernel(n, k, seed):
     """The real algorithm's T has the chain's law: a sampler that drew flip
     positions with replacement would move too little and fail here."""
-    n, k, reps = 6, 5, 200000
-    cfg = SimConfig(n=n, start=k, replicates=reps, seed=36, engine=ENGINE_BITSTRING)
+    cfg = SimConfig(n=n, start=k, replicates=200000, seed=seed, engine=ENGINE_BITSTRING)
     _, samples = run(cfg)
     assert _hitting_law_pvalue(samples, n, k) > 1e-4
 
@@ -340,18 +342,63 @@ def test_statechain_hitting_time_law_matches_kernel():
     assert _hitting_law_pvalue(samples, n, k) > 1e-4
 
 
-def test_bitstring_look_ahead_rounds_keep_the_hitting_time_law():
-    """Chunks of 256-455 strings draw r >= 4 mutations of each string a
-    round from the first round on; a round that applied every accepted
-    mutation of a string, not only its first change, would fail here."""
-    n, k = 6, 5
-    assert _ROUND_ROWS // 455 >= 4
-    runs = [
-        SimConfig(n=n, start=k, replicates=256 + seed, seed=seed, engine=ENGINE_BITSTRING)
-        for seed in range(200)
-    ]
-    samples = np.concatenate([run(cfg)[1] for cfg in runs])
-    assert _hitting_law_pvalue(samples, n, k) > 1e-4
+@pytest.mark.parametrize("n", [2, 4, 13, 40])
+def test_zero_index_holds_each_strings_zeros_after_every_round(n):
+    """Read through its index, every running string is its zc zeros and then
+    its ones, and every row of the index stays a permutation of 0..n-1."""
+    m = 500
+    rng = np.random.default_rng(n)
+    cur = _uniform_bits(m, n, rng)
+    index = _zero_index(cur)
+    bits, flat = cur.reshape(-1), index.reshape(-1)
+    zc = n - cur.sum(axis=1, dtype=np.int64)
+    idx = np.flatnonzero(zc)
+    zc = zc[idx]
+    while idx.size:
+        _, zc = _bitstring_round(bits, flat, n, idx, zc, rng)
+        in_order = np.take_along_axis(cur[idx], index[idx].astype(np.intp), axis=1)
+        assert (in_order == (np.arange(n) >= zc[:, None])).all()
+        assert (np.sort(index, axis=1) == np.arange(n)).all()
+        idx, zc = idx[zc > 0], zc[zc > 0]
+
+
+def _chisquare_pvalue(observed: np.ndarray, expected: np.ndarray) -> float:
+    """Chi-square p-value, the cells expected below 10 merged into one."""
+    keep = expected >= 10
+    merged_obs, merged_exp = observed[keep], expected[keep]
+    if not keep.all():
+        merged_obs = np.append(merged_obs, observed[~keep].sum())
+        merged_exp = np.append(merged_exp, expected[~keep].sum())
+    return scipy.stats.chisquare(merged_obs, merged_exp).pvalue
+
+
+@pytest.mark.parametrize("k", [3, 8])
+def test_one_bitstring_round_has_the_law_of_the_steps_to_a_zero_flip(k):
+    """A round waits Geometric(p_touch) steps, p_touch = 1 - (1 - 1/n)^k the
+    chance that a step flips a zero bit, and then moves from k to j < k with
+    probability p(k, j) / p_touch."""
+    n, m = 8, 100000
+    step, zc = _bitstring_lanes(n, k, m, np.random.default_rng(k))
+    wait, zc = step(np.arange(m), zc)
+    p_touch = 1.0 - (1.0 - 1.0 / n) ** k
+    waits = np.bincount(wait)[1:]
+    w = np.arange(1, waits.size + 1)
+    expected = scipy.stats.geom.pmf(w, p_touch) * m
+    expected[-1] += scipy.stats.geom.sf(w[-1], p_touch) * m
+    assert _chisquare_pvalue(waits, expected) > 1e-4
+    row = np.asarray(build_kernel(n).rows[k])
+    law = row / p_touch
+    law[k] = 1.0 - row[:k].sum() / p_touch
+    assert _chisquare_pvalue(np.bincount(zc, minlength=k + 1), law * m) > 1e-4
+
+
+def test_uniform_start_index_is_built_in_blocks_of_the_one_shot_argsort():
+    n = 2**16
+    m = 2 * (_START_BLOCK // n) + 3  # two full blocks and a partial one
+    cur = np.random.default_rng(10).random((m, n)) < 0.5
+    index = _zero_index(cur)
+    assert index.dtype == np.uint16
+    assert (index == np.argsort(cur, axis=1, kind="stable")).all()
 
 
 def test_jump_lookup_is_exact():
@@ -427,6 +474,23 @@ def test_jump_tables_count_the_band_and_the_cdf(monkeypatch):
         _jump_tables(10**5, 10**5)
 
 
+def test_bitstring_chunk_counts_the_bits_and_the_zero_index(monkeypatch):
+    """A limit that admits a chunk's bits alone but not the bits with their
+    uint16 zero index refuses the run before either is allocated."""
+    n, reps = 1000, 8192
+    backends = importlib.import_module("onemax_runtime.backends")
+    monkeypatch.setattr(backends, "MEMORY_LIMIT", 2 * reps * n)
+    cfg = SimConfig(n=n, start="uniform", replicates=reps, seed=0, engine=ENGINE_BITSTRING)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="zero index"):
+            run(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 def test_every_engine_is_thread_invariant(engine):
     cfg = SimConfig(n=15, start=7, replicates=3 * 8192 + 17, seed=99, engine=engine)
@@ -473,8 +537,8 @@ def test_run_ending_at_the_budget_is_not_truncated(engine):
 )
 def test_a_budget_only_cuts_runs_of_many_rounds(engine, n, start, budget):
     """Lanes take different numbers of steps a round (jump waits, bitstring
-    look-ahead), so a lane the budget stops must not change what the others
-    draw."""
+    waits for a step that flips a zero bit), so a lane the budget stops must
+    not change what the others draw."""
     for seed in (1, 2, 3):
         cfg = SimConfig(n=n, start=start, replicates=600, seed=seed, engine=engine)
         _, free = run(cfg)
