@@ -36,12 +36,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .backends import DomainError, NumericError, check_n, resolve_threads
+from .backends import DomainError, NumericError, check_n
 from .drift import _check_state, _normalized_drift_float
-from .hitting import runtime_profile
+from .hitting import EULER_GAMMA, runtime_profile
 
 __all__ = [
-    "EULER_GAMMA",
     "C2_ET",
     "ExpansionEval",
     "RuntimeEstimate",
@@ -60,8 +59,6 @@ __all__ = [
     "figure1_rows",
     "figure2_rows",
 ]
-
-EULER_GAMMA = 0.57721566490153286061
 
 C2_ET = 0.59789875
 
@@ -349,32 +346,33 @@ def runtime_estimate(n: int) -> RuntimeEstimate:
     )
 
 
-def _check_grid(n_lo: int, n_hi: int, threads: int | None) -> None:
-    """Validate a grid's size range and thread count.
-
-    The grids are bound by the interpreter lock, so they run serially; the
-    thread count is still validated, as the command line promises.
-    """
+def _check_grid(n_lo: int, n_hi: int) -> None:
+    """Validate a grid's size range."""
     check_n(n_lo)
     check_n(n_hi)
     if n_hi < n_lo:
         raise DomainError(f"empty size range {n_lo}:{n_hi}")
-    resolve_threads(threads)
 
 
-def figure1_rows(n_lo: int, n_hi: int, threads: int | None = 1) -> list[tuple]:
+def _expansion_grid(n: int, k_hi: int):
+    """Yield (k, exact delta*(k), ``evaluate_expansion(n, k)``) for
+    k = 1..k_hi, the exact column from one ``_normalized_drift_float`` call."""
+    column = _normalized_drift_float(n, range(1, k_hi + 1)).tolist()
+    for k, exact in enumerate(column, start=1):
+        yield k, exact, evaluate_expansion(n, k)
+
+
+def figure1_rows(n_lo: int, n_hi: int) -> list[tuple]:
     """Expansion quality grid: one row per (n, k), k = 1..n.
 
     Columns: n, k, alpha, exact normalized drift, the three direct
     approximations with their absolute errors, then the three inverse
     approximation errors |1/delta* - inverse approx|.
     """
-    _check_grid(n_lo, n_hi, threads)
+    _check_grid(n_lo, n_hi)
     rows = []
     for n in range(n_lo, n_hi + 1):
-        column = _normalized_drift_float(n, range(1, n + 1)).tolist()
-        for k, exact in enumerate(column, start=1):
-            ev = evaluate_expansion(n, k)
+        for k, exact, ev in _expansion_grid(n, n):
             inv = _inverse_orders(n, ev.s1, ev.t1, ev.t2)
             rows.append(
                 (
@@ -396,14 +394,14 @@ def figure1_rows(n_lo: int, n_hi: int, threads: int | None = 1) -> list[tuple]:
     return rows
 
 
-def figure2_rows(n_lo: int, n_hi: int, threads: int | None = 1) -> list[tuple]:
+def figure2_rows(n_lo: int, n_hi: int) -> list[tuple]:
     """Half-start overestimate grid: one row per n.
 
     Columns: n, q(n/2), g(n/2), their difference, and the difference minus
     (e/2) log n. The last column is flat in n, which is the visible form of
     the corridor.
     """
-    _check_grid(n_lo, n_hi, threads)
+    _check_grid(n_lo, n_hi)
     rows = []
     for n in range(n_lo, n_hi + 1):
         k0 = n // 2

@@ -26,7 +26,8 @@ delta*(n + 1)). Genuine violations report as failures, not raises.
 ``_decide`` is the one place a verdict is reached: ``verify_inequalities``
 states each check as one call with its id, range, direction, bound, values
 and identity states, if it has any, and keeps the ``CheckRecord`` that
-comes back.
+comes back. A check over a range of states hands it one value per state in
+both backends.
 
 The float suite works on whole arrays, a block of states at a time, with no
 per-state Python loop of its own. What it reads from ``drift`` and
@@ -221,14 +222,14 @@ def _etas(n: int, backend: str, band, delta, q, states) -> np.ndarray:
 
 
 def _tail_ratios(n: int, backend: str, band) -> list | np.ndarray:
-    """The ``tail-factorial`` values, from the ratios
-    P[the step from k drops at least l] l! (n/k)^l.
+    """The ``tail-factorial`` values, one per state k = 1..n: the largest
+    ratio P[the step from k drops at least l] l! (n/k)^l over l.
 
-    Exact: every ratio, for every state k >= 1 and every l <= k, by state
-    and then by l; a ratio is T l! n^l / (n^n k^l) with the integer tail
-    numerator T, n^n minus the band row's numerators below l. Float: one
-    value per state k >= 1, the largest ratio over l <= min(k, W) of
-    ``_float_tail_ratios``, so only one block of ratios is held at a time.
+    Exact: over every l <= k. A ratio is T_l l! n^l k^(k-l) / (n^n k^k) with
+    the integer tail numerator T_l, n^n minus the band row's numerators below
+    l, so the largest numerator is found on integers and each state builds
+    one Fraction. Float: over l <= min(k, W), from ``_float_tail_ratios``, so
+    only one block of ratios is held at a time.
     """
     if backend != RATIONAL:
         largest = np.empty(n)
@@ -241,12 +242,16 @@ def _tail_ratios(n: int, backend: str, band) -> list | np.ndarray:
     for k in range(1, n + 1):
         row = band[k]
         tail = scale
-        num = den = 1
+        num = 1
+        k_pow = k**k
+        den = scale * k_pow
+        best = 0
         for l in range(1, k + 1):
             tail -= row[l - 1]
             num *= l * n
-            den *= k
-            out.append(Fraction(tail * num, scale * den))
+            k_pow //= k
+            best = max(best, tail * num * k_pow)
+        out.append(Fraction(best, den))
     return out
 
 
@@ -300,12 +305,11 @@ def _decide(
     an empty list marks the check not applicable. Most checks hand over one
     value per state, values[i] belonging to state k_lo + i, and only those
     pass ``equal_at``, the states where the check holds with equality by an
-    identity: they pass without arithmetic. The others hand over values of
-    another shape: the rational ``tail-factorial`` every (k, l) ratio, the
-    theorem checks one value for the whole range 1..n/2. Every value that is
-    not at an identity state passes only when it is on the bound's side,
-    with no tolerance. ``observed`` is the extremum over every value, the
-    identity states included, so it shows the rounding there.
+    identity: they pass without arithmetic. The theorem checks hand over one
+    value for the whole range 1..n/2. Every value that is not at an identity
+    state passes only when it is on the bound's side, with no tolerance.
+    ``observed`` is the extremum over every value, the identity states
+    included, so it shows the rounding there.
     """
     observed = passed = None
     if values is not None and len(values) > 0:
@@ -482,7 +486,7 @@ def verify_inequalities(
     record("delta-star-sandwich-upper", 1, n + 1, "le", zero, dstar[1:] - hi_env, [n + 1])
     del dstar, grows, lo_env, hi_env
 
-    # Float: one value per k, the largest ratio over l; exact: every ratio.
+    # One value per k, the largest ratio over l.
     record("tail-factorial", 1, n, "le", one, tails)
     del tails
 

@@ -32,14 +32,14 @@ from fractions import Fraction
 
 from .asymptotics import (
     _check_eps,
-    expansion_delta_star,
+    _expansion_grid,
     figure1_rows,
     figure2_rows,
     runtime_estimate,
 )
-from .backends import BACKENDS, FLOAT, DomainError, NumericError
+from .backends import BACKENDS, FLOAT, DomainError, NumericError, resolve_threads
 from .bounds import CheckRecord, verify_inequalities
-from .drift import _normalized_drift_float, build_drift_table
+from .drift import build_drift_table
 from .hitting import CORRIDOR_C1, CORRIDOR_C2, runtime_profile
 from .simulate import ENGINE_JUMP, ENGINES, UNIFORM_START, SimConfig, run
 
@@ -88,6 +88,15 @@ def _json_value(value, precision: int):
     return value
 
 
+def _csv_text(columns, rows, precision: int) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_fmt_cell(v, precision) for v in row])
+    return buf.getvalue()
+
+
 @_unlimited_int_digits()
 def _emit_table(columns, rows, args) -> None:
     if args.format == "json":
@@ -97,12 +106,7 @@ def _emit_table(columns, rows, args) -> None:
         ]
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt_cell(v, args.precision) for v in row])
-        text = buf.getvalue()
+        text = _csv_text(columns, rows, args.precision)
     _write_out(text, args.out)
 
 
@@ -202,14 +206,13 @@ def _cmd_asym(args) -> None:
         k_hi = math.floor((1 - eps) * n)
         if k_hi < 1:
             raise DomainError(f"eps = {eps} leaves no valid state for n = {n}")
-        column = _normalized_drift_float(n, range(1, k_hi + 1)).tolist()
-        for k, exact in enumerate(column, start=1):
-            approx = expansion_delta_star(n, k, order=args.order, eps=eps)
+        for k, exact, ev in _expansion_grid(n, k_hi):
+            approx = ev.approx[args.order]
             rows.append(
                 (
                     n,
                     k,
-                    k / n,
+                    ev.alpha,
                     exact,
                     approx,
                     abs(exact - approx),
@@ -248,8 +251,9 @@ def _parse_range(spec: str) -> tuple[int, int]:
 
 def _cmd_figures(args) -> None:
     lo, hi = _parse_range(args.n_range)
+    resolve_threads(args.threads)  # validated, as for ``sim``; the grids run serially
     if args.which == 1:
-        rows = figure1_rows(lo, hi, threads=args.threads)
+        rows = figure1_rows(lo, hi)
         columns = (
             "n",
             "k",
@@ -266,7 +270,7 @@ def _cmd_figures(args) -> None:
             "inv_err2",
         )
     else:
-        rows = figure2_rows(lo, hi, threads=args.threads)
+        rows = figure2_rows(lo, hi)
         columns = ("n", "q_exact", "g_exact", "diff", "diff_minus_half_e_log")
     _emit_table(columns, rows, args)
 
@@ -293,13 +297,8 @@ def _cmd_sim(args) -> None:
     )
     stats, samples = run(config, threads=args.threads)
     if args.samples_out is not None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("replicate", "iterations"))
-        for i, t in enumerate(samples):
-            writer.writerow((i, int(t)))
-        with open(args.samples_out, "w") as fh:
-            fh.write(buf.getvalue())
+        text = _csv_text(("replicate", "iterations"), enumerate(samples.tolist()), args.precision)
+        _write_out(text, args.samples_out)
     obj = {
         "n": config.n,
         "start": args.start,

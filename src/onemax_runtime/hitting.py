@@ -59,6 +59,7 @@ from .drift import (
 )
 
 __all__ = [
+    "EULER_GAMMA",
     "CORRIDOR_C1",
     "CORRIDOR_C2",
     "HittingProfile",
@@ -68,6 +69,8 @@ __all__ = [
     "closed_form_g",
     "harmonic",
 ]
+
+EULER_GAMMA = 0.57721566490153286061
 
 CORRIDOR_C1 = 4.0 * math.exp(3.5)
 CORRIDOR_C2 = math.exp(-2.0) / (12.0 * (1.0 + math.exp(-2.0) / 4.0))
@@ -93,8 +96,6 @@ def harmonic(m: int) -> float:
         raise DomainError(f"harmonic number needs an integer m >= 0, got {m!r}")
     if m <= 10**6:
         return math.fsum(1.0 / i for i in range(1, m + 1))
-    from .asymptotics import EULER_GAMMA
-
     return (
         math.log(m)
         + EULER_GAMMA

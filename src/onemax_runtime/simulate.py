@@ -228,21 +228,6 @@ def _start_states(n: int, start: int | str, m: int, rng: np.random.Generator) ->
 _START_BLOCK = 1 << 20
 
 
-def _uniform_bits(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """m unbiased bit strings of length n, as rows of a bool array.
-
-    The uniforms are drawn block by block of rows; the generator yields
-    the same numbers in the same order either way, so the bits equal those
-    of one ``rng.random((m, n)) < 0.5``.
-    """
-    bits = np.empty((m, n), dtype=bool)
-    rows = max(1, _START_BLOCK // n)
-    for lo in range(0, m, rows):
-        hi = min(m, lo + rows)
-        bits[lo:hi] = rng.random((hi - lo, n)) < 0.5
-    return bits
-
-
 def _run_lanes(step, k: np.ndarray, max_iters: int) -> tuple[np.ndarray, int]:
     """Hitting times of lanes started with zero counts ``k``.
 
@@ -346,22 +331,26 @@ def _index_dtype(n: int) -> np.dtype:
     return np.min_scalar_type(n - 1)
 
 
-def _zero_index(cur: np.ndarray) -> np.ndarray:
-    """The zero index of the strings ``cur`` (rows of a bool array, True =
-    one): row i lists the zero positions of string i in order, then its one
-    positions, as ``_index_dtype(n)``.
+def _uniform_start(m: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """m unbiased bit strings of length n, as rows of a bool array (True =
+    one), and their zero index: row i lists the zero positions of string i
+    in order, then its one positions, as ``_index_dtype(n)``.
 
-    It is a stable argsort of each row, taken block by block of rows so that
-    argsort's int64 result stays within ``_START_BLOCK`` entries (one row
-    when n > ``_START_BLOCK``); every row is sorted alone, so the index
-    equals that of one argsort of all rows.
+    Each block of rows, ``_START_BLOCK`` entries (one row when
+    n > ``_START_BLOCK``), is drawn and then stably argsorted row by row.
+    The generator yields the same numbers in the same order either way, and
+    every row is sorted alone, so the bits equal those of one
+    ``rng.random((m, n)) < 0.5`` and the index that of one argsort of all
+    rows.
     """
-    m, n = cur.shape
+    bits = np.empty((m, n), dtype=bool)
     index = np.empty((m, n), dtype=_index_dtype(n))
     rows = max(1, _START_BLOCK // n)
     for lo in range(0, m, rows):
-        index[lo : lo + rows] = np.argsort(cur[lo : lo + rows], axis=1, kind="stable")
-    return index
+        hi = min(m, lo + rows)
+        bits[lo:hi] = rng.random((hi - lo, n)) < 0.5
+        index[lo:hi] = np.argsort(bits[lo:hi], axis=1, kind="stable")
+    return bits, index
 
 
 def _swap(a: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
@@ -439,8 +428,8 @@ def _bitstring_round(
 
 def _bitstring_lanes(n: int, start: int | str, m: int, rng: np.random.Generator):
     if start == UNIFORM_START:
-        cur = _uniform_bits(m, n, rng)
-        index = _zero_index(cur).reshape(-1)
+        cur, index = _uniform_start(m, n, rng)
+        index = index.reshape(-1)
     else:
         cur = np.ones((m, n), dtype=bool)
         cur[:, : int(start)] = False

@@ -193,7 +193,7 @@ def test_criterion_09_monte_carlo_matches_exact():
 
 
 def test_criterion_10_correction_term_flatness():
-    rows = figure2_rows(50, 500, threads=None)
+    rows = figure2_rows(50, 500)
     series = [row[4] for row in rows]
     band = max(series) - min(series)
     end_drift = abs(series[-1] - series[0])

@@ -180,7 +180,6 @@ def test_figure1_grid():
         assert alpha == k / n
         assert row[7] == abs(exact - row[4])
         assert row[9] == abs(exact - row[6])
-    assert figure1_rows(2, 6, threads=3) == rows
 
 
 def test_figure2_grid():
@@ -189,7 +188,6 @@ def test_figure2_grid():
     for n, q, g, diff, flat in rows:
         assert diff == q - g > 0
         assert flat == diff - 0.5 * math.e * math.log(n)
-    assert figure2_rows(10, 14, threads=4) == rows
 
 
 def test_figure_range_validation():

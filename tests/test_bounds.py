@@ -214,7 +214,7 @@ def test_tail_factorial_covers_every_positive_tail():
 def test_tail_factorial_decides_on_the_largest_ratio_of_each_state(n, monkeypatch):
     """The float suite hands the verdict one value per state, the largest of
     its ratios, so the check's extremum is that of every ratio."""
-    values = float_check_values(n, monkeypatch)["tail-factorial"]
+    values = check_values(n, monkeypatch)["tail-factorial"]
     ratios = float_tail_ratios(n)
     assert values.max() == ratios.max()
     # State k has min(k, W) ratios, W the underflow width.
@@ -275,23 +275,17 @@ def test_eta_rejects_a_drift_table_of_the_other_backend():
 
 
 def test_rational_check_values_match_plain_fractions(monkeypatch):
-    """The exact tail ratios and theorem ratios, value for value, against
-    plain Fraction sums."""
+    """The exact tail values, each state's largest ratio, and the theorem
+    ratios, value for value, against plain Fraction sums."""
     n = 12
     half = n // 2
-    seen = {}
-    decide = bounds_mod._decide
-
-    def spy(check_id, k_lo, k_hi, direction, bound, values, *args, **kwargs):
-        seen[check_id] = values
-        return decide(check_id, k_lo, k_hi, direction, bound, values, *args, **kwargs)
-
-    monkeypatch.setattr(bounds_mod, "_decide", spy)
-    verify_inequalities(n, "rational")
+    seen = check_values(n, monkeypatch, "rational")
     tails = [
-        transition_tail(n, k, k - l, "rational") * math.factorial(l) * F(n, k) ** l
+        max(
+            transition_tail(n, k, k - l, "rational") * math.factorial(l) * F(n, k) ** l
+            for l in range(1, k + 1)
+        )
         for k in range(1, n + 1)
-        for l in range(1, k + 1)
     ]
     assert seen["tail-factorial"] == tails
     assert all(type(v) is F for v in seen["tail-factorial"])
@@ -315,8 +309,8 @@ def test_records_expose_auditable_slack():
     assert rec.k_lo == rec.k_hi == 16
 
 
-def float_check_values(n, monkeypatch):
-    """The raw values of every check of the float suite at n, by check id."""
+def check_values(n, monkeypatch, backend="float"):
+    """The raw values of every check of the suite at n, by check id."""
     seen = {}
     decide = bounds_mod._decide
 
@@ -325,8 +319,43 @@ def float_check_values(n, monkeypatch):
         return decide(check_id, k_lo, k_hi, direction, bound, values, *args, **kwargs)
 
     monkeypatch.setattr(bounds_mod, "_decide", spy)
-    verify_inequalities(n)
+    verify_inequalities(n, backend)
+    monkeypatch.setattr(bounds_mod, "_decide", decide)
     return seen
+
+
+def exact_tail_ratios(n):
+    """Every exact ratio P[the step from k drops at least l] l! (n/k)^l, by
+    state and then by l, from the rational kernel band."""
+    band = build_kernel(n, "rational").band
+    out = []
+    for k in range(1, n + 1):
+        tail = F(1)
+        for l in range(1, k + 1):
+            tail -= band[k, l - 1]
+            out.append(tail * math.factorial(l) * F(n, k) ** l)
+    return out
+
+
+def within_1e_14(got, exact):
+    return all(abs(F(v) - x) <= F(1, 10**14) * x for v, x in zip(got, exact))
+
+
+@pytest.mark.parametrize("n", [*range(2, 25), 33, 48, 64])
+def test_both_backends_hand_the_verdict_one_value_per_state(n, monkeypatch):
+    """Every check hands ``_decide`` as many values in the float suite as in
+    the rational one, and each float ``tail-factorial`` value, the largest
+    ratio of its state, is within 1e-14 relative of the exact one."""
+    exact = check_values(n, monkeypatch, "rational")
+    got = check_values(n, monkeypatch)
+    assert list(got) == list(exact)
+
+    def count(values):
+        return None if values is None else len(values)
+
+    assert {c: count(v) for c, v in got.items()} == {c: count(v) for c, v in exact.items()}
+    assert len(exact["tail-factorial"]) == n
+    assert within_1e_14(got["tail-factorial"].tolist(), exact["tail-factorial"])
 
 
 def float_tail_ratios(n):
@@ -359,7 +388,7 @@ def test_float_values_at_identity_states_stay_within_rounding(n, monkeypatch):
     must still lie within (n + 1) 2^-52 max(1, size) of the bound, where
     size is that of the terms compared: delta*(k) for the sandwich
     differences, 1 for the ratios and eta."""
-    seen = float_check_values(n, monkeypatch)
+    seen = check_values(n, monkeypatch)
     for check_id, k, bound, size in identity_points(n, build_drift_table(n).delta_star):
         value = float(seen[check_id][k - 1])
         assert abs(value - bound) <= (n + 1) * 2.0**-52 * max(1.0, size), (check_id, k)
@@ -387,7 +416,7 @@ def test_inv_drift_diff_upper_equals_the_per_k_loop(n, monkeypatch):
     delta = build_drift_table(n).delta
     inv = np.array([0.0] + [1 / d for d in delta[1:]])
     coef = 2.0 * math.e * math.e * n * n / (n - 1)
-    got = float_check_values(n, monkeypatch)["inv-drift-diff-upper"]
+    got = check_values(n, monkeypatch)["inv-drift-diff-upper"]
     assert got.tolist() == adjacent_ratios(inv, coef)
     assert got.max() == max(largest_pair_ratios(inv, coef))
 
@@ -408,7 +437,7 @@ def test_delta_star_envelopes_equal_scalar_pow_base(n, monkeypatch):
     dstar = build_drift_table(n).delta_star
     lo_env = [pow_base(1.0 + 1.0 / n, k - 1) * k / n for k in range(1, n + 2)]
     hi_env = [pow_base(1.0 + 1.0 / n, n) * k / n for k in range(1, n + 2)]
-    seen = float_check_values(n, monkeypatch)
+    seen = check_values(n, monkeypatch)
     assert seen["delta-star-sandwich-lower"].tolist() == [
         dstar[k] - lo_env[k - 1] for k in range(1, n + 2)
     ]
@@ -427,22 +456,13 @@ def test_tail_ratios_do_not_depend_on_the_block_size(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 16, 33, 64])
-def test_float_tail_ratios_are_within_1e_14_of_the_exact_ones(n, monkeypatch):
-    """Every (k, l) pair, in the order of the rational suite: at these n the
-    underflow width is n, so the float ratios cover every l <= k too."""
-    seen = {}
-    decide = bounds_mod._decide
-
-    def spy(check_id, k_lo, k_hi, direction, bound, values, *args, **kwargs):
-        seen[check_id] = values
-        return decide(check_id, k_lo, k_hi, direction, bound, values, *args, **kwargs)
-
-    monkeypatch.setattr(bounds_mod, "_decide", spy)
-    verify_inequalities(n, "rational")
-    exact = seen["tail-factorial"]
+def test_float_tail_ratios_are_within_1e_14_of_the_exact_ones(n):
+    """Every (k, l) pair, by state and then by l: at these n the underflow
+    width is n, so the float ratios cover every l <= k."""
+    exact = exact_tail_ratios(n)
     got = float_tail_ratios(n).tolist()
     assert len(got) == len(exact) == n * (n + 1) // 2
-    assert all(abs(F(v) - x) <= F(1, 10**14) * x for v, x in zip(got, exact))
+    assert within_1e_14(got, exact)
 
 
 def test_float_theorem_values_are_within_1e_13_of_the_exact_ones():

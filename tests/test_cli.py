@@ -8,12 +8,16 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from onemax_runtime import cli as cli_mod
+from onemax_runtime import expansion_delta_star, runtime_estimate
 from onemax_runtime.backends import NumericError
 from onemax_runtime.cli import main
+from onemax_runtime.drift import _normalized_drift_float
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -157,6 +161,26 @@ def test_asym_schema_and_gate(capsys):
     code, _, err = run_cli(capsys, "asym", "3", "--eps", "99/100")
     assert code == 2
     assert "no valid state" in err
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("eps", ["1/8", "1/3"])
+def test_asym_rows_match_the_per_state_expansion(order, eps, monkeypatch):
+    """Each row's approximation is ``expansion_delta_star`` at its state, and
+    its exact value is that state's entry of the drift module's column."""
+    seen = []
+    monkeypatch.setattr(cli_mod, "_emit_table", lambda columns, rows, args: seen.extend(rows))
+    assert main(["asym", "8", "16", "50", "--order", str(order), "--eps", eps]) == 0
+    expected = []
+    for n in (8, 16, 50):
+        est = runtime_estimate(n)
+        k_hi = math.floor((1 - F(eps)) * n)
+        column = _normalized_drift_float(n, range(1, k_hi + 1)).tolist()
+        for k, exact in enumerate(column, start=1):
+            approx = expansion_delta_star(n, k, order=order, eps=F(eps))
+            row = (n, k, k / n, exact, approx, abs(exact - approx), est.q_asym, est.et_asym)
+            expected.append(row)
+    assert seen == expected
 
 
 @pytest.mark.parametrize("eps", ["-20000", "2", "1", "0"])

@@ -18,7 +18,6 @@ from onemax_runtime import (
     SimConfig,
     build_kernel,
     default_max_iters,
-    figure2_rows,
     run,
     runtime_profile,
     step_bitstring,
@@ -39,8 +38,7 @@ from onemax_runtime.simulate import (
     _draw_jumps,
     _flip_sites,
     _jump_tables,
-    _uniform_bits,
-    _zero_index,
+    _uniform_start,
 )
 
 
@@ -200,11 +198,8 @@ def test_worker_count_is_bounded_by_tasks_and_cores(monkeypatch):
 @pytest.mark.parametrize("threads", ["3", 2.5, True, False])
 @pytest.mark.parametrize(
     "call",
-    [
-        lambda threads: run(SimConfig(n=8, start=4, replicates=4, seed=0), threads=threads),
-        lambda threads: figure2_rows(4, 5, threads=threads),
-    ],
-    ids=["run", "figure2_rows"],
+    [lambda threads: run(SimConfig(n=8, start=4, replicates=4, seed=0), threads=threads)],
+    ids=["run"],
 )
 def test_thread_count_must_be_an_integer(call, threads):
     with pytest.raises(DomainError, match="threads must be an integer"):
@@ -348,8 +343,7 @@ def test_zero_index_holds_each_strings_zeros_after_every_round(n):
     its ones, and every row of the index stays a permutation of 0..n-1."""
     m = 500
     rng = np.random.default_rng(n)
-    cur = _uniform_bits(m, n, rng)
-    index = _zero_index(cur)
+    cur, index = _uniform_start(m, n, rng)
     bits, flat = cur.reshape(-1), index.reshape(-1)
     zc = n - cur.sum(axis=1, dtype=np.int64)
     idx = np.flatnonzero(zc)
@@ -392,13 +386,14 @@ def test_one_bitstring_round_has_the_law_of_the_steps_to_a_zero_flip(k):
     assert _chisquare_pvalue(np.bincount(zc, minlength=k + 1), law * m) > 1e-4
 
 
-def test_uniform_start_index_is_built_in_blocks_of_the_one_shot_argsort():
+def test_uniform_start_is_drawn_and_sorted_in_blocks_of_the_one_shot_calls():
     n = 2**16
     m = 2 * (_START_BLOCK // n) + 3  # two full blocks and a partial one
-    cur = np.random.default_rng(10).random((m, n)) < 0.5
-    index = _zero_index(cur)
+    bits, index = _uniform_start(m, n, np.random.default_rng(10))
+    one_shot = np.random.default_rng(10).random((m, n)) < 0.5
+    assert (bits == one_shot).all()
     assert index.dtype == np.uint16
-    assert (index == np.argsort(cur, axis=1, kind="stable")).all()
+    assert (index == np.argsort(one_shot, axis=1, kind="stable")).all()
 
 
 def test_jump_lookup_is_exact():
@@ -418,14 +413,6 @@ def test_jump_lookup_is_exact():
     up = np.nextafter(row[below_one], 1.0)
     assert (_draw_jumps(cdf, ks[: below_one.size], up) == below_one + 2).all()
     assert (k + row[below_one] == k + up).all()
-
-
-def test_uniform_start_bits_are_drawn_in_blocks_of_the_one_shot_stream():
-    n = 2**18
-    m = 2 * (_START_BLOCK // n) + 3  # two full blocks and a partial one
-    blocked = _uniform_bits(m, n, np.random.Generator(np.random.Philox(9)))
-    one_shot = np.random.Generator(np.random.Philox(9)).random((m, n)) < 0.5
-    assert (blocked == one_shot).all()
 
 
 def test_memory_limit_admits_a_million(monkeypatch):
