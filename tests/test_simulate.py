@@ -386,7 +386,7 @@ def test_one_bitstring_round_has_the_law_of_the_steps_to_a_zero_flip(k):
     assert _chisquare_pvalue(np.bincount(zc, minlength=k + 1), law * m) > 1e-4
 
 
-def test_uniform_start_is_drawn_and_sorted_in_blocks_of_the_one_shot_calls():
+def test_uniform_start_index_is_built_in_blocks_of_the_one_shot_argsort():
     n = 2**16
     m = 2 * (_START_BLOCK // n) + 3  # two full blocks and a partial one
     bits, index = _uniform_start(m, n, np.random.default_rng(10))
@@ -394,6 +394,14 @@ def test_uniform_start_is_drawn_and_sorted_in_blocks_of_the_one_shot_calls():
     assert (bits == one_shot).all()
     assert index.dtype == np.uint16
     assert (index == np.argsort(one_shot, axis=1, kind="stable")).all()
+
+
+def test_uniform_start_bits_are_drawn_in_blocks_of_the_one_shot_stream():
+    n = 2**18
+    m = 2 * (_START_BLOCK // n) + 3  # two full blocks and a partial one
+    blocked, _ = _uniform_start(m, n, np.random.Generator(np.random.Philox(9)))
+    one_shot = np.random.Generator(np.random.Philox(9)).random((m, n)) < 0.5
+    assert (blocked == one_shot).all()
 
 
 def test_jump_lookup_is_exact():
