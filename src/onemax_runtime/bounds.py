@@ -36,12 +36,15 @@ and the improvement probability, the hitting recurrence (run only up to
 n/2, where g is checked), and the running sums q and H. The check columns
 are numpy arrays:
 
-* the ``tail-factorial`` ratios are built in scaled form, ``_TAIL_BLOCK``
-  states at a time, by a backward recurrence in l over scaled pmf terms
-  that stay normal numbers (``_float_tail_ratios``): no tail is formed as a
-  float, so none underflows, and no band of the underflow width is built;
-  each block is reduced to one value per state, its largest ratio, and
-  dropped;
+* ``tail-factorial`` bounds R_l = P[the step from k drops at least l] l! /
+  x^l, x = k/n, by 1 for l = 1..k, and R_(l+1) <= R_l for every l. With
+  A ~ Bin(k, 1/n) the flipped zero bits, B ~ Bin(n - k, 1/n) the flipped
+  one bits and the drop D = A - B: for a >= m >= 1,
+  P[A = a + 1] / P[A = a] = (k - a) / ((a + 1)(n - 1)) <= x / (m + 1), so
+  P[A >= m + 1] <= x / (m + 1) P[A >= m], and m = l + b given B = b gives
+  P[D >= l + 1] <= x / (l + 1) P[D >= l]. So the largest ratio of state k
+  is R_1 = n s_k / k, and the check reads the improvement probability s_k,
+  one value per state;
 * ``inv-drift-diff-upper`` bounds (inv(j) - inv(k)) / (coef (1/j - 1/k))
   by 1 for every pair j < k, with inv = 1/Delta. Both differences telescope
   over the adjacent pairs (i, i + 1), i = j..k-1, and every weight
@@ -54,10 +57,10 @@ are numpy arrays:
   summed along the rows.
 
 Both backends run one body. The backend is read only where the band, the
-drift columns, g, eta and the tail ratios are built (``_BANDS``,
-``_band_drift``, ``_normalized_drift_column``, ``_hitting_times``,
-``_etas``, ``_tail_ratios``); the scalar zero and one come from the drift
-column. The rest is the same code for floats and Fractions:
+drift columns, s_k, g and eta are built (``_BANDS``, ``_band_drift``,
+``_band_improvement``, ``_normalized_drift_column``, ``_hitting_times``,
+``_etas``); the scalar zero and one come from the drift column. The rest
+is the same code for floats and Fractions:
 
 * the (1 + 1/n)^(k-1) envelopes come from one ``_pow_bases`` call, exact
   powers for a Fraction base; its last entry, (1 + 1/n)^n, is the upper
@@ -65,13 +68,14 @@ column. The rest is the same code for floats and Fractions:
 * the theorem sums use the identity sum_{k<=h} 1/(eta delta(k)) = q(h)/eta.
 
 A float eta(k) is numpy's row sum, within 1e-15 relative of ``math.fsum``
-of its terms, and the float tail ratios are within 1e-14 relative of the
-exact ones at n <= 64.
+of its terms. The float ``tail-factorial`` values carry the rounding of
+s_k, whose band entries carry about n 2^-53 from the base 1 - 1/n: they
+are within 1e-14 relative of the exact ones at n <= 64 (4.0e-15 measured).
 
 So the float suite holds O(n) values and a few block-sized arrays. The
 band, its largest array at 168 bytes a state, is dropped once g, eta and
-the tail ratios have read it, before the checks build their arrays, and
-each check's arrays are dropped after its verdict. Its peak stays under
+s_k have read it, before the checks build their arrays, and each check's
+arrays are dropped after its verdict. Its peak stays under
 ``_SUITE_BYTES_PER_STATE`` bytes a state, and ``verify_inequalities``
 refuses an n whose suite would exceed ``MEMORY_LIMIT`` before it builds
 anything.
@@ -82,7 +86,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -102,13 +105,11 @@ from .drift import (
     _BLOCK,
     DriftTable,
     TransitionKernel,
-    _PAIR_TERMS,
-    _binom_pmfs,
     _band_drift,
+    _band_improvement,
     _check_state,
     _normalized_drift_column,
     _pow_bases,
-    _underflow_width,
 )
 from .hitting import (
     CORRIDOR_C1,
@@ -131,10 +132,6 @@ __all__ = [
 # its peak RSS above the interpreter's is 200-215 bytes a state from n = 10^5
 # to 10^6 (2-core x86_64 host), most of it the band.
 _SUITE_BYTES_PER_STATE = 250
-
-# States per block of ``_float_tail_ratios``: its three arrays of about 200
-# drops (the underflow width and 16 more) take about 1.2 MB for any n.
-_TAIL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -209,7 +206,7 @@ def _etas(n: int, backend: str, band, delta, q, states) -> np.ndarray:
     sum_d p(k, k - d) (q(k) - q(k - d)) over row k of the band, summed for
     a block of states as one 2-D product of band rows and drops with a row
     sum. Band entries past d = k are exact zeros, so the drops there, read
-    at the clamped index 0, add nothing."""
+    at the clamped index 0, add nothing, and eta(0) is the empty sum 0."""
     if backend == RATIONAL:
         return np.array(_exact_etas(n, band, delta, states), dtype=object)
     d = np.arange(1, band.shape[1])
@@ -218,40 +215,6 @@ def _etas(n: int, backend: str, band, delta, q, states) -> np.ndarray:
         ks = np.asarray(states[lo : lo + _BLOCK])[:, None]
         drops = q[ks] - q[np.maximum(ks - d, 0)]
         out[lo : lo + len(ks)] = (band[ks[:, 0], 1:] * drops).sum(axis=1)
-    return out
-
-
-def _tail_ratios(n: int, backend: str, band) -> list | np.ndarray:
-    """The ``tail-factorial`` values, one per state k = 1..n: the largest
-    ratio P[the step from k drops at least l] l! (n/k)^l over l.
-
-    Exact: over every l <= k. A ratio is T_l l! n^l k^(k-l) / (n^n k^k) with
-    the integer tail numerator T_l, n^n minus the band row's numerators below
-    l, so the largest numerator is found on integers and each state builds
-    one Fraction. Float: over l <= min(k, W), from ``_float_tail_ratios``, so
-    only one block of ratios is held at a time.
-    """
-    if backend != RATIONAL:
-        largest = np.empty(n)
-        for ks, ratios in _float_tail_ratios(n):
-            l = np.arange(1, len(ratios) + 1)[:, None]
-            largest[ks - 1] = np.max(ratios, axis=0, where=l <= ks, initial=-np.inf)
-        return largest
-    scale = n**n
-    out = []
-    for k in range(1, n + 1):
-        row = band[k]
-        tail = scale
-        num = 1
-        k_pow = k**k
-        den = scale * k_pow
-        best = 0
-        for l in range(1, k + 1):
-            tail -= row[l - 1]
-            num *= l * n
-            k_pow //= k
-            best = max(best, tail * num * k_pow)
-        out.append(Fraction(best, den))
     return out
 
 
@@ -334,83 +297,6 @@ def _decide(
     )
 
 
-def _float_tail_ratios(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """P[the step from k drops at least l] / ((k/n)^l / l!) for every state
-    k >= 1 and every l <= min(k, W), where W is the underflow width of
-    state n: past it every tail is 0.0 in double precision.
-
-    Yields one pair (ks, ratios) per block of states, in ascending k:
-    ratios[l - 1, i] is R_l of state ks[i] for l = 1..W, and its entries
-    with l > k are not ratios (they are zeros). Read by state and then by
-    l, the entries with l <= k are the ratios in (k, l) order.
-
-    No tail is formed as a float, so none underflows. With A ~ Bin(k, 1/n)
-    the flipped zero-bits, B ~ Bin(n - k, 1/n) the flipped one-bits and
-    x = k/n, the ratio R_l = P[A - B >= l] l! / x^l runs backward in l:
-
-        R_l = E_l + x / (l + 1) R_(l+1),
-        E_l = P[A - B = l] l! / x^l
-            = sum_(m < 10) Ah_(l+m) x^m l! / (l+m)! P[B = m],
-
-    where Ah_a = P[A = a] a! / x^a = (k)_a / k^a (1 - 1/n)^(k-a) is a
-    cumulative product of (k - a + 1) n / (k (n - 1)) from the base
-    (1 - 1/n)^k of ``_pow_bases``. E_l is the band entry p(k, k - l) scaled
-    by l! / x^l, with the band's ``_PAIR_TERMS`` pair terms; those it omits
-    are below 2^-66 of it. The factor l! / (l+m)! is G(l) / (G(l+m) c^m)
-    with G(a) = a! / c^a and c = (L + 9) / e, so G stays between about e^-c
-    and 40 for every index used, and Ah_a / G(a) and x^m / c^m are normal
-    numbers. The recurrence starts from R_(L+1) = 0 with L = W + 16 for
-    every block: R_(L+1) reaches R_l, l <= W, only through 16 or more
-    factors below 1 / W, or is exactly 0 when L > k.
-
-    The ratios are built ``_TAIL_BLOCK`` states at a time, with l along the
-    first axis; each state's column is its own sequence of operations, so
-    the ratios do not depend on ``_TAIL_BLOCK``. Every block is built in the
-    same arrays, so a block's ratios are valid until the next block is asked
-    for.
-    """
-    width = _underflow_width(n, n)
-    cols = width + 16
-    a = np.arange(cols + _PAIR_TERMS, dtype=float)
-    c = a[-1] / math.e
-    scaled_fact = np.ones(len(a))
-    scaled_fact[1:] = np.cumprod(a[1:] / c)
-    m = np.arange(_PAIR_TERMS, dtype=float)[:, None]
-    # One set of block arrays serves every block; the last may be shorter.
-    size = min(_TAIL_BLOCK, n)
-    hat_buf = np.empty((len(a), size))
-    ratios_buf = np.empty((cols, size))
-    term_buf = np.empty((cols, size))
-    for lo in range(1, n + 1, _TAIL_BLOCK):
-        ks = np.arange(lo, min(lo + _TAIL_BLOCK, n + 1))
-        k = ks.astype(float)
-        x = k / n
-        # hat[a] = Ah_a / G(a), one row per a and one column per state.
-        hat = hat_buf[:, : len(ks)]
-        hat[0] = _pow_bases(1.0 - 1.0 / n, ks)
-        factors = hat[1:]
-        np.add.outer(1.0 - a[1:], k, out=factors)
-        np.maximum(factors, 0.0, out=factors)
-        factors *= n
-        factors /= k * (n - 1.0)
-        np.multiply.accumulate(hat, axis=0, out=hat)
-        hat /= scaled_fact[:, None]
-        weights = _binom_pmfs(n - ks, n, _PAIR_TERMS).T * (x / c) ** m
-        ratios = np.multiply(hat[1 : cols + 1], weights[0], out=ratios_buf[:, : len(ks)])
-        term = term_buf[:, : len(ks)]
-        for j in range(1, _PAIR_TERMS):
-            np.multiply(hat[1 + j : cols + 1 + j], weights[j], out=term)
-            ratios += term
-        ratios *= scaled_fact[1 : cols + 1, None]
-        # R_l = E_l + x / (l + 1) R_(l+1), with l = a[i + 1] on row i; the
-        # factors x / (l + 1) of every row are formed at once.
-        np.divide(x, a[1:cols, None] + 1.0, out=term[:-1])
-        for i in range(cols - 2, -1, -1):
-            term[i] *= ratios[i + 1]
-            ratios[i] += term[i]
-        yield ks, ratios[:width]
-
-
 def verify_inequalities(
     n: int,
     backend: str = FLOAT,
@@ -429,6 +315,9 @@ def verify_inequalities(
     ``inv-drift-diff-upper`` holds for every pair j < k exactly when it holds
     for the n - 1 adjacent pairs (k - 1, k): a pair's ratio is a mean of its
     adjacent ratios with the positive weights 1/i - 1/(i + 1), i = j..k-1.
+    ``tail-factorial`` holds for every drop l <= k exactly when it holds at
+    l = 1, that is, s_k <= k/n: the ratio P[drop >= l] l! (n/k)^l does not
+    grow with l.
     """
     check_n(n)
     check_backend(backend)
@@ -437,20 +326,19 @@ def verify_inequalities(
     band = _BANDS[backend](n, range(n + 1))
     # The drift column as an array: float64, or objects holding the Fractions.
     delta = _band_drift(n, backend, band)
-    q = _inverse_drift_prefix(delta)
     half = n // 2
     # The checks read g at n/2 only, and the recurrence runs up in k, so it
     # stops there.
     g_half = _hitting_times(n, backend, band[: half + 1]).item(half)
+    improve = _band_improvement(n, backend, band)
+    q = _inverse_drift_prefix(delta)
+    eta_vals = _etas(n, backend, band, delta, q, range(n + 1))
+    # g, eta and s_k have read the band, the largest array, so it goes before
+    # the checks build theirs; each check's arrays go after its verdict.
+    del band
     e = math.e
     zero = delta.item(0)
     one = zero + 1
-
-    eta_vals = np.concatenate(([zero], _etas(n, backend, band, delta, q, range(1, n + 1))))
-    tails = _tail_ratios(n, backend, band)
-    # g, eta and the tails have read the band, the largest array, so it goes
-    # before the checks build theirs; each check's arrays go after its verdict.
-    del band
     ks = np.arange(1, n + 2)
 
     records: list[CheckRecord] = []
@@ -486,9 +374,9 @@ def verify_inequalities(
     record("delta-star-sandwich-upper", 1, n + 1, "le", zero, dstar[1:] - hi_env, [n + 1])
     del dstar, grows, lo_env, hi_env
 
-    # One value per k, the largest ratio over l.
-    record("tail-factorial", 1, n, "le", one, tails)
-    del tails
+    # One value per k, its largest ratio over l, which is the one at l = 1.
+    record("tail-factorial", 1, n, "le", one, improve[1:] * n / ks[:-1])
+    del improve
 
     # inv(k - 1) - inv(k) for k = 2..n. The adjacent ratios bound every pair's.
     inv = np.concatenate(([0.0], (1 / delta[1:]).astype(float)))

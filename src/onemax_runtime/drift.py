@@ -73,9 +73,7 @@ to n/2 and 180 up to n) keeps every entry that is not 0.0 in double
 precision. It is used where the contract is "every positive entry": the
 single-row ``transition_prob`` and ``transition_tail`` read a row of that
 width, and the normalized-drift column is cut there because its terms past
-it are exact zeros. The ``tail-factorial`` check in ``bounds`` takes its
-range of drops from it, but builds no band of that width: it holds the
-ratios of one block of states at a time.
+it are exact zeros.
 """
 
 from __future__ import annotations
@@ -511,9 +509,14 @@ def _row_fsums(x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _band_improvement(band: np.ndarray) -> np.ndarray:
-    """s_k = P[an accepted step moves from k], the row sum over d >= 1, of
-    a float band, correctly rounded."""
+def _band_improvement(n: int, backend: str, band) -> np.ndarray:
+    """s_k = P[an accepted step moves from k] of each row of a ``_BANDS``
+    band, as a float64 array or an object array of Fractions: a float row's
+    sum over d >= 1, correctly rounded, or n^n minus a rational row's stay
+    numerator, over n^n."""
+    if backend == RATIONAL:
+        scale = n**n
+        return np.array([Fraction(scale - row[0], scale) for row in band], dtype=object)
     return _row_fsums(band[:, 1:])
 
 

@@ -129,10 +129,10 @@ def _inverse_drift_prefix(delta) -> np.ndarray:
     return np.cumsum(np.concatenate((delta[:1], 1 / np.asarray(delta[1:]))))
 
 
-def _band_hitting_times(band: np.ndarray) -> np.ndarray:
+def _band_hitting_times(n: int, band: np.ndarray) -> np.ndarray:
     """g(k) from a float band: the recurrence of order D, one row sum per
     state."""
-    improve = _band_improvement(band)
+    improve = _band_improvement(n, FLOAT, band)
     width = band.shape[1] - 1
     g = np.zeros(len(band))
     for k in range(1, len(band)):
@@ -172,7 +172,7 @@ def _hitting_times(n: int, backend: str, band) -> np.ndarray:
     object array of Fractions."""
     if backend == RATIONAL:
         return np.array(_exact_hitting_times(n, band), dtype=object)
-    return _band_hitting_times(band)
+    return _band_hitting_times(n, band)
 
 
 def _profile(n: int, backend: str, g: np.ndarray, q: np.ndarray) -> HittingProfile:

@@ -66,7 +66,7 @@ from functools import partial
 
 import numpy as np
 
-from .backends import DomainError, check_memory, check_n, resolve_threads, thread_map
+from .backends import FLOAT, DomainError, check_memory, check_n, resolve_threads, thread_map
 from .drift import _band_improvement, _band_width, _float_band
 
 __all__ = [
@@ -294,7 +294,7 @@ def _jump_tables(n: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     cdf = np.cumsum(band[:, 1:], axis=1)
     cdf[0] = 1.0  # state 0 never moves
     cdf /= cdf[:, -1:].copy()  # dividing by a view of cdf would copy all of cdf
-    s = _band_improvement(band)
+    s = _band_improvement(n, FLOAT, band)
     rate = np.zeros_like(s)
     rate[1:] = -1.0 / np.log1p(-s[1:])
     return rate, cdf

@@ -2,8 +2,10 @@
 
 import importlib
 import math
+import operator
 import tracemalloc
 from fractions import Fraction as F
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -196,32 +198,46 @@ def test_delta_star_diff_lower_lists_its_identity_state(n, backend, monkeypatch)
     assert rec.passed
 
 
-def test_tail_factorial_covers_every_positive_tail():
-    """The ratios cover the same (k, l) pairs as full rows: all with a
-    positive tail P[step from k drops at least l]. At n = 128 that is every
-    l <= k, and the underflow width is n."""
-    n = 128
-    expected = 0
-    for k in range(1, n + 1):
-        cums = np.cumsum(float_kernel_row(n, k))
-        expected += sum(1 for l in range(1, k + 1) if cums[k - l] > 0.0)
+def exact_tail_numerators(n):
+    """For each state k = 1..n, the integer numerators over n^n of the tails
+    P[the step from k drops at least l], l = 1..k, from the exact band."""
+    rows = drift_mod._exact_numerators(n, range(n + 1))
+    return [list(accumulate(rows[k][:k], operator.sub, initial=n**n))[1:] for k in range(1, n + 1)]
 
-    assert len(float_tail_ratios(n)) == expected
-    assert verify_inequalities(n).check("tail-factorial").passed
+
+def test_tail_factorial_covers_every_positive_tail(monkeypatch):
+    """The verdict reads one value per state, n s_k / k, and covers every
+    positive tail P[step from k drops at least l]: at n = 128, where every
+    l <= k has one, each ratio tail l! (n/k)^l over untruncated float rows is
+    within rounding of its state's value or below it."""
+    n = 128
+    values = check_values(n, monkeypatch)["tail-factorial"]
+    for k in range(1, n + 1):
+        tails = np.cumsum(float_kernel_row(n, k))[k - 1 :: -1]
+        ratios = [t * math.factorial(l) * (n / k) ** l for l, t in enumerate(tails, start=1)]
+        assert min(tails) > 0.0
+        assert max(ratios) <= values[k - 1] * (1 + 1e-14), k
 
 
 @pytest.mark.parametrize("n", [*range(2, 65), 1024])
 def test_tail_factorial_decides_on_the_largest_ratio_of_each_state(n, monkeypatch):
-    """The float suite hands the verdict one value per state, the largest of
-    its ratios, so the check's extremum is that of every ratio."""
-    values = check_values(n, monkeypatch)["tail-factorial"]
-    ratios = float_tail_ratios(n)
-    assert values.max() == ratios.max()
-    # State k has min(k, W) ratios, W the underflow width.
-    counts = np.minimum(np.arange(1, n + 1), drift_mod._underflow_width(n, n))
-    assert counts.sum() == len(ratios)
-    starts = np.cumsum(counts) - counts
-    assert values.tolist() == np.maximum.reduceat(ratios, starts).tolist()
+    """The ratio R_l = P[drop >= l] l! (n/k)^l does not grow with l, so the
+    largest ratio of state k is R_1 = n s_k / k, and the suite hands the
+    verdict that value. On the integer tails T_l of the exact band (n <= 64),
+    R_(l+1) <= R_l reads T_(l+1) (l + 1) n <= T_l k. The float values are n
+    s_k / k from the chain's correctly rounded s_k, bit for bit."""
+    ks = np.arange(1, n + 1)
+    improve = drift_mod._band_improvement(n, "float", build_kernel(n).band)
+    assert check_values(n, monkeypatch)["tail-factorial"].tolist() == (improve[1:] * n / ks).tolist()
+    if n > 64:
+        return
+    tails = exact_tail_numerators(n)
+    for k, t in enumerate(tails, start=1):
+        assert all(t[l] * (l + 1) * n <= t[l - 1] * k for l in range(1, k)), k
+    exact = [F(t[0] * n, n**n * k) for k, t in enumerate(tails, start=1)]
+    got = check_values(n, monkeypatch, "rational")["tail-factorial"].tolist()
+    assert got == exact
+    assert all(type(v) is F for v in got)
 
 
 def test_eta_matches_full_row_sum():
@@ -287,7 +303,7 @@ def test_rational_check_values_match_plain_fractions(monkeypatch):
         )
         for k in range(1, n + 1)
     ]
-    assert seen["tail-factorial"] == tails
+    assert seen["tail-factorial"].tolist() == tails
     assert all(type(v) is F for v in seen["tail-factorial"])
     etas = plain_fraction_eta(n)
     delta = [plain_fraction_drift(n, k) for k in range(n + 1)]
@@ -324,19 +340,6 @@ def check_values(n, monkeypatch, backend="float"):
     return seen
 
 
-def exact_tail_ratios(n):
-    """Every exact ratio P[the step from k drops at least l] l! (n/k)^l, by
-    state and then by l, from the rational kernel band."""
-    band = build_kernel(n, "rational").band
-    out = []
-    for k in range(1, n + 1):
-        tail = F(1)
-        for l in range(1, k + 1):
-            tail -= band[k, l - 1]
-            out.append(tail * math.factorial(l) * F(n, k) ** l)
-    return out
-
-
 def within_1e_14(got, exact):
     return all(abs(F(v) - x) <= F(1, 10**14) * x for v, x in zip(got, exact))
 
@@ -356,16 +359,6 @@ def test_both_backends_hand_the_verdict_one_value_per_state(n, monkeypatch):
     assert {c: count(v) for c, v in got.items()} == {c: count(v) for c, v in exact.items()}
     assert len(exact["tail-factorial"]) == n
     assert within_1e_14(got["tail-factorial"].tolist(), exact["tail-factorial"])
-
-
-def float_tail_ratios(n):
-    """Every float tail ratio, by state and then by l: the blocks of
-    ``_float_tail_ratios`` concatenated, each cut to its l <= k entries."""
-    blocks = []
-    for ks, ratios in bounds_mod._float_tail_ratios(n):
-        l = np.arange(1, len(ratios) + 1)
-        blocks.append(ratios.T[l <= ks[:, None]])
-    return np.concatenate(blocks)
 
 
 def identity_points(n, dstar):
@@ -446,23 +439,15 @@ def test_delta_star_envelopes_equal_scalar_pow_base(n, monkeypatch):
     ]
 
 
-@pytest.mark.parametrize("n", [2, 50, 600])
-def test_tail_ratios_do_not_depend_on_the_block_size(n, monkeypatch):
-    expected = float_tail_ratios(n).tolist()
-    monkeypatch.setattr(bounds_mod, "_TAIL_BLOCK", 7)
-    assert float_tail_ratios(n).tolist() == expected
-    monkeypatch.setattr(bounds_mod, "_TAIL_BLOCK", n + 1)
-    assert float_tail_ratios(n).tolist() == expected
-
-
 @pytest.mark.parametrize("n", [2, 3, 5, 16, 33, 64])
-def test_float_tail_ratios_are_within_1e_14_of_the_exact_ones(n):
-    """Every (k, l) pair, by state and then by l: at these n the underflow
-    width is n, so the float ratios cover every l <= k."""
-    exact = exact_tail_ratios(n)
-    got = float_tail_ratios(n).tolist()
-    assert len(got) == len(exact) == n * (n + 1) // 2
-    assert within_1e_14(got, exact)
+def test_float_tail_ratios_are_within_1e_14_of_the_exact_ones(n, monkeypatch):
+    """The float values, n s_k / k, against each state's exact largest ratio
+    taken over every l <= k, not through the lemma."""
+    exact = [
+        max(F(t * math.factorial(l) * n**l, n**n * k**l) for l, t in enumerate(tails, start=1))
+        for k, tails in enumerate(exact_tail_numerators(n), start=1)
+    ]
+    assert within_1e_14(check_values(n, monkeypatch)["tail-factorial"].tolist(), exact)
 
 
 def test_float_theorem_values_are_within_1e_13_of_the_exact_ones():
@@ -476,9 +461,11 @@ def test_float_theorem_values_are_within_1e_13_of_the_exact_ones():
 
 
 def test_float_tail_ratios_at_thirty_thousand_stay_below_one():
-    """Formed as floats, 6 of the tails here round to the smallest subnormal
-    and their ratios read up to 1.0267; in scaled form none is formed."""
-    assert float_tail_ratios(30_000).max() <= 1.0
+    """The observed ``tail-factorial`` value is the largest n s_k / k over
+    every state."""
+    rec = verify_inequalities(30_000).check("tail-factorial")
+    assert rec.passed
+    assert rec.observed <= 1.0
 
 
 @pytest.mark.parametrize("n", [5, 64, 1024])
@@ -514,16 +501,14 @@ def test_float_suite_memory_grows_by_under_400_bytes_per_state():
     the band (168 bytes a state) before the checks build their arrays, each
     dropped after its verdict: from n = 10^4 to 2 10^4 its traced peak grows
     by under 400 bytes a state. Holding every check array to the end grew
-    it by about 600; an array of every tail ratio alone would add
-    8 W = 1416."""
+    it by about 600."""
     small, large = 10_000, 20_000
     growth = traced_peak(verify_inequalities, large) - traced_peak(verify_inequalities, small)
     assert growth < 400 * (large - small)
 
 
 def test_float_suite_at_ten_thousand_stays_small():
-    """The tails and eta sums are built in blocks: no n x 180 array and no
-    list of every tail ratio is held."""
+    """The eta sums are built in blocks: no n x 180 array is held."""
     tracemalloc.start()
     try:
         report = verify_inequalities(10_000)

@@ -468,7 +468,7 @@ def test_row_fsums_do_not_depend_on_the_block_size(monkeypatch):
 def test_a_band_with_no_move_columns_sums_to_zeros():
     band = _float_band(8, [0])
     assert band.shape == (1, 1)
-    assert drift_module._band_improvement(band).tolist() == [0.0]
+    assert drift_module._band_improvement(8, "float", band).tolist() == [0.0]
     assert drift_module._band_drift(8, "float", band).tolist() == [0.0]
     assert runtime_profile(8, up_to=0).g == (0.0,)
     stats, samples = run(SimConfig(n=8, start=0, replicates=4, seed=1))
