@@ -1,26 +1,21 @@
 """Monte Carlo reference: actually run the (1+1) EA on OneMax.
 
-Three engines produce the same law by different routes:
+Three engines produce the same law by two routes:
 
-* ``bitstring`` keeps real bit vectors and flips each bit with probability
-  1/n: the algorithm itself. Beside the bits, each string keeps a zero
-  index: a permutation of its positions whose first zc entries are its zero
-  positions. A step that flips none of the zc zero bits is empty or flips
-  only one-bits, so it is rejected and changes nothing; a round therefore
-  runs each string to its next step that flips a zero bit. It draws the
+* ``bitstring`` and ``statechain`` run every lane one mutation step that
+  flips a zero bit at a time, the rank round ``_zero_flip_round``. A step
+  acts on a string through its zero count zc alone, so the round reads
+  nothing else: a step that flips none of the zc zero bits is empty or
+  flips only one-bits, so it is rejected and changes nothing, and a round
+  runs each lane to its next step that flips a zero bit. It draws the
   steps skipped plus that one as a Geometric(1 - (1 - 1/n)^zc) wait, the
   first flipped zero rank F given that one is flipped, and the flips past F
-  with ``_flip_sites``, which lays the ranks of all m running strings end to
-  end and draws the flipped ones as partial sums of Geometric(1/n) gaps. The
-  index turns ranks into positions; the child's zero count is read from the
-  parent's bits there, an accepted child flips exactly them, and a few swaps
-  keep the index. A round costs O(1) work a string, about one flip, instead
-  of O(n), and every round is a step that can change the string;
-* ``statechain`` samples only the two flip counts (zeros flipped, ones
-  flipped) per step, which is the marginal the analysis works with, one
-  round per mutation step. It draws the flips with the same sampler, on a
-  string laid out as k zeros followed by n - k ones, and counts the flips
-  that land in the zeros;
+  with ``_flip_sites``, which lays the n ranks of all m running lanes end to
+  end (zero bits first) and draws the flipped ones as partial sums of
+  Geometric(1/n) gaps. A round costs O(1) work a lane, about one flip,
+  instead of O(n). The two engines differ only in a uniform start:
+  ``bitstring`` draws every bit and counts the zeros, ``statechain`` draws
+  the Bin(n, 1/2) count at once;
 * ``jump`` (the default) runs once per accepted improvement. It uses the
   first-accepted-jump decomposition behind the hitting-time recurrence: from
   state k the chain waits a Geometric(s_k) number of steps, s_k the
@@ -36,8 +31,12 @@ Three engines produce the same law by different routes:
   u is compared with the row's own entries and the draw is exact.
 
 Agreement between the engines, and with the exact kernel and hitting times,
-is what the equivalence tests check; the two per-step engines stay as
-independent checks of the jump engine.
+is what the equivalence tests check; the rank round and the jump chain are
+independent routes to a run. The literal algorithm stays in
+``step_bitstring`` (all n bits mutated, the child kept iff no worse) and
+``step_statechain`` (one step's two Binomial flip counts). The tests check
+both against a kernel row, and whole runs of ``step_bitstring`` against
+the exact g.
 
 Every engine is one step function on the running lanes of a chunk, and one
 loop (``_run_lanes``) owns the rest: lanes that start at the optimum,
@@ -55,7 +54,7 @@ chunk layout is part of the contract: results are byte-identical for a
 given (seed, n, start, engine, replicates, max_iters) regardless of how
 chunks are scheduled, and within a chunk everything is vectorized. A
 uniform start has Bin(n, 1/2) zero bits: the bitstring engine draws every
-bit, the other two engines draw the count with the same call.
+bit, the other two engines draw the count with one binomial call.
 """
 
 from __future__ import annotations
@@ -163,7 +162,7 @@ def _flip_sites(
     n: int, rows: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Standard bit mutation of the strings ``rows`` (nondecreasing) of a
-    flat array of length-n strings: bits, or the ranks of a zero index.
+    flat array of length-n strings: bits, or the ranks of a lane.
 
     Returns ``(c, lane, sites)``: entry ``rows[i]`` flips c[i] ~ Bin(n, 1/n)
     of its n entries, and flip j is at ``sites[j] = rows[lane[j]] * n +
@@ -197,8 +196,8 @@ def step_bitstring(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One mutation-selection step on a bit vector of n >= 2 bits (True = one).
 
     Flips every bit independently with probability 1/n, the n bits drawn at
-    once by ``_flip_sites`` (which the ``bitstring`` engine uses for the
-    flips after the first flipped zero bit), and returns the offspring iff
+    once by ``_flip_sites`` (which the rank round uses for the flips after
+    the first flipped zero rank), and returns the offspring iff
     its one-count is at least the parent's, else the parent.
     """
     if np.ndim(bits) != 1:
@@ -216,16 +215,41 @@ def step_statechain(n: int, k: int, rng: np.random.Generator) -> int:
     return k - a + b if b <= a else k
 
 
-def _start_states(n: int, start: int | str, m: int, rng: np.random.Generator) -> np.ndarray:
-    if start == UNIFORM_START:
-        return rng.binomial(n, 0.5, size=m).astype(np.int64)
-    return np.full(m, start, dtype=np.int64)
+def _binomial_start(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The zero counts of m unbiased bit strings, drawn as Bin(n, 1/2)."""
+    return rng.binomial(n, 0.5, size=m).astype(np.int64)
 
 
-# Uniform start bits drawn, and their zero index sorted, per block of rows:
-# bounds the float temporary of the draw and the int64 one of the argsort at
-# 8 MB each (one row when n > 2^20) whatever the chunk size.
+# Uniform start bits are drawn per block of rows: bounds the float temporary
+# of the draw at 8 MB (one row when n > 2^20) whatever the chunk size.
 _START_BLOCK = 1 << 20
+
+
+def _uniform_start(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The zero counts of m unbiased bit strings of length n, every bit drawn.
+
+    Each block of rows, ``_START_BLOCK`` entries (one row when
+    n > ``_START_BLOCK``), is drawn as floats, a bit being one when its
+    float is below 1/2, and only each row's zero count is kept. The
+    generator yields the same numbers in the same order either way, so the
+    counts equal those of one ``rng.random((m, n)) < 0.5``. A block's floats and bools,
+    9 bytes a bit, are checked against ``MEMORY_LIMIT`` before any is drawn.
+    """
+    rows = min(m, max(1, _START_BLOCK // n))
+    check_memory(9 * rows * n, f"a uniform start block of {rows} x {n} bits")
+    zc = np.empty(m, dtype=np.int64)
+    for lo in range(0, m, rows):
+        hi = min(m, lo + rows)
+        zc[lo:hi] = (rng.random((hi - lo, n)) >= 0.5).sum(axis=1)
+    return zc
+
+
+def _start_states(
+    n: int, start: int | str, m: int, rng: np.random.Generator, uniform=_binomial_start
+) -> np.ndarray:
+    if start == UNIFORM_START:
+        return uniform(m, n, rng)
+    return np.full(m, start, dtype=np.int64)
 
 
 def _run_lanes(step, k: np.ndarray, max_iters: int) -> tuple[np.ndarray, int]:
@@ -265,16 +289,44 @@ def _run_lanes(step, k: np.ndarray, max_iters: int) -> tuple[np.ndarray, int]:
 # One chunk of each engine, as (step, start states) for ``_run_lanes``.
 
 
-def _statechain_lanes(n: int, start: int | str, m: int, rng: np.random.Generator):
-    def step(idx, k):
-        # Lane i is k[i] zeros and then n - k[i] ones: a flips that land
-        # below idx[i] * n + k[i] hit zeros, the other b = c - a hit ones.
-        c, lane, sites = _flip_sites(n, idx, rng)
-        a = np.bincount(lane[sites < (idx * n + k)[lane]], minlength=idx.size)
-        b = c - a
-        return 1, np.where(b <= a, k - a + b, k)
+def _zero_flip_round(
+    n: int, idx: np.ndarray, zc: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run lanes ``idx`` (ascending, zero counts ``zc`` >= 1) up to and
+    including their next step that flips a zero bit.
 
-    return step, _start_states(n, start, m, rng)
+    Returns (steps taken, new zero counts). A step acts on a string through
+    its zero count alone, so lane i is laid out by rank: ranks 0..zc[i] - 1
+    are its zero bits, the others its ones, and a step flips each rank with
+    probability 1/n, independently. A step that flips no zero bit is empty
+    or flips only one-bits, so it is rejected: the steps up to the first
+    that flips a zero bit number W ~ Geometric(1 - (1 - 1/n)^zc), drawn as
+    floor(E / (lam zc)) + 1 with lam = -log1p(-1/n) and E standard
+    exponential. In that step the first flipped rank is the first success
+    of Bernoulli(1/n) trials over the zero ranks given one below zc,
+    F = floor(-log1p(-U p) / lam) for p = -expm1(-lam zc) and U uniform;
+    every rank past F flips with probability 1/n, drawn by ``_flip_sites``
+    over all n ranks and kept above F. With a zero bits flipped (F among
+    them) and b one bits, the child is accepted iff b <= a.
+    """
+    lam = -math.log1p(-1.0 / n)
+    wait = (rng.standard_exponential(zc.size) / (lam * zc)).astype(np.int64) + 1
+    u = rng.random(zc.size) * -np.expm1(-lam * zc)
+    first = np.minimum((-np.log1p(-u) / lam).astype(np.int64), zc - 1)
+    _, lane, sites = _flip_sites(n, idx, rng)
+    rank = sites - (idx * n)[lane]
+    later = rank > first[lane]
+    lane, rank = lane[later], rank[later]
+    one = rank >= zc[lane]
+    b = np.bincount(lane[one], minlength=zc.size)
+    a = np.bincount(lane[~one], minlength=zc.size) + 1
+    return wait, np.where(b <= a, zc - a + b, zc)
+
+
+def _rank_lanes(uniform, n: int, start: int | str, m: int, rng: np.random.Generator):
+    """``bitstring`` and ``statechain``: the zero-flip round, from start
+    states whose uniform law ``uniform`` draws."""
+    return partial(_zero_flip_round, n, rng=rng), _start_states(n, start, m, rng, uniform)
 
 
 def _jump_tables(n: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -326,118 +378,6 @@ def _jump_lanes(rate: np.ndarray, cdf: np.ndarray, n: int, start: int | str, m: 
     return step, _start_states(n, start, m, rng)
 
 
-def _index_dtype(n: int) -> np.dtype:
-    """The smallest unsigned dtype that holds n - 1, the zero index's."""
-    return np.min_scalar_type(n - 1)
-
-
-def _uniform_start(m: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """m unbiased bit strings of length n, as rows of a bool array (True =
-    one), and their zero index: row i lists the zero positions of string i
-    in order, then its one positions, as ``_index_dtype(n)``.
-
-    Each block of rows, ``_START_BLOCK`` entries (one row when
-    n > ``_START_BLOCK``), is drawn and then stably argsorted row by row.
-    The generator yields the same numbers in the same order either way, and
-    every row is sorted alone, so the bits equal those of one
-    ``rng.random((m, n)) < 0.5`` and the index that of one argsort of all
-    rows.
-    """
-    bits = np.empty((m, n), dtype=bool)
-    index = np.empty((m, n), dtype=_index_dtype(n))
-    rows = max(1, _START_BLOCK // n)
-    for lo in range(0, m, rows):
-        hi = min(m, lo + rows)
-        bits[lo:hi] = rng.random((hi - lo, n)) < 0.5
-        index[lo:hi] = np.argsort(bits[lo:hi], axis=1, kind="stable")
-    return bits, index
-
-
-def _swap(a: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
-    """Swap a[x] with a[y], pair by pair; no entry is in two pairs."""
-    a[x], a[y] = a[y], a[x]
-
-
-def _bitstring_round(
-    bits: np.ndarray,
-    index: np.ndarray,
-    n: int,
-    idx: np.ndarray,
-    zc: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run strings ``idx`` (ascending, zero counts ``zc`` >= 1) up to and
-    including their next step that flips a zero bit.
-
-    ``bits`` holds the strings end to end (True = one). ``index`` is the
-    zero index, also end to end: the n entries of string i are a permutation
-    of 0..n-1 whose first zc entries are its zero positions. A step flips
-    rank r of string i, read as position ``index[i * n + r]``, with
-    probability 1/n, independently.
-
-    Returns (steps taken, new zero counts) and updates both arrays in place.
-    A step that flips no zero bit is empty or flips only one-bits, so it is
-    rejected: the steps up to the first that flips a zero bit number
-    W ~ Geometric(1 - (1 - 1/n)^zc), drawn as floor(E / (lam zc)) + 1 with
-    lam = -log1p(-1/n) and E standard exponential. In that step the first
-    flipped rank is the first success of Bernoulli(1/n) trials over the zero
-    ranks given one below zc, F = floor(-log1p(-U p) / lam) for
-    p = -expm1(-lam zc) and U uniform; every rank past F flips with
-    probability 1/n, drawn by ``_flip_sites`` over all n ranks and kept
-    above F. The child's zero count is read from the bits it flips.
-    """
-    lam = -math.log1p(-1.0 / n)
-    wait = (rng.standard_exponential(zc.size) / (lam * zc)).astype(np.int64) + 1
-    u = rng.random(zc.size) * -np.expm1(-lam * zc)
-    first = np.minimum((-np.log1p(-u) / lam).astype(np.int64), zc - 1)
-    _, lane, sites = _flip_sites(n, idx, rng)
-    base = idx * n
-    rank = sites - base[lane]
-    later = rank > first[lane]
-    lane, rank = lane[later], rank[later]
-    flips = base[lane] + index[sites[later]]
-    one = bits[flips]
-    b = np.bincount(lane[one], minlength=zc.size)
-    a = np.bincount(lane[~one], minlength=zc.size) + 1
-    ok = b <= a
-    # Only accepted children change anything from here on.
-    moved = ok[lane]
-    lane, rank, flips, one = lane[moved], rank[moved], flips[moved], one[moved]
-    bits[(base + index[base + first])[ok]] ^= True
-    bits[flips] ^= True
-    # The flipped zero ranks of each string in ascending order, F first:
-    # string i's run of them starts at zstart[i].
-    zl, zr = lane[~one], rank[~one]
-    later_zeros = np.where(ok, a - 1, 0)
-    zstart = np.arange(zc.size) + np.cumsum(later_zeros) - later_zeros
-    zero_ranks = np.empty(zc.size + zr.size, dtype=np.int64)
-    zero_ranks[zstart] = first
-    zero_ranks[np.arange(zr.size) + zl + 1] = zr
-    # Flipped one rank j of a string trades places with its flipped zero rank j ...
-    ol = lane[one]
-    j = np.arange(ol.size) - np.searchsorted(ol, ol)
-    _swap(index, base[ol] + rank[one], base[ol] + zero_ranks[zstart[ol] + j])
-    # ... and its other flipped zero ranks, largest first, leave the zero
-    # region by a swap with its last entry.
-    removed = np.where(ok, a - b, 0)
-    for s in range(1, int(removed.max()) + 1):
-        ls = np.flatnonzero(removed >= s)
-        _swap(index, base[ls] + zero_ranks[zstart[ls] + a[ls] - s], base[ls] + zc[ls] - s)
-    return wait, np.where(ok, zc - a + b, zc)
-
-
-def _bitstring_lanes(n: int, start: int | str, m: int, rng: np.random.Generator):
-    if start == UNIFORM_START:
-        cur, index = _uniform_start(m, n, rng)
-        index = index.reshape(-1)
-    else:
-        cur = np.ones((m, n), dtype=bool)
-        cur[:, : int(start)] = False
-        index = np.tile(np.arange(n, dtype=_index_dtype(n)), m)
-    step = partial(_bitstring_round, cur.reshape(-1), index, n, rng=rng)
-    return step, n - cur.sum(axis=1, dtype=np.int64)
-
-
 def run(config: SimConfig, threads: int | None = 1) -> tuple[RunStats, np.ndarray]:
     """Run the experiment and return (stats, per-replicate hitting times).
 
@@ -452,12 +392,9 @@ def run(config: SimConfig, threads: int | None = 1) -> tuple[RunStats, np.ndarra
     if config.engine == ENGINE_JUMP:
         kmax = n if config.start == UNIFORM_START else config.start
         lanes = partial(_jump_lanes, *_jump_tables(n, kmax))
-    elif config.engine == ENGINE_BITSTRING:
-        nbytes = min(reps, CHUNK_SIZE) * n * (1 + _index_dtype(n).itemsize)
-        check_memory(nbytes, "one chunk of bit strings and their zero index")
-        lanes = _bitstring_lanes
     else:
-        lanes = _statechain_lanes
+        uniform = _uniform_start if config.engine == ENGINE_BITSTRING else _binomial_start
+        lanes = partial(_rank_lanes, uniform)
     nchunks = (reps + CHUNK_SIZE - 1) // CHUNK_SIZE
     streams = np.random.SeedSequence(config.seed).spawn(nchunks)
 

@@ -33,12 +33,11 @@ from onemax_runtime.backends import (
 from onemax_runtime.simulate import (
     _START_BLOCK,
     ENGINES,
-    _bitstring_lanes,
-    _bitstring_round,
     _draw_jumps,
     _flip_sites,
     _jump_tables,
     _uniform_start,
+    _zero_flip_round,
 )
 
 
@@ -321,39 +320,53 @@ def test_jump_hitting_time_law_matches_kernel():
 
 @pytest.mark.parametrize("n, k, seed", [(6, 5, 36), (9, 7, 39), (12, 6, 40)])
 def test_bitstring_hitting_time_law_matches_kernel(n, k, seed):
-    """The real algorithm's T has the chain's law: a sampler that drew flip
-    positions with replacement would move too little and fail here."""
+    """The bitstring engine's T has the chain's law: a sampler that drew
+    flip positions with replacement would move too little and fail here."""
     cfg = SimConfig(n=n, start=k, replicates=200000, seed=seed, engine=ENGINE_BITSTRING)
     _, samples = run(cfg)
     assert _hitting_law_pvalue(samples, n, k) > 1e-4
 
 
 def test_statechain_hitting_time_law_matches_kernel():
-    """The flip counts read off one flip sampler (zeros flipped are the
-    flips among the first k of n bits) have the chain's law."""
+    """The zero-flip round, run on zero counts alone from a fixed start,
+    has the chain's law."""
     n, k, reps = 6, 5, 200000
     cfg = SimConfig(n=n, start=k, replicates=reps, seed=38, engine=ENGINE_STATECHAIN)
     _, samples = run(cfg)
     assert _hitting_law_pvalue(samples, n, k) > 1e-4
 
 
-@pytest.mark.parametrize("n", [2, 4, 13, 40])
-def test_zero_index_holds_each_strings_zeros_after_every_round(n):
-    """Read through its index, every running string is its zc zeros and then
-    its ones, and every row of the index stays a permutation of 0..n-1."""
-    m = 500
-    rng = np.random.default_rng(n)
-    cur, index = _uniform_start(m, n, rng)
-    bits, flat = cur.reshape(-1), index.reshape(-1)
-    zc = n - cur.sum(axis=1, dtype=np.int64)
-    idx = np.flatnonzero(zc)
-    zc = zc[idx]
-    while idx.size:
-        _, zc = _bitstring_round(bits, flat, n, idx, zc, rng)
-        in_order = np.take_along_axis(cur[idx], index[idx].astype(np.intp), axis=1)
-        assert (in_order == (np.arange(n) >= zc[:, None])).all()
-        assert (np.sort(index, axis=1) == np.arange(n)).all()
-        idx, zc = idx[zc > 0], zc[zc > 0]
+@pytest.mark.parametrize("n", [3, 20, 64])
+def test_statechain_and_bitstring_samples_are_equal_at_fixed_starts(n):
+    """Both engines run the zero-flip round, and a fixed start draws
+    nothing, so their samples agree run for run; they differ only in how a
+    uniform start is drawn."""
+    for start in (1, n // 2, n):
+        for seed in (1, 2):
+            chain, bits = (
+                run(SimConfig(n=n, start=start, replicates=3000, seed=seed, engine=engine))[1]
+                for engine in (ENGINE_STATECHAIN, ENGINE_BITSTRING)
+            )
+            assert (chain == bits).all()
+
+
+def test_step_bitstring_runs_reach_the_optimum_in_the_exact_mean_time():
+    """The literal algorithm over whole runs, a route that shares nothing
+    with the zero-flip round of the two per-mutation engines: repeated
+    ``step_bitstring`` calls from 4 zero bits of 8, z-tested against the
+    exact g(4) with the sample standard deviation."""
+    n, k, runs = 8, 4, 1000
+    g = runtime_profile(n, up_to=k).g[k]
+    assert g == pytest.approx(35.2172, abs=1e-4)
+    rng = np.random.default_rng(8)
+    times = np.zeros(runs)
+    for r in range(runs):
+        bits = np.arange(n) >= k
+        while not bits.all():
+            bits = step_bitstring(bits, rng)
+            times[r] += 1
+    z = (times.mean() - g) / (times.std(ddof=1) / math.sqrt(runs))
+    assert abs(z) <= 4
 
 
 def _chisquare_pvalue(observed: np.ndarray, expected: np.ndarray) -> float:
@@ -372,8 +385,7 @@ def test_one_bitstring_round_has_the_law_of_the_steps_to_a_zero_flip(k):
     chance that a step flips a zero bit, and then moves from k to j < k with
     probability p(k, j) / p_touch."""
     n, m = 8, 100000
-    step, zc = _bitstring_lanes(n, k, m, np.random.default_rng(k))
-    wait, zc = step(np.arange(m), zc)
+    wait, zc = _zero_flip_round(n, np.arange(m), np.full(m, k), np.random.default_rng(k))
     p_touch = 1.0 - (1.0 - 1.0 / n) ** k
     waits = np.bincount(wait)[1:]
     w = np.arange(1, waits.size + 1)
@@ -386,22 +398,12 @@ def test_one_bitstring_round_has_the_law_of_the_steps_to_a_zero_flip(k):
     assert _chisquare_pvalue(np.bincount(zc, minlength=k + 1), law * m) > 1e-4
 
 
-def test_uniform_start_index_is_built_in_blocks_of_the_one_shot_argsort():
-    n = 2**16
-    m = 2 * (_START_BLOCK // n) + 3  # two full blocks and a partial one
-    bits, index = _uniform_start(m, n, np.random.default_rng(10))
-    one_shot = np.random.default_rng(10).random((m, n)) < 0.5
-    assert (bits == one_shot).all()
-    assert index.dtype == np.uint16
-    assert (index == np.argsort(one_shot, axis=1, kind="stable")).all()
-
-
 def test_uniform_start_bits_are_drawn_in_blocks_of_the_one_shot_stream():
     n = 2**18
     m = 2 * (_START_BLOCK // n) + 3  # two full blocks and a partial one
-    blocked, _ = _uniform_start(m, n, np.random.Generator(np.random.Philox(9)))
+    blocked = _uniform_start(m, n, np.random.Generator(np.random.Philox(9)))
     one_shot = np.random.Generator(np.random.Philox(9)).random((m, n)) < 0.5
-    assert (blocked == one_shot).all()
+    assert (blocked == n - one_shot.sum(axis=1)).all()
 
 
 def test_jump_lookup_is_exact():
@@ -469,16 +471,17 @@ def test_jump_tables_count_the_band_and_the_cdf(monkeypatch):
         _jump_tables(10**5, 10**5)
 
 
-def test_bitstring_chunk_counts_the_bits_and_the_zero_index(monkeypatch):
-    """A limit that admits a chunk's bits alone but not the bits with their
-    uint16 zero index refuses the run before either is allocated."""
+def test_uniform_start_block_is_checked_before_it_is_drawn(monkeypatch):
+    """A limit that admits a start block's floats alone but not the floats
+    with their bools refuses a uniform-start bitstring run before either is
+    allocated."""
     n, reps = 1000, 8192
     backends = importlib.import_module("onemax_runtime.backends")
-    monkeypatch.setattr(backends, "MEMORY_LIMIT", 2 * reps * n)
+    monkeypatch.setattr(backends, "MEMORY_LIMIT", 8 * (_START_BLOCK // n) * n)
     cfg = SimConfig(n=n, start="uniform", replicates=reps, seed=0, engine=ENGINE_BITSTRING)
     tracemalloc.start()
     try:
-        with pytest.raises(CapacityError, match="zero index"):
+        with pytest.raises(CapacityError, match="uniform start block"):
             run(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
