@@ -6,7 +6,8 @@ rational backend returns exact ``fractions.Fraction`` values. Its exact
 values carry denominators of order n^n and beyond, so table builders cap it
 (default n <= 64) and raise :class:`CapacityError` beyond the cap. Work whose
 memory grows with its inputs (the float kernel band, the inequality suite,
-one block of a bitstring uniform start, the kept simulation samples) is checked
+one block of a bitstring uniform start, the kept simulation samples, the
+``asym`` and ``figures`` tables of the command line) is checked
 against :data:`MEMORY_LIMIT` before it is allocated and raises
 :class:`CapacityError` above it. Both backends read the chain from one
 kernel band: floats, or for the rational backend integer numerators over the
@@ -14,17 +15,13 @@ common denominator n^n. Rational quantities add and multiply those integers
 over a denominator known in advance and build one Fraction per returned
 value. Invalid arguments raise :class:`DomainError`, so that a caller can
 tell its own mistakes from faults inside a computation.
-
-Simulation runs its chunks on a thread pool sized by :func:`worker_count`;
-the result is the same for every thread count.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
-from typing import Callable, Sequence, TypeVar, Union
+from typing import Union
 
 __all__ = [
     "BACKENDS",
@@ -47,12 +44,7 @@ DEFAULT_RATIONAL_CAP = 64
 # uniform-start ``sim --n 1000000`` (0.33 GB).
 MEMORY_LIMIT = 2 * 1024**3
 
-THREADS_ENV_VAR = "ONEMAX_RUNTIME_THREADS"
-
 Scalar = Union[float, Fraction]
-
-_T = TypeVar("_T")
-_U = TypeVar("_U")
 
 
 class DomainError(ValueError):
@@ -127,41 +119,3 @@ def pow_base(base: float, m: int) -> float:
             acc *= acc
     return result
 
-
-def resolve_threads(threads: int | None) -> int:
-    """Requested thread count: flag value, else env override, else cores."""
-    env = os.environ.get(THREADS_ENV_VAR)
-    if threads is None and env is not None:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise DomainError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if not isinstance(threads, int) or isinstance(threads, bool):
-        raise DomainError(f"threads must be an integer, got {threads!r}")
-    if threads < 1:
-        raise DomainError(f"threads must be positive, got {threads}")
-    return threads
-
-
-def worker_count(threads: int | None, n_items: int) -> int:
-    """Pool size for n_items tasks: the requested threads, never more than
-    there are tasks or cores."""
-    return max(1, min(resolve_threads(threads), n_items, os.cpu_count() or 1))
-
-
-def thread_map(fn: Callable[[_T], _U], items: Sequence[_T], threads: int | None) -> list[_U]:
-    """Map fn over items, in order, optionally on a thread pool.
-
-    Collection is ordered, so output is identical for any thread count.
-    The pool's module is imported only when a pool is used, which keeps it
-    out of the package import.
-    """
-    workers = worker_count(threads, len(items))
-    if workers == 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

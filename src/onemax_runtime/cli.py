@@ -7,8 +7,8 @@ Six subcommands cover the library end to end:
 * ``bounds``   the full inequality verification report,
 * ``asym``     expansion values and closed-form runtime estimates,
 * ``figures``  the two standard diagnostic grids as flat tables,
-* ``sim``      Monte Carlo runs: the jump chain (default), the zero-count
-               chain step by step, or actual bit strings.
+* ``sim``      Monte Carlo runs on the zero count: one accepted jump
+               (default) or one step that flips a zero bit at a time.
 
 Tables go to stdout (or ``--out``) as CSV or JSON; diagnostics go to stderr.
 Exit status: 0 on success, 2 on usage or domain errors (including the rational
@@ -37,7 +37,7 @@ from .asymptotics import (
     figure2_rows,
     runtime_estimate,
 )
-from .backends import BACKENDS, FLOAT, DomainError, NumericError, resolve_threads
+from .backends import BACKENDS, FLOAT, DomainError, NumericError, check_memory, check_n
 from .bounds import CheckRecord, verify_inequalities
 from .drift import build_drift_table
 from .hitting import CORRIDOR_C1, CORRIDOR_C2, runtime_profile
@@ -114,6 +114,20 @@ def _emit_table(columns, rows, args) -> None:
 def _emit_object(obj, args) -> None:
     text = json.dumps(obj, indent=2) + "\n"
     _write_out(text, args.out)
+
+
+# Peak bytes a table cell takes from the first row built to the rendered
+# text, by format: tracemalloc measured 65-71 (csv) and 288-291 (json) over
+# whole ``asym 20000``, ``asym 80000`` and ``figures --which 1`` requests
+# (``--n-range 200:260`` and ``400:460``).
+_CELL_BYTES = {"csv": 80, "json": 320}
+
+
+def _check_table(nrows: int, columns, args) -> None:
+    """Refuse a table of ``nrows`` rows that would exceed ``MEMORY_LIMIT``
+    as rows and text, before any row is made."""
+    nbytes = nrows * len(columns) * _CELL_BYTES[args.format]
+    check_memory(nbytes, f"a table of {nrows} rows")
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -200,12 +214,17 @@ def _cmd_asym(args) -> None:
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"eps must be a rational number, got {args.eps!r}") from None
     _check_eps(eps)
-    rows = []
+    columns = ("n", "k", "alpha", "delta_star_exact", "approx", "abs_err", "q_asym", "et_asym")
+    k_his = []
     for n in args.n:
-        est = runtime_estimate(n)
-        k_hi = math.floor((1 - eps) * n)
+        k_hi = math.floor((1 - eps) * check_n(n))
         if k_hi < 1:
             raise DomainError(f"eps = {eps} leaves no valid state for n = {n}")
+        k_his.append(k_hi)
+    _check_table(sum(k_his), columns, args)
+    rows = []
+    for n, k_hi in zip(args.n, k_his):
+        est = runtime_estimate(n)
         for k, exact, ev in _expansion_grid(n, k_hi):
             approx = ev.approx[args.order]
             rows.append(
@@ -220,20 +239,7 @@ def _cmd_asym(args) -> None:
                     est.et_asym,
                 )
             )
-    _emit_table(
-        (
-            "n",
-            "k",
-            "alpha",
-            "delta_star_exact",
-            "approx",
-            "abs_err",
-            "q_asym",
-            "et_asym",
-        ),
-        rows,
-        args,
-    )
+    _emit_table(columns, rows, args)
 
 
 def _parse_range(spec: str) -> tuple[int, int]:
@@ -251,9 +257,7 @@ def _parse_range(spec: str) -> tuple[int, int]:
 
 def _cmd_figures(args) -> None:
     lo, hi = _parse_range(args.n_range)
-    resolve_threads(args.threads)  # validated, as for ``sim``; the grids run serially
     if args.which == 1:
-        rows = figure1_rows(lo, hi)
         columns = (
             "n",
             "k",
@@ -269,6 +273,8 @@ def _cmd_figures(args) -> None:
             "inv_err1",
             "inv_err2",
         )
+        _check_table((lo + hi) * (hi - lo + 1) // 2, columns, args)
+        rows = figure1_rows(lo, hi)
     else:
         rows = figure2_rows(lo, hi)
         columns = ("n", "q_exact", "g_exact", "diff", "diff_minus_half_e_log")
@@ -295,7 +301,7 @@ def _cmd_sim(args) -> None:
         engine=args.engine,
         max_iters=args.max_iters,
     )
-    stats, samples = run(config, threads=args.threads)
+    stats, samples = run(config)
     if args.samples_out is not None:
         text = _csv_text(("replicate", "iterations"), enumerate(samples.tolist()), args.precision)
         _write_out(text, args.samples_out)
@@ -380,7 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figures", help="diagnostic grids as flat tables")
     p.add_argument("--which", type=int, choices=(1, 2), required=True)
     p.add_argument("--n-range", required=True, metavar="LO:HI")
-    p.add_argument("--threads", type=int, default=None, metavar="N")
     _add_output_options(p, "csv")
     p.set_defaults(handler=_cmd_figures)
 
@@ -391,7 +396,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--engine", choices=ENGINES, default=ENGINE_JUMP)
     p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None, metavar="N")
     p.add_argument(
         "--samples-out", metavar="PATH", default=None,
         help="also write per-replicate hitting times as CSV to PATH",

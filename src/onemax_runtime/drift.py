@@ -16,8 +16,9 @@ Everything here is an explicit finite sum over mutation outcomes:
 * ``normalized_drift_gf``: an independent generating-function route to the
   normalized drift, used to cross-check the double sum,
 * ``transition_prob`` / ``build_kernel``: the accepted-step law p(k, j),
-* ``build_drift_table``: dense drift tables consumed by the hitting-time
-  recurrence and the bound checks.
+* ``build_drift_table``: both drift columns of every state, the table the
+  ``drift`` command prints and that ``hitting_profile``,
+  ``inverse_drift_sum``, ``eta`` and ``eta_star`` take.
 
 All operations take a ``backend`` flag: ``"float"`` for IEEE doubles with
 numpy vectorization, ``"rational"`` for exact values as
@@ -680,8 +681,9 @@ def build_kernel(
     """Compute kernel rows p(k, .) for k = 0..max_state (default n).
 
     The chain is non-increasing, so hitting times from a start state k0 only
-    need rows up to k0; passing ``max_state`` keeps large sweeps quadratic
-    instead of cubic.
+    need rows up to k0. The kernel keeps the band of those rows, so it is
+    O(max_state D) for the band width D: at most 20 in floats
+    (``_band_width``), max_state in exact arithmetic.
     """
     check_n(n)
     check_backend(backend)

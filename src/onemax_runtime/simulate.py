@@ -51,8 +51,8 @@ experiment should be redone with a larger budget. The default budget
 Replicates are processed in fixed chunks of 8192, each chunk driven by its
 own PCG64 stream, one child of the seed's ``SeedSequence`` per chunk. The
 chunk layout is part of the contract: results are byte-identical for a
-given (seed, n, start, engine, replicates, max_iters) regardless of how
-chunks are scheduled, and within a chunk everything is vectorized. A
+given (seed, n, start, engine, replicates, max_iters), the chunks run in
+order, and within a chunk everything is vectorized. A
 uniform start has Bin(n, 1/2) zero bits: the bitstring engine draws every
 bit, the other two engines draw the count with one binomial call.
 """
@@ -65,7 +65,7 @@ from functools import partial
 
 import numpy as np
 
-from .backends import FLOAT, DomainError, check_memory, check_n, resolve_threads, thread_map
+from .backends import FLOAT, DomainError, check_memory, check_n
 from .drift import _band_improvement, _band_width, _float_band
 
 __all__ = [
@@ -244,14 +244,6 @@ def _uniform_start(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return zc
 
 
-def _start_states(
-    n: int, start: int | str, m: int, rng: np.random.Generator, uniform=_binomial_start
-) -> np.ndarray:
-    if start == UNIFORM_START:
-        return uniform(m, n, rng)
-    return np.full(m, start, dtype=np.int64)
-
-
 def _run_lanes(step, k: np.ndarray, max_iters: int) -> tuple[np.ndarray, int]:
     """Hitting times of lanes started with zero counts ``k``.
 
@@ -286,7 +278,7 @@ def _run_lanes(step, k: np.ndarray, max_iters: int) -> tuple[np.ndarray, int]:
     return times, truncated
 
 
-# One chunk of each engine, as (step, start states) for ``_run_lanes``.
+# The step functions of the engines, for ``_run_lanes``.
 
 
 def _zero_flip_round(
@@ -321,12 +313,6 @@ def _zero_flip_round(
     b = np.bincount(lane[one], minlength=zc.size)
     a = np.bincount(lane[~one], minlength=zc.size) + 1
     return wait, np.where(b <= a, zc - a + b, zc)
-
-
-def _rank_lanes(uniform, n: int, start: int | str, m: int, rng: np.random.Generator):
-    """``bitstring`` and ``statechain``: the zero-flip round, from start
-    states whose uniform law ``uniform`` draws."""
-    return partial(_zero_flip_round, n, rng=rng), _start_states(n, start, m, rng, uniform)
 
 
 def _jump_tables(n: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -370,42 +356,42 @@ def _draw_jumps(cdf: np.ndarray, k: np.ndarray, u: np.ndarray) -> np.ndarray:
     return d
 
 
-def _jump_lanes(rate: np.ndarray, cdf: np.ndarray, n: int, start: int | str, m: int, rng):
-    def step(idx, k):
-        wait = (rng.standard_exponential(k.size) * rate[k]).astype(np.int64) + 1
-        return wait, k - _draw_jumps(cdf, k, rng.random(k.size))
+def _jump_step(
+    rate: np.ndarray, cdf: np.ndarray, idx: np.ndarray, k: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One jump of the lanes ``idx`` in states ``k``: (steps waited, new
+    states). A jump reads only the states, not which lanes they are."""
+    wait = (rng.standard_exponential(k.size) * rate[k]).astype(np.int64) + 1
+    return wait, k - _draw_jumps(cdf, k, rng.random(k.size))
 
-    return step, _start_states(n, start, m, rng)
 
-
-def run(config: SimConfig, threads: int | None = 1) -> tuple[RunStats, np.ndarray]:
+def run(config: SimConfig) -> tuple[RunStats, np.ndarray]:
     """Run the experiment and return (stats, per-replicate hitting times).
 
-    Chunks may be processed on a thread pool; the output does not depend on
-    the thread count because every chunk owns an independent child stream
-    and results are reassembled in chunk order.
+    The chunks run in order, each on its own child stream of the seed, and
+    each draws its start states before its first step.
     """
-    resolve_threads(threads)  # a bad thread count fails before any table is built
     n = config.n
+    start = config.start
     reps = config.replicates
     max_iters = config.max_iters if config.max_iters is not None else default_max_iters(n)
+    uniform = _uniform_start if config.engine == ENGINE_BITSTRING else _binomial_start
     if config.engine == ENGINE_JUMP:
-        kmax = n if config.start == UNIFORM_START else config.start
-        lanes = partial(_jump_lanes, *_jump_tables(n, kmax))
+        step = partial(_jump_step, *_jump_tables(n, n if start == UNIFORM_START else start))
     else:
-        uniform = _uniform_start if config.engine == ENGINE_BITSTRING else _binomial_start
-        lanes = partial(_rank_lanes, uniform)
-    nchunks = (reps + CHUNK_SIZE - 1) // CHUNK_SIZE
-    streams = np.random.SeedSequence(config.seed).spawn(nchunks)
-
-    def one(i: int) -> tuple[np.ndarray, int]:
-        m = min(CHUNK_SIZE, reps - i * CHUNK_SIZE)
-        rng = np.random.default_rng(streams[i])
-        return _run_lanes(*lanes(n, config.start, m, rng), max_iters)
-
-    parts = thread_map(one, range(nchunks), threads)
-    samples = np.concatenate([p[0] for p in parts])
-    truncated = sum(p[1] for p in parts)
+        step = partial(_zero_flip_round, n)
+    samples = np.empty(reps, dtype=np.int64)
+    truncated = 0
+    streams = np.random.SeedSequence(config.seed).spawn((reps + CHUNK_SIZE - 1) // CHUNK_SIZE)
+    for lo, stream in zip(range(0, reps, CHUNK_SIZE), streams):
+        m = min(CHUNK_SIZE, reps - lo)
+        rng = np.random.default_rng(stream)
+        if start == UNIFORM_START:
+            k = uniform(m, n, rng)
+        else:
+            k = np.full(m, start, dtype=np.int64)
+        samples[lo : lo + m], cut = _run_lanes(partial(step, rng=rng), k, max_iters)
+        truncated += cut
     if reps > 1:
         std_error = float(samples.std(ddof=1) / math.sqrt(reps))
     else:

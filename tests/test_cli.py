@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from onemax_runtime import backends
 from onemax_runtime import cli as cli_mod
 from onemax_runtime import expansion_delta_star, runtime_estimate
 from onemax_runtime.backends import NumericError
@@ -214,15 +215,6 @@ def test_figures_second_grid(capsys):
     assert len(lines) == 4
 
 
-def test_figures_bad_thread_count(capsys):
-    code, out, err = run_cli(
-        capsys, "figures", "--which", "2", "--n-range", "4:5", "--threads", "0"
-    )
-    assert code == 2
-    assert out == ""
-    assert "threads must be positive" in err
-
-
 def test_figures_bad_range(capsys):
     code, _, err = run_cli(capsys, "figures", "--which", "2", "--n-range", "12")
     assert code == 2
@@ -249,8 +241,6 @@ def test_sim_rerun_is_byte_identical(capsys):
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
     assert first == second
-    _, threaded, _ = run_cli(capsys, *argv, "--threads", "4")
-    assert first == threaded
 
 
 def test_sim_default_engine_is_jump(capsys):
@@ -356,6 +346,8 @@ def test_rational_capacity_is_usage_error(capsys):
         ("sim", "--n", "10", "--reps", str(10**15), "--seed", "0"),
         ("bounds", "9000000"),
         ("bounds", "20000000"),
+        ("asym", "1000000000"),
+        ("figures", "--which", "1", "--n-range", "2:1000000"),
     ],
 )
 def test_huge_requests_exit_2_before_allocating(capsys, argv):
@@ -371,6 +363,29 @@ def test_huge_requests_exit_2_before_allocating(capsys, argv):
     assert out == ""
     assert "GiB limit" in err
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "argv, rows, columns",
+    [
+        (("asym", "64", "40"), 56 + 35, 8),
+        (("figures", "--which", "1", "--n-range", "3:6"), 3 + 4 + 5 + 6, 13),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_check_counts_the_rows_it_emits(monkeypatch, capsys, argv, rows, columns, fmt):
+    """A limit of exactly the checked bytes of the table admits it, one byte
+    less refuses it."""
+    nbytes = rows * columns * cli_mod._CELL_BYTES[fmt]
+    monkeypatch.setattr(backends, "MEMORY_LIMIT", nbytes)
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    emitted = len(json.loads(out)) if fmt == "json" else out.count("\n") - 1
+    assert emitted == rows
+    monkeypatch.setattr(backends, "MEMORY_LIMIT", nbytes - 1)
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert "GiB limit" in err
 
 
 def test_numeric_error_exit_code(monkeypatch, capsys):
@@ -464,20 +479,3 @@ def test_package_import_does_not_load_numpy_polynomial():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
-
-
-def test_package_import_does_not_load_the_thread_pool():
-    """concurrent.futures is imported only when a pool of two or more
-    threads runs, which a single-state request never does."""
-    script = "\n".join([
-        "import contextlib, io, sys",
-        "import onemax_runtime",
-        "print('concurrent.futures' in sys.modules)",
-        "from onemax_runtime.cli import main",
-        "with contextlib.redirect_stdout(io.StringIO()):",
-        "    code = main(['runtime', '16'])",
-        "print(code, 'concurrent.futures' in sys.modules)",
-    ])
-    proc = _run_python("-c", script)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "0", "False"]

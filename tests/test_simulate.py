@@ -3,7 +3,6 @@
 import dataclasses
 import importlib
 import math
-import os
 import tracemalloc
 from math import comb
 
@@ -23,13 +22,7 @@ from onemax_runtime import (
     step_bitstring,
     step_statechain,
 )
-from onemax_runtime.backends import (
-    THREADS_ENV_VAR,
-    CapacityError,
-    DomainError,
-    check_memory,
-    worker_count,
-)
+from onemax_runtime.backends import CapacityError, DomainError, check_memory
 from onemax_runtime.simulate import (
     _START_BLOCK,
     ENGINES,
@@ -169,40 +162,14 @@ def test_single_step_law_matches_kernel(stepper):
     assert result.pvalue > 1e-4
 
 
-def test_run_is_deterministic_and_thread_invariant():
+def test_run_is_deterministic():
     cfg = SimConfig(n=15, start=7, replicates=3 * 8192 + 17, seed=99)
     s1, t1 = run(cfg)
-    s2, t2 = run(cfg, threads=4)
-    assert (t1 == t2).all()
+    s2, t2 = run(cfg)
+    assert t1.tobytes() == t2.tobytes()
     assert s1 == s2
     s3, t3 = run(SimConfig(n=15, start=7, replicates=3 * 8192 + 17, seed=100))
     assert not (t1 == t3).all()
-
-
-def test_worker_count_is_bounded_by_tasks_and_cores(monkeypatch):
-    cores = os.cpu_count() or 1
-    assert worker_count(10**6, 3) == min(3, cores)
-    assert worker_count(10**6, 10**6) == cores
-    assert worker_count(1, 50) == 1
-    assert worker_count(4, 0) == 1
-    monkeypatch.setenv(THREADS_ENV_VAR, str(10**6))
-    assert worker_count(None, 2) == min(2, cores)
-    with pytest.raises(DomainError):
-        worker_count(0, 5)
-    monkeypatch.setenv(THREADS_ENV_VAR, "many")
-    with pytest.raises(DomainError):
-        worker_count(None, 5)
-
-
-@pytest.mark.parametrize("threads", ["3", 2.5, True, False])
-@pytest.mark.parametrize(
-    "call",
-    [lambda threads: run(SimConfig(n=8, start=4, replicates=4, seed=0), threads=threads)],
-    ids=["run"],
-)
-def test_thread_count_must_be_an_integer(call, threads):
-    with pytest.raises(DomainError, match="threads must be an integer"):
-        call(threads)
 
 
 def test_fixed_start_mean_matches_exact_expectation():
@@ -490,12 +457,17 @@ def test_uniform_start_block_is_checked_before_it_is_drawn(monkeypatch):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_every_engine_is_thread_invariant(engine):
-    cfg = SimConfig(n=15, start=7, replicates=3 * 8192 + 17, seed=99, engine=engine)
-    s1, t1 = run(cfg, threads=1)
-    s4, t4 = run(cfg, threads=4)
-    assert t1.tobytes() == t4.tobytes()
-    assert s1 == s4
+def test_whole_chunks_are_a_prefix_of_a_longer_run(engine):
+    """Chunk i draws from child i of the seed, whatever follows it, so the
+    first whole chunk of a longer run is the run of that one chunk. A partial
+    chunk is not a prefix: its vectorized draws depend on its size."""
+    for start in ("uniform", 7):
+        cfg = SimConfig(n=15, start=start, replicates=3 * 8192 + 17, seed=99, engine=engine)
+        _, long = run(cfg)
+        _, one = run(dataclasses.replace(cfg, replicates=8192))
+        assert long[:8192].tobytes() == one.tobytes()
+        _, rerun = run(cfg)
+        assert long.tobytes() == rerun.tobytes()
 
 
 @pytest.mark.parametrize("engine", ENGINES)
