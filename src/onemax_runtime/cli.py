@@ -97,30 +97,38 @@ def _csv_text(columns, rows, precision: int) -> str:
     return buf.getvalue()
 
 
+def _json_chunks(columns, rows, precision: int):
+    """The text of ``json.dumps`` of the rows as objects, with indent 2 and
+    a final newline, one row at a time: no row is held as an object or as
+    text after it is written."""
+    sep = "["
+    for row in rows:
+        obj = {c: _json_value(v, precision) for c, v in zip(columns, row)}
+        yield sep + "\n  " + json.dumps(obj, indent=2).replace("\n", "\n  ")
+        sep = ","
+    yield "[]\n" if sep == "[" else "\n]\n"
+
+
 @_unlimited_int_digits()
 def _emit_table(columns, rows, args) -> None:
     if args.format == "json":
-        payload = [
-            {c: _json_value(v, args.precision) for c, v in zip(columns, row)}
-            for row in rows
-        ]
-        text = json.dumps(payload, indent=2) + "\n"
+        chunks = _json_chunks(columns, rows, args.precision)
     else:
-        text = _csv_text(columns, rows, args.precision)
-    _write_out(text, args.out)
+        chunks = (_csv_text(columns, rows, args.precision),)
+    _write_out(chunks, args.out)
 
 
 @_unlimited_int_digits()
 def _emit_object(obj, args) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
-    _write_out(text, args.out)
+    _write_out((json.dumps(obj, indent=2) + "\n",), args.out)
 
 
 # Peak bytes a table cell takes from the first row built to the rendered
-# text, by format: tracemalloc measured 65-71 (csv) and 288-291 (json) over
-# whole ``asym 20000``, ``asym 80000`` and ``figures --which 1`` requests
-# (``--n-range 200:260`` and ``400:460``).
-_CELL_BYTES = {"csv": 80, "json": 320}
+# text, by format: tracemalloc measured 65-71 (csv, the rows and their whole
+# text) and 30-36 (json, the rows alone, each written as it is rendered)
+# over whole ``asym 20000``, ``asym 80000`` and ``figures --which 1``
+# requests (``--n-range 200:260`` and ``400:460``).
+_CELL_BYTES = {"csv": 80, "json": 40}
 
 
 def _check_table(nrows: int, columns, args) -> None:
@@ -130,12 +138,14 @@ def _check_table(nrows: int, columns, args) -> None:
     check_memory(nbytes, f"a table of {nrows} rows")
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _write_out(chunks, out: str | None) -> None:
+    """Write the strings of ``chunks`` in turn to stdout, or to the file
+    ``out``."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _cmd_drift(args) -> None:
@@ -304,7 +314,7 @@ def _cmd_sim(args) -> None:
     stats, samples = run(config)
     if args.samples_out is not None:
         text = _csv_text(("replicate", "iterations"), enumerate(samples.tolist()), args.precision)
-        _write_out(text, args.samples_out)
+        _write_out((text,), args.samples_out)
     obj = {
         "n": config.n,
         "start": args.start,

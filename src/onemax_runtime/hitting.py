@@ -8,12 +8,17 @@ recurrence
     g(k) = (1 + sum_{j=1..k-1} p(k, j) g(j)) / sum_{j=0..k-1} p(k, j),
 
 because the chain never moves up. Both backends solve it over the kernel
-band. The float backend takes correctly rounded row sums, equal to
-``math.fsum``: s_k from the whole-array row sums of ``drift``, and the sum
-over the earlier states of each row one state at a time. The rational
-backend runs it on the band's integer numerators over n^n: g(k) = G_k / D_k,
-where D_k is the running product of the numerators of the row sums s_k and
-G_k is an integer, so each g(k) is one Fraction, reduced once. The companion
+band. The float backend takes s_k from the correctly rounded row sums of
+``drift`` and solves s_k g(k) - sum_d p(k, k - d) g(k - d) = 1 in blocks
+(``_band_solve``): runs of D states at once, D the band width, joined in
+order. Every term is nonnegative, so nothing cancels: against the exact
+solution of the same float band, g is within n units of 2^-53, relative, at
+every state for n <= 300 (a test checks it), and reads 43 units at n/2 for
+n = 10^6, far below the n 2^-53 every band entry carries from the base
+fl(1 - 1/n). The rational backend runs the recurrence on the band's integer
+numerators over n^n: g(k) = G_k / D_k, where D_k is the running product of
+the numerators of the row sums s_k and G_k is an integer, so each g(k) is
+one Fraction, reduced once. The companion
 quantity
 
     q(k) = sum_{j=1..k} 1 / delta(j)
@@ -129,17 +134,90 @@ def _inverse_drift_prefix(delta) -> np.ndarray:
     return np.cumsum(np.concatenate((delta[:1], 1 / np.asarray(delta[1:]))))
 
 
-def _band_hitting_times(n: int, band: np.ndarray) -> np.ndarray:
-    """g(k) from a float band: the recurrence of order D, one row sum per
-    state."""
-    improve = _band_improvement(n, FLOAT, band)
+# States per span of ``_band_solve``: the working arrays of a span, about
+# 400 bytes a state at width 16, are made and freed one span at a time.
+_SPAN = 4096
+
+
+def _band_solve(
+    band: np.ndarray, diag: np.ndarray, rhs, out: np.ndarray | None = None
+) -> np.ndarray:
+    """x with x_0 = 0 and diag_k x_k - sum_{d=1..W} band[k, d] x_(k-d) = rhs_k
+    at every later state k of a float band of width W, as a float64 array.
+    ``rhs`` is a scalar or one value per state; states before 0 count as 0.
+    x is written to ``out`` if given, which may be ``diag`` itself: a span
+    reads its diag before its values are written.
+
+    States 1, 2, ... are cut into runs of W, and the runs into spans of about
+    ``_SPAN`` states, which ``_solve_runs`` solves one after the other: the
+    last W values of a span are the W values before the next.
+
+    With a nonnegative band, diag and rhs nothing cancels, and with diag the
+    band's row sums each value is a weighted mean of the W values before its
+    run plus its rhs part, so a rounding error is carried on but not grown.
+    Against the exact solution of the same float system, the hitting times
+    of ``_hitting_times`` read at most 19 units of 2^-53, relative, over
+    the states of n = 700, and 246 over the states up to n/2 of n = 10^6
+    (43 at n/2, where a ``math.fsum`` per state read 930).
+    """
+    states = len(band)
+    x = np.zeros(states) if out is None else out
+    x[:1] = 0.0
+    if states <= 1:
+        return x
     width = band.shape[1] - 1
-    g = np.zeros(len(band))
-    for k in range(1, len(band)):
-        d_max = min(k - 1, width)
-        hit = math.fsum((band[k, 1 : d_max + 1] * g[k - d_max : k][::-1]).tolist())
-        g[k] = (1 + hit) / improve[k]
-    return g
+    span = max(1, _SPAN // width) * width
+    before = np.zeros(width)
+    for lo in range(1, states, span):
+        hi = min(lo + span, states)
+        part = rhs[lo:hi] if np.ndim(rhs) else rhs
+        runs = _solve_runs(band[lo:hi], diag[lo:hi], part, before)
+        x[lo:hi] = runs.ravel()[: hi - lo]
+        before = runs[-1]
+    return x
+
+
+def _solve_runs(band: np.ndarray, diag: np.ndarray, rhs, before: np.ndarray) -> np.ndarray:
+    """The values of consecutive states of the ``_band_solve`` system, as
+    one row of W values per run of W states, from the W values ``before``
+    the first; a last run past the states is padded.
+
+    Inside a run every x is an affine function a + H h of the W values h
+    just before the run. For all runs at once, W steps build the coefficient
+    rows (a, H) state by state: a step is one batched product of each run's
+    band row with its last W coefficient rows, plus rhs, over diag. A run
+    holds W states, so its values are the next run's h: a loop walks the
+    runs in order, one (W x (W + 1)) product each.
+    """
+    width = band.shape[1] - 1
+    runs = -(-len(band) // width)
+    # The band rows in reversed order of d, so that column d pairs with the
+    # coefficient row of x_(k-d); padded states get zero rows over a unit
+    # diag.
+    rows = np.zeros((runs * width, width))
+    rows[: len(band)] = band[:, :0:-1]
+    rows = rows.reshape(runs, width, width)
+    piv = np.ones(runs * width)
+    piv[: len(band)] = diag
+    piv = piv.reshape(runs, width)
+    if np.ndim(rhs):
+        rhs = np.concatenate((rhs, np.zeros(runs * width - len(band)))).reshape(runs, width)
+    # coef[r, i] = (a, H) of the i-th of the 2W states that end run r; the
+    # first W are the h themselves.
+    coef = np.zeros((runs, 2 * width, width + 1))
+    coef[:, np.arange(width), np.arange(1, width + 1)] = 1.0
+    for i in range(width):
+        step = np.matmul(rows[:, i, None, :], coef[:, i : i + width])[:, 0]
+        step[:, 0] += rhs[:, i] if np.ndim(rhs) else rhs
+        step /= piv[:, i, None]
+        coef[:, width + i] = step
+    # vals[r] = (1, h) of run r, and vals[r + 1] holds run r's own values.
+    vals = np.empty((runs + 1, width + 1))
+    vals[:, 0] = 1.0
+    vals[0, 1:] = before
+    for r in range(runs):
+        np.dot(coef[r, width:], vals[r], out=vals[r + 1, 1:])
+    return vals[1:, 1:]
 
 
 def _exact_hitting_times(n: int, nums: list[list[int]]) -> list[Fraction]:
@@ -169,10 +247,13 @@ def _exact_hitting_times(n: int, nums: list[list[int]]) -> list[Fraction]:
 
 def _hitting_times(n: int, backend: str, band) -> np.ndarray:
     """g over the states of a ``_BANDS`` band, as a float64 array or an
-    object array of Fractions."""
+    object array of Fractions. The float g is the blocked solve of
+    s_k g(k) - sum_d p(k, k - d) g(k - d) = 1 (``_band_solve``)."""
     if backend == RATIONAL:
         return np.array(_exact_hitting_times(n, band), dtype=object)
-    return _band_hitting_times(n, band)
+    improve = _band_improvement(n, FLOAT, band)
+    # g takes the place of s_k, which is read span by span before it.
+    return _band_solve(band, improve, 1.0, out=improve)
 
 
 def _profile(n: int, backend: str, g: np.ndarray, q: np.ndarray) -> HittingProfile:

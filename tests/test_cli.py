@@ -388,6 +388,25 @@ def test_table_check_counts_the_rows_it_emits(monkeypatch, capsys, argv, rows, c
     assert "GiB limit" in err
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [(1, 0.5, None, True)],
+        [(1, 0.1 + 0.2, F(1, 3), False), (2, -1e300, F(-7, 2), None), (3, 2.0, 7, True)],
+    ],
+    ids=["empty", "one", "three"],
+)
+def test_json_table_is_written_row_by_row_as_json_dumps_would(capsys, rows):
+    args = cli_mod._build_parser().parse_args(["runtime", "8", "--format", "json"])
+    columns = ("k", "x", "exact", "ok")
+    cli_mod._emit_table(columns, rows, args)
+    payload = [
+        {c: cli_mod._json_value(v, args.precision) for c, v in zip(columns, row)} for row in rows
+    ]
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
 def test_numeric_error_exit_code(monkeypatch, capsys):
     import onemax_runtime.cli as cli_mod
 

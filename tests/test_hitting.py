@@ -3,8 +3,10 @@
 import math
 import tracemalloc
 from fractions import Fraction as F
+from functools import cache
 
 import mpmath
+import numpy as np
 import pytest
 
 from onemax_runtime import (
@@ -21,7 +23,9 @@ from onemax_runtime import (
     runtime_profile,
     transition_prob,
 )
+from onemax_runtime import hitting
 from onemax_runtime.backends import DomainError
+from onemax_runtime.drift import _band_improvement, _float_band
 
 
 def test_known_exact_values_n3():
@@ -267,3 +271,69 @@ def test_profile_to_half_of_a_hundred_thousand_peaks_under_10_4_mib():
         tracemalloc.stop()
     assert peak < 10.4 * 2**20
     assert len(prof.g) == len(prof.q) == 5 * 10**4 + 1
+
+
+def exact_band_solve(band, diag, rhs):
+    """The ``_band_solve`` system solved in Fractions on the very floats of
+    its band, diag and rhs."""
+    width = band.shape[1] - 1
+    x = [F(0)]
+    for k in range(1, len(band)):
+        acc = F(float(rhs[k] if np.ndim(rhs) else rhs))
+        for d in range(1, min(k, width) + 1):
+            acc += F(float(band[k, d])) * x[k - d]
+        x.append(acc / F(float(diag[k])))
+    return x
+
+
+@cache
+def float_system(n):
+    """The float band of all states of n, its s_k, and g solved exactly on
+    them."""
+    band = _float_band(n, range(n + 1))
+    diag = _band_improvement(n, "float", band)
+    return band, diag, exact_band_solve(band, diag, 1.0)
+
+
+def assert_within_ulps(got, exact, ulps):
+    """Every state past 0 within ``ulps`` units of 2^-53, relative."""
+    assert got[0] == 0
+    worst = max(abs(F(float(a)) - b) / b for a, b in zip(got[1:], exact[1:]))
+    assert worst <= ulps * F(1, 2**53)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 40, 64, 300])
+def test_float_g_is_within_n_ulps_of_the_exact_solve_of_its_band(n):
+    """n 2^-53 relative is the scale of the error every band entry carries
+    from the base fl(1 - 1/n)."""
+    assert_within_ulps(runtime_profile(n).g, float_system(n)[2], n)
+
+
+def test_band_solve_takes_a_per_state_right_hand_side():
+    n = 40
+    band, diag, _ = float_system(n)
+    rhs = np.sqrt(np.arange(n + 1.0)) + 1.0 / 3.0
+    got = hitting._band_solve(band, diag, rhs)
+    assert_within_ulps(got, exact_band_solve(band, diag, rhs), n)
+
+
+def test_band_solve_carries_values_across_spans(monkeypatch):
+    """Spans of two runs at n = 300: eight spans, the last one run long."""
+    n = 300
+    band, diag, exact = float_system(n)
+    monkeypatch.setattr(hitting, "_SPAN", 2 * (band.shape[1] - 1))
+    assert_within_ulps(hitting._band_solve(band, diag, 1.0), exact, n)
+
+
+@pytest.mark.parametrize("up_to", [15, 4095, 4096, 4097, 8193, 9999])
+def test_float_g_hardly_depends_on_the_states_solved(up_to):
+    """A shorter profile has a narrower band, and so other runs, and its g
+    differs in the last bits; with the same width it is the same."""
+    n = 20000
+    full = runtime_profile(n, up_to=10000).g
+    part = runtime_profile(n, up_to=up_to).g
+    if up_to == 9999:
+        assert part == full[:10000]
+        return
+    worst = max(abs(a - b) / b for a, b in zip(part[1:], full[1:]))
+    assert worst < 1e-14
