@@ -33,8 +33,8 @@ The float suite works on whole arrays, a block of states at a time, with no
 per-state Python loop of its own. What it reads from ``drift`` and
 ``hitting`` is computed there: the correctly rounded row sums of the drift
 and the improvement probability, the hitting recurrence (run only up to
-n/2, where g is checked), and the running sums q and H. The check columns
-are numpy arrays:
+n/2, where g is checked, on the s_k the suite sums once for all states),
+and the running sums q and H. The check columns are numpy arrays:
 
 * ``tail-factorial`` bounds R_l = P[the step from k drops at least l] l! /
   x^l, x = k/n, by 1 for l = 1..k, and R_(l+1) <= R_l for every l. With
@@ -324,13 +324,14 @@ def verify_inequalities(
     check_rational_cap(n, backend, rational_cap)
     check_memory(n * _SUITE_BYTES_PER_STATE, f"the inequality suite at n = {n}")
     band = _BANDS[backend](n, range(n + 1))
+    half = n // 2
+    improve = _band_improvement(n, backend, band)
+    # The checks read g at n/2 only, and the recurrence runs up in k, so it
+    # stops there. It runs before the drift column exists, so the solve's
+    # scratch does not add to the peak that q and eta set.
+    g_half = _hitting_times(n, backend, band[: half + 1], improve[: half + 1]).item(half)
     # The drift column as an array: float64, or objects holding the Fractions.
     delta = _band_drift(n, backend, band)
-    half = n // 2
-    # The checks read g at n/2 only, and the recurrence runs up in k, so it
-    # stops there.
-    g_half = _hitting_times(n, backend, band[: half + 1]).item(half)
-    improve = _band_improvement(n, backend, band)
     q = _inverse_drift_prefix(delta)
     eta_vals = _etas(n, backend, band, delta, q, range(n + 1))
     # g, eta and s_k have read the band, the largest array, so it goes before

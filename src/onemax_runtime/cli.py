@@ -88,13 +88,27 @@ def _json_value(value, precision: int):
     return value
 
 
-def _csv_text(columns, rows, precision: int) -> str:
+# Characters of CSV text rendered before they are written out, a pipe's
+# default capacity: a table of any length holds about this much text at
+# once, while a reader of the output still gets few, large writes (one write
+# per line grew the heap of a process reading the output through a pipe).
+_CSV_CHUNK = 65536
+
+
+def _csv_chunks(columns, rows, precision: int):
+    """The CSV text of the header ``columns`` and the rows, in chunks of
+    whole lines, each written out once it reaches ``_CSV_CHUNK``
+    characters."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_fmt_cell(v, precision) for v in row])
-    return buf.getvalue()
+        if buf.tell() >= _CSV_CHUNK:
+            yield buf.getvalue()
+            buf.seek(0)
+            buf.truncate()
+    yield buf.getvalue()
 
 
 def _json_chunks(columns, rows, precision: int):
@@ -114,7 +128,7 @@ def _emit_table(columns, rows, args) -> None:
     if args.format == "json":
         chunks = _json_chunks(columns, rows, args.precision)
     else:
-        chunks = (_csv_text(columns, rows, args.precision),)
+        chunks = _csv_chunks(columns, rows, args.precision)
     _write_out(chunks, args.out)
 
 
@@ -124,17 +138,17 @@ def _emit_object(obj, args) -> None:
 
 
 # Peak bytes a table cell takes from the first row built to the rendered
-# text, by format: tracemalloc measured 65-71 (csv, the rows and their whole
-# text) and 30-36 (json, the rows alone, each written as it is rendered)
-# over whole ``asym 20000``, ``asym 80000`` and ``figures --which 1``
-# requests (``--n-range 200:260`` and ``400:460``).
-_CELL_BYTES = {"csv": 80, "json": 40}
+# text. Both formats write the rows out as they are rendered, so only the
+# rows are held: tracemalloc measured 30.2-33.8 bytes a cell in csv and
+# 29.9-33.9 in json over whole ``asym 20000``, ``asym 80000`` and
+# ``figures --which 1`` requests (``--n-range 200:260`` and ``400:460``).
+_CELL_BYTES = 40
 
 
 def _check_table(nrows: int, columns, args) -> None:
     """Refuse a table of ``nrows`` rows that would exceed ``MEMORY_LIMIT``
-    as rows and text, before any row is made."""
-    nbytes = nrows * len(columns) * _CELL_BYTES[args.format]
+    as rows, before any row is made."""
+    nbytes = nrows * len(columns) * _CELL_BYTES
     check_memory(nbytes, f"a table of {nrows} rows")
 
 
@@ -313,8 +327,8 @@ def _cmd_sim(args) -> None:
     )
     stats, samples = run(config)
     if args.samples_out is not None:
-        text = _csv_text(("replicate", "iterations"), enumerate(samples.tolist()), args.precision)
-        _write_out((text,), args.samples_out)
+        rows = enumerate(samples.tolist())
+        _write_out(_csv_chunks(("replicate", "iterations"), rows, args.precision), args.samples_out)
     obj = {
         "n": config.n,
         "start": args.start,

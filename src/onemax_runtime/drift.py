@@ -54,12 +54,14 @@ with probability s_k >= k / (e n). The chain width D (``_band_width``) is the
 smallest that keeps this below 2^-60 s_k on every row: D = 16 for states up
 to n/2 and D = 20 up to n, at every n >= 64, so memory is O(n D) instead of
 O(n^2). The dropped mass stays in column 0, so rows still sum to one. The
-band is built in blocks of states from 2-D pmf arrays: each block takes its
-(1 - 1/n)^m bases from one vectorised binary exponentiation, bit for bit the
-scalar ``pow_base``, then the ratio recurrence as a cumulative product along
-each row; each entry p(k, k-d) = sum_l pa[d+l] pb[l] adds its first 10 pair
-terms in ascending l, and the terms it omits are below 2^-66 of it. Band
-entries agree with full rows to 6.7e-16 relative (n = 1500 and 4096).
+band is built in blocks of states from 2-D pmf arrays whose states run along
+the contiguous axis: each block takes its (1 - 1/n)^m bases from one
+vectorised binary exponentiation, bit for bit the scalar ``pow_base``, then
+the ratio recurrence as a cumulative product down each state's column; each
+entry p(k, k-d) = sum_l pa[d+l] pb[l] adds its first 10 pair terms in
+ascending l, one product of whole rows per term, and the terms it omits are
+below 2^-66 of it. Band entries agree with full rows to 6.7e-16 relative
+(n = 1500 and 4096).
 
 Row sums of the float band are correctly rounded and equal ``math.fsum``
 bit for bit, but are taken over a block of rows at once (``_row_fsums``):
@@ -71,10 +73,15 @@ such sums.
 
 The underflow width (``_underflow_width``, about 160 columns for states up
 to n/2 and 180 up to n) keeps every entry that is not 0.0 in double
-precision. It is used where the contract is "every positive entry": the
-single-row ``transition_prob`` and ``transition_tail`` read a row of that
-width, and the normalized-drift column is cut there because its terms past
-it are exact zeros.
+precision. Only ``_row_sum`` reads it, that is the single-row
+``transition_prob`` and ``transition_tail``, whose contract is "every
+positive entry".
+
+The float normalized-drift column has its own, narrower cut: its terms decay
+like x^l / l! with x <= (n + 1)/n, and past the 25 of
+``_normalized_drift_terms`` they add at most 2^-80 of the value. The sums
+take 32 columns, that width rounded up to whole blocks of the dot product
+(``_DOT_BLOCK``), and equal the full O(n) sums bit for bit.
 """
 
 from __future__ import annotations
@@ -151,20 +158,26 @@ def _pow_bases(base: Scalar, exponents) -> np.ndarray:
 
 
 def _binom_pmfs(ms: np.ndarray, n: int, terms: int) -> np.ndarray:
-    """Pmfs of Bin(m, 1/n) for each m of an integer array: row i holds the
-    terms 0..terms-1 of Bin(ms[i], 1/n), exact zeros past ms[i].
+    """Pmfs of Bin(m, 1/n) for each m of an integer array, as a (terms,
+    states) array: column i holds the terms 0..terms-1 of Bin(ms[i], 1/n),
+    exact zeros past ms[i].
 
-    Built by the ratio recurrence pmf[i] = pmf[i-1] * (m-i+1) / (i (n-1)),
-    which is stable because every factor is positive and the mass decays.
-    The cumulative products run along each row, so a row is the same
-    sequence of operations for any number of rows or terms.
+    Built by the ratio recurrence pmf[t] = pmf[t-1] * (m-t+1) / (t (n-1)),
+    which is stable because every factor is positive and the mass decays:
+    term t is (1 - 1/n)^m times the cumulative product of the first t
+    ratios. The states run along the contiguous axis, so each step of the
+    product is one multiplication of whole rows, and a column is the same
+    sequence of operations for any number of states or terms.
     """
-    m = np.asarray(ms, dtype=float)[:, None]
-    out = np.empty((len(m), terms))
-    out[:, 0] = _pow_bases(1.0 - 1.0 / n, ms)
-    i = np.arange(1.0, terms)
-    ratios = np.maximum(m - i + 1.0, 0.0) / (i * (n - 1.0))
-    out[:, 1:] = out[:, :1] * np.cumprod(ratios, axis=1)
+    m = np.asarray(ms, dtype=float)
+    out = np.empty((terms, len(m)))
+    out[0] = _pow_bases(1.0 - 1.0 / n, ms)
+    t = np.arange(1.0, terms)[:, None]
+    # m - t + 1 is an exact integer, so the one rounding is the division.
+    ratios = np.maximum(m - t + 1.0, 0.0)
+    ratios /= t * (n - 1.0)
+    np.cumprod(ratios, axis=0, out=ratios)
+    np.multiply(out[:1], ratios, out=out[1:])
     return out
 
 
@@ -227,9 +240,19 @@ def normalized_drift(n: int, k: int, backend: str = FLOAT) -> Scalar:
 # ``bounds``): at the chain width the band's pmf arrays take about 0.1 MB.
 _BLOCK = 512
 
-# States per block of the vectorized normalized drift: its three arrays of the
-# underflow width (about 180 columns) take about 0.55 MB for any n.
-_DSTAR_BLOCK = 128
+# States per block of the vectorized normalized drift: its three arrays of
+# 512 rows at the 32-column width take 0.39 MB for any n.
+_DSTAR_BLOCK = 512
+
+# Terms that the dot products of the normalized drift add in vector lanes, a
+# whole block at a time; the terms past the last whole block are added one by
+# one (scipy-openblas 0.3.31's ddot, which numpy's ``vecdot`` and ``dot``
+# call). A sum cut inside the first block adds its leading terms in another
+# order than the full sum does, and moves values: cut at 18 to 31 columns,
+# the same 242 of 1002 values moved at n = 1000 at every cut, 281 of 1026 at
+# 1024 and 1090 of 4097 at 4095 (more at 16 and 17). Cut at 32 to 65 columns,
+# none moved, so the column is cut after a whole block.
+_DOT_BLOCK = 32
 
 
 def _normalized_drift_float(n: int, states: Sequence[int]) -> np.ndarray:
@@ -238,10 +261,12 @@ def _normalized_drift_float(n: int, states: Sequence[int]) -> np.ndarray:
 
     With u_l = C(k, l) n^-l and v_j = C(m, j) n^-j, m = n + 1 - k, the value
     is sum_l u_l (l cv0[l-1] - cv1[l-1]) over the prefix sums cv0, cv1 of v_j
-    and j v_j, j <= m. Both sequences decay like x^l / l! with
-    x <= (n + 1)/(n - 1), so past the band width for state n + 1 their
-    cumulative products are exact zeros: they are cut there, which leaves
-    every value bit for bit as the full O(n) sums give it.
+    and j v_j, j <= m. The sums over l are cut at the width of
+    ``_normalized_drift_terms``, past which the terms add at most 2^-80 of
+    the value, rounded up to a multiple of ``_DOT_BLOCK``: 32 columns for
+    every n >= 31. Every value is then bit for bit what the full O(n) sums
+    give: the terms cut are far below an ulp of every partial sum they would
+    join, and the dot product adds the terms it keeps in the same order.
 
     The v row of state k is 1 followed by the u row of its mirror n + 1 - k,
     so one cumulative product per row serves both. Blocks take
@@ -257,7 +282,7 @@ def _normalized_drift_float(n: int, states: Sequence[int]) -> np.ndarray:
     columns, ``np.dot`` on the shorter ones. Each step writes in place, into
     three arrays of the first block's size that every block reuses.
     """
-    width = _underflow_width(n, n + 1)
+    width = -(-_normalized_drift_terms(n) // _DOT_BLOCK) * _DOT_BLOCK
     closed = isinstance(states, range) and len(states) > 0 and states[0] + states[-1] == n + 1
     ks = np.asarray(states, dtype=np.int64)
     out = np.empty(len(ks))
@@ -382,17 +407,43 @@ def _underflow_width(n: int, max_state: int) -> int:
     return d
 
 
+@lru_cache(maxsize=256)
+def _normalized_drift_terms(n: int) -> int:
+    """Smallest D, capped at n + 1, such that the terms l > D of each
+    normalized drift sum_l u_l w_l (``_normalized_drift_float``) add at most
+    2^-80 of its value, at every state k = 1..n + 1.
+
+    With y = k/n <= x = (n + 1)/n: u_l = C(k, l) n^-l <= y^l / l!, and
+    w_l = sum_(j<l) (l - j) v_j <= l (1 + 1/n)^m < l e, as m <= n. So term l
+    is at most e y^l / (l-1)!, while the value is at least its first term,
+    u_1 w_1 = y. The omitted terms are therefore at most
+    e sum_(i>=D) x^i / i! <= e x^D (D + 1) / (D! (D + 1 - x)) of the value,
+    which the rule keeps below 2^-80: D = 25 at every n >= 64.
+    """
+    x = (n + 1) / n
+    floor = -80.0 * math.log(2.0)
+    d = 1
+    while d < n + 1 and (
+        1.0 + d * math.log(x) - math.lgamma(d + 1) + math.log((d + 1) / (d + 1 - x)) > floor
+    ):
+        d += 1
+    return d
+
+
 def _float_band(n: int, states: Sequence[int], width: int | None = None) -> np.ndarray:
     """Accepted-step law of the given ascending states as a band, float.
 
     Row i holds band[i, d] = p(k, k - d) for k = states[i] and d = 0..D,
     D = ``width``, by default the chain width ``_band_width``. Each block of
-    states takes both flip-count pmfs as 2-D arrays; an entry p(k, k-d) is
-    the pair sum pa[d+l] pb[l] over l < ``_PAIR_TERMS``, accumulated in
-    ascending l, and column 0 is one minus the row's entries, added from the
+    states takes both flip-count pmfs as (terms, states) arrays
+    (``_binom_pmfs``), so its jumps form one (D, states) array whose rows
+    are contiguous: jump d is the pair sum pa[d+l] pb[l] over
+    l < ``_PAIR_TERMS``, accumulated in ascending l, one product of whole
+    rows per l. Column 0 is one minus the row's jumps, added from the
     largest d down, smallest entries first (within 2 ulp of the complement
-    of their exact sum). The
-    array is read-only. A band above ``MEMORY_LIMIT`` raises
+    of their exact sum): the last row of one sequential cumulative sum over
+    the jumps in reverse. The jumps are then copied into the block's band
+    rows. The array is read-only. A band above ``MEMORY_LIMIT`` raises
     ``CapacityError`` before it is allocated.
     """
     if width is None:
@@ -403,15 +454,14 @@ def _float_band(n: int, states: Sequence[int], width: int | None = None) -> np.n
         ks = np.asarray(states[lo : lo + _BLOCK], dtype=np.int64)
         pa = _binom_pmfs(ks, n, width + _PAIR_TERMS)
         pb = _binom_pmfs(n - ks, n, _PAIR_TERMS)
-        block = band[lo : lo + len(ks)]
-        jumps = block[:, 1:]
-        np.multiply(pa[:, 1 : 1 + width], pb[:, :1], out=jumps)
+        jumps = pa[1 : 1 + width] * pb[0]
+        term = np.empty_like(jumps)
         for l in range(1, _PAIR_TERMS):
-            jumps += pa[:, 1 + l : 1 + l + width] * pb[:, l : l + 1]
-        moves = np.zeros(len(ks))
-        for d in range(width - 1, -1, -1):
-            moves += jumps[:, d]
+            jumps += np.multiply(pa[1 + l : 1 + l + width], pb[l], out=term)
+        moves = np.cumsum(jumps[::-1], axis=0, out=term)[-1] if width else 0.0
+        block = band[lo : lo + len(ks)]
         block[:, 0] = 1.0 - moves
+        block[:, 1:] = jumps.T
     band.setflags(write=False)
     return band
 

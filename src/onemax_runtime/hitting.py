@@ -245,12 +245,17 @@ def _exact_hitting_times(n: int, nums: list[list[int]]) -> list[Fraction]:
     return g
 
 
-def _hitting_times(n: int, backend: str, band) -> np.ndarray:
+def _hitting_times(n: int, backend: str, band, improve: np.ndarray | None = None) -> np.ndarray:
     """g over the states of a ``_BANDS`` band, as a float64 array or an
     object array of Fractions. The float g is the blocked solve of
-    s_k g(k) - sum_d p(k, k - d) g(k - d) = 1 (``_band_solve``)."""
+    s_k g(k) - sum_d p(k, k - d) g(k - d) = 1 (``_band_solve``), whose s_k
+    is ``improve``, the band's ``_band_improvement`` of these states, when
+    the caller has it, and is left as it is. The rational g reads s_k from
+    the band's integer numerators and ignores ``improve``."""
     if backend == RATIONAL:
         return np.array(_exact_hitting_times(n, band), dtype=object)
+    if improve is not None:
+        return _band_solve(band, improve, 1.0)
     improve = _band_improvement(n, FLOAT, band)
     # g takes the place of s_k, which is read span by span before it.
     return _band_solve(band, improve, 1.0, out=improve)

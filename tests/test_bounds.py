@@ -314,6 +314,21 @@ def test_rational_check_values_match_plain_fractions(monkeypatch):
     assert seen["theorem-upper"] == [g_half / upper]
 
 
+@pytest.mark.parametrize("n", [8, 1024, 4097])
+def test_suite_solves_g_at_half_from_the_s_k_it_sums_once(n):
+    """g over the first half, solved from the s_k of all states, equals g
+    solved from s_k summed again over that half, bit for bit, leaves s_k as
+    it was, and is the g(n/2) the suite checks."""
+    half = n // 2
+    band = drift_mod._float_band(n, range(n + 1))
+    improve = drift_mod._band_improvement(n, "float", band)
+    kept = improve.copy()
+    got = hitting_mod._hitting_times(n, "float", band[: half + 1], improve[: half + 1])
+    assert got.tolist() == hitting_mod._hitting_times(n, "float", band[: half + 1]).tolist()
+    assert improve.tolist() == kept.tolist()
+    assert verify_inequalities(n).check("corridor-lower").observed == got[half]
+
+
 def test_records_expose_auditable_slack():
     report = verify_inequalities(32)
     rec = report.check("eta-upper")

@@ -376,7 +376,7 @@ def test_huge_requests_exit_2_before_allocating(capsys, argv):
 def test_table_check_counts_the_rows_it_emits(monkeypatch, capsys, argv, rows, columns, fmt):
     """A limit of exactly the checked bytes of the table admits it, one byte
     less refuses it."""
-    nbytes = rows * columns * cli_mod._CELL_BYTES[fmt]
+    nbytes = rows * columns * cli_mod._CELL_BYTES
     monkeypatch.setattr(backends, "MEMORY_LIMIT", nbytes)
     code, out, _ = run_cli(capsys, *argv, "--format", fmt)
     assert code == 0
@@ -405,6 +405,30 @@ def test_json_table_is_written_row_by_row_as_json_dumps_would(capsys, rows):
         {c: cli_mod._json_value(v, args.precision) for c, v in zip(columns, row)} for row in rows
     ]
     assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("chunk", [1, 40, 65536])
+@pytest.mark.parametrize("nrows", [0, 1, 9])
+def test_csv_table_is_written_in_chunks_of_whole_lines(monkeypatch, capsys, nrows, chunk):
+    """The chunks join to the text one csv.writer gives for the whole table;
+    each but the last ends a line and holds at least ``_CSV_CHUNK``
+    characters."""
+    monkeypatch.setattr(cli_mod, "_CSV_CHUNK", chunk)
+    args = cli_mod._build_parser().parse_args(["runtime", "8"])
+    columns = ("k", "x", "exact", "ok")
+    rows = [
+        (k, k / 7 - 1e300 * (k == 3), F(k, 3), None if k == 2 else k % 2 == 0)
+        for k in range(nrows)
+    ]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([cli_mod._fmt_cell(v, args.precision) for v in row] for row in rows)
+    chunks = list(cli_mod._csv_chunks(columns, rows, args.precision))
+    assert "".join(chunks) == buf.getvalue()
+    assert all(len(c) >= chunk and c.endswith("\n") for c in chunks[:-1])
+    cli_mod._emit_table(columns, rows, args)
+    assert capsys.readouterr().out == buf.getvalue()
 
 
 def test_numeric_error_exit_code(monkeypatch, capsys):

@@ -127,8 +127,9 @@ def test_float_matches_rational_to_1e13():
             assert abs(normalized_drift(n, k) / float(exact) - 1) < 1e-13
 
 
-def full_normalized_drift(n, k):
-    """The float normalized drift by its full O(n) sums, no cut."""
+def full_normalized_drift_factors(n, k):
+    """u_l and w_l = l cv0[l-1] - cv1[l-1] for l = 1..k, by their full O(n)
+    sums: the normalized drift of state k is sum_l u_l w_l."""
     m = n + 1 - k
     u = np.cumprod((k - np.arange(1.0, k + 1) + 1.0) / (np.arange(1.0, k + 1) * n))
     v = np.ones(m + 1)
@@ -138,7 +139,12 @@ def full_normalized_drift(n, k):
     cv1 = np.cumsum(v * np.arange(m + 1))
     l = np.arange(1, k + 1)
     idx = np.minimum(l - 1, m)
-    return float(np.dot(u, l * cv0[idx] - cv1[idx]))
+    return u, l * cv0[idx] - cv1[idx]
+
+
+def full_normalized_drift(n, k):
+    """The float normalized drift by its full O(n) sums, no cut."""
+    return float(np.dot(*full_normalized_drift_factors(n, k)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 64, 512])
@@ -171,6 +177,22 @@ def test_normalized_drift_is_bit_identical_for_any_state_set(n, block, monkeypat
     ):
         got = drift_module._normalized_drift_float(n, states)
         assert got.tolist() == [full[k] for k in states]
+
+
+@pytest.mark.parametrize("n", [64, 1000, 4095])
+def test_normalized_drift_width_rule_omits_at_most_2_to_the_minus_80(n):
+    """Past the rule's width the full sums' terms add at most 2^-80 of the
+    value at every state, and the column, cut after whole dot-product
+    blocks, equals the full sums bit for bit."""
+    width = drift_module._normalized_drift_terms(n)
+    assert width == 25
+    full = []
+    for k in range(1, n + 2):
+        u, w = full_normalized_drift_factors(n, k)
+        terms = u * w
+        full.append(float(np.dot(u, w)))
+        assert terms[width:].sum() <= 2.0**-80 * full[-1], k
+    assert drift_module._normalized_drift_float(n, range(1, n + 2)).tolist() == full
 
 
 def test_kernel_rows_sum_to_one():
