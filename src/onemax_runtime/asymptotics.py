@@ -66,6 +66,33 @@ _REL_TOL = 1e-17
 _MAX_TERMS = 400
 
 
+def _drift_series(r: int, z: float, minus_z: bool = False) -> float:
+    """S_r(z), or with ``minus_z`` S_r(z) - z summed from its quadratic term
+    on (the linear term of S_r is exactly z), without cancellation.
+
+    The sum stops at the first term that is at most ``_REL_TOL`` of the
+    whole series, the skipped z included.
+    """
+    offset = z if minus_z else 0.0
+    total = 0.0
+    zl = 1.0
+    wj = 1.0
+    cum0 = 0.0
+    inner1 = 0.0
+    for l in range(1, _MAX_TERMS + 1):
+        cum0 += wj
+        wj *= (1.0 - z) / l
+        inner1 += cum0
+        zl *= z / l
+        if l > 1 or not minus_z:
+            term = zl * (cum0 if r == 0 else inner1)
+            total += term
+            if term <= _REL_TOL * (total + offset):
+                return total
+    what = f"S_{r}({z}) - z" if minus_z else f"S_{r}({z})"
+    raise NumericError(f"{what} did not converge in {_MAX_TERMS} terms")
+
+
 def s_r(r: int, z: float) -> float:
     """The drift series S_r(z) for r in {0, 1} and z in [0, 1].
 
@@ -76,41 +103,20 @@ def s_r(r: int, z: float) -> float:
         raise DomainError(f"series order r must be 0 or 1, got {r}")
     if not 0.0 <= z <= 1.0:
         raise DomainError(f"series argument z = {z} outside [0, 1]")
+    return _drift_series(r, z)
+
+
+def _bessel_series(nu: int, first: float, x2: float) -> float:
+    """sum_{m >= 0} first x2^m nu! / (m! (m + nu)!): I_nu(x) for first =
+    (x/2)^nu and x2 = (x/2)^2, and I1(2w)/w for nu = 1, first = 1, x2 = w^2."""
+    term = first
     total = 0.0
-    zl = 1.0
-    wj = 1.0
-    cum0 = 0.0
-    inner1 = 0.0
-    for l in range(1, _MAX_TERMS + 1):
-        cum0 += wj
-        wj *= (1.0 - z) / l
-        inner1 += cum0
-        zl *= z / l
-        term = zl * (cum0 if r == 0 else inner1)
+    for m in range(_MAX_TERMS + 1):
         total += term
         if term <= _REL_TOL * total:
             return total
-    raise NumericError(f"S_{r}({z}) did not converge in {_MAX_TERMS} terms")
-
-
-def _s1_minus_z(z: float) -> float:
-    """S1(z) - z without cancellation: summed from the quadratic term on."""
-    total = 0.0
-    zl = 1.0
-    wj = 1.0
-    cum0 = 0.0
-    inner1 = 0.0
-    for l in range(1, _MAX_TERMS + 1):
-        cum0 += wj
-        wj *= (1.0 - z) / l
-        inner1 += cum0
-        zl *= z / l
-        if l >= 2:
-            term = zl * inner1
-            total += term
-            if term <= _REL_TOL * (total + z):
-                return total
-    raise NumericError(f"S_1({z}) - z did not converge in {_MAX_TERMS} terms")
+        term *= x2 / ((m + 1.0) * (m + 1.0 + nu))
+    raise NumericError(f"I_{nu} series at (x/2)^2 = {x2} did not converge in {_MAX_TERMS} terms")
 
 
 def bessel_i(nu: int, x: float) -> float:
@@ -120,26 +126,7 @@ def bessel_i(nu: int, x: float) -> float:
     if x < 0.0:
         raise DomainError(f"Bessel argument must be nonnegative, got {x}")
     h = 0.5 * x
-    term = h if nu else 1.0
-    total = 0.0
-    for m in range(_MAX_TERMS + 1):
-        total += term
-        if term <= _REL_TOL * total:
-            return total
-        term *= h * h / ((m + 1.0) * (m + 1.0 + nu))
-    raise NumericError(f"I_{nu}({x}) did not converge in {_MAX_TERMS} terms")
-
-
-def _i1_ratio(wsq: float) -> float:
-    """I1(2w)/w as a power series in w^2, finite (value 1) at w = 0."""
-    term = 1.0
-    total = 0.0
-    for m in range(_MAX_TERMS + 1):
-        total += term
-        if term <= _REL_TOL * total:
-            return total
-        term *= wsq / ((m + 1.0) * (m + 2.0))
-    raise NumericError(f"I1 ratio at w^2 = {wsq} did not converge")
+    return _bessel_series(nu, h if nu else 1.0, h * h)
 
 
 def _check_alpha(alpha: float) -> float:
@@ -154,7 +141,7 @@ def _expansion_terms(alpha: float) -> tuple[float, float, float, float]:
     s1 = s_r(1, alpha)
     wsq = alpha * (1.0 - alpha)
     i0 = bessel_i(0, 2.0 * math.sqrt(wsq))
-    ratio = _i1_ratio(wsq)
+    ratio = _bessel_series(1, 1.0, wsq)  # I1(2w)/w, finite (value 1) at w = 0
     t1v = 0.5 * s1 - 2.0 * alpha * s0 - alpha * i0 - wsq * ratio
     t2v = (
         -s1 / 24.0
@@ -260,7 +247,7 @@ def expansion_inverse_delta_star(n: int, k: int, order: int = 2, eps=Fraction(1,
 def _c0_integrand(t: float) -> float:
     if t == 0.0:
         return -1.5
-    d = _s1_minus_z(t)
+    d = _drift_series(1, t, minus_z=True)
     return -d / (t * (t + d))
 
 

@@ -6,10 +6,9 @@ rational backend returns exact ``fractions.Fraction`` values. Its exact
 values carry denominators of order n^n and beyond, so table builders cap it
 (default n <= 64) and raise :class:`CapacityError` beyond the cap. Work whose
 memory grows with its inputs (the float kernel band, the inequality suite,
-one block of a bitstring uniform start, the kept simulation samples, the
-``asym`` and ``figures`` tables of the command line) is checked
-against :data:`MEMORY_LIMIT` before it is allocated and raises
-:class:`CapacityError` above it. Both backends read the chain from one
+the kept simulation samples, the ``asym`` and ``figures`` tables of the
+command line) is checked against :data:`MEMORY_LIMIT` before it is
+allocated and raises :class:`CapacityError` above it. Both backends read the chain from one
 kernel band: floats, or for the rational backend integer numerators over the
 common denominator n^n. Rational quantities add and multiply those integers
 over a denominator known in advance and build one Fraction per returned

@@ -1,21 +1,19 @@
 """Monte Carlo reference: actually run the (1+1) EA on OneMax.
 
-Three engines produce the same law by two routes:
+Two engines produce the same law by two independent routes:
 
-* ``bitstring`` and ``statechain`` run every lane one mutation step that
-  flips a zero bit at a time, the rank round ``_zero_flip_round``. A step
-  acts on a string through its zero count zc alone, so the round reads
-  nothing else: a step that flips none of the zc zero bits is empty or
-  flips only one-bits, so it is rejected and changes nothing, and a round
-  runs each lane to its next step that flips a zero bit. It draws the
-  steps skipped plus that one as a Geometric(1 - (1 - 1/n)^zc) wait, the
-  first flipped zero rank F given that one is flipped, and the flips past F
-  with ``_flip_sites``, which lays the n ranks of all m running lanes end to
-  end (zero bits first) and draws the flipped ones as partial sums of
-  Geometric(1/n) gaps. A round costs O(1) work a lane, about one flip,
-  instead of O(n). The two engines differ only in a uniform start:
-  ``bitstring`` draws every bit and counts the zeros, ``statechain`` draws
-  the Bin(n, 1/2) count at once;
+* ``bitstring`` runs every lane one mutation step that flips a zero bit at
+  a time, the rank round ``_zero_flip_round``, which lays out one n-bit
+  string per lane, zero bits first. A step acts on a string through its
+  zero count zc alone, so the round reads nothing else: a step that flips
+  none of the zc zero bits is empty or flips only one-bits, so it is
+  rejected and changes nothing, and a round runs each lane to its next
+  step that flips a zero bit. It draws the steps skipped plus that one as
+  a Geometric(1 - (1 - 1/n)^zc) wait, the first flipped zero rank F given
+  that one is flipped, and the flips past F with ``_flip_sites``, which
+  lays the n ranks of all m running lanes end to end and draws the flipped
+  ones as partial sums of Geometric(1/n) gaps. A round costs O(1) work a
+  lane, about one flip, instead of O(n);
 * ``jump`` (the default) runs once per accepted improvement. It uses the
   first-accepted-jump decomposition behind the hitting-time recurrence: from
   state k the chain waits a Geometric(s_k) number of steps, s_k the
@@ -31,8 +29,7 @@ Three engines produce the same law by two routes:
   u is compared with the row's own entries and the draw is exact.
 
 Agreement between the engines, and with the exact kernel and hitting times,
-is what the equivalence tests check; the rank round and the jump chain are
-independent routes to a run. The literal algorithm stays in
+is what the equivalence tests check. The literal algorithm stays in
 ``step_bitstring`` (all n bits mutated, the child kept iff no worse) and
 ``step_statechain`` (one step's two Binomial flip counts). The tests check
 both against a kernel row, and whole runs of ``step_bitstring`` against
@@ -52,9 +49,9 @@ Replicates are processed in fixed chunks of 8192, each chunk driven by its
 own PCG64 stream, one child of the seed's ``SeedSequence`` per chunk. The
 chunk layout is part of the contract: results are byte-identical for a
 given (seed, n, start, engine, replicates, max_iters), the chunks run in
-order, and within a chunk everything is vectorized. A
-uniform start has Bin(n, 1/2) zero bits: the bitstring engine draws every
-bit, the other two engines draw the count with one binomial call.
+order, and within a chunk everything is vectorized. A uniform start has
+Bin(n, 1/2) zero bits: both engines draw the counts with one binomial call,
+the first draw of the chunk's stream.
 """
 
 from __future__ import annotations
@@ -72,7 +69,6 @@ __all__ = [
     "CHUNK_SIZE",
     "ENGINE_BITSTRING",
     "ENGINE_JUMP",
-    "ENGINE_STATECHAIN",
     "UNIFORM_START",
     "SimConfig",
     "RunStats",
@@ -85,9 +81,8 @@ __all__ = [
 CHUNK_SIZE = 8192
 
 ENGINE_BITSTRING = "bitstring"
-ENGINE_STATECHAIN = "statechain"
 ENGINE_JUMP = "jump"
-ENGINES = (ENGINE_BITSTRING, ENGINE_STATECHAIN, ENGINE_JUMP)
+ENGINES = (ENGINE_BITSTRING, ENGINE_JUMP)
 
 UNIFORM_START = "uniform"
 
@@ -160,13 +155,12 @@ class RunStats:
 
 def _flip_sites(
     n: int, rows: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Standard bit mutation of the strings ``rows`` (nondecreasing) of a
     flat array of length-n strings: bits, or the ranks of a lane.
 
-    Returns ``(c, lane, sites)``: entry ``rows[i]`` flips c[i] ~ Bin(n, 1/n)
-    of its n entries, and flip j is at ``sites[j] = rows[lane[j]] * n +
-    position``.
+    Returns ``(lane, sites)``: entry ``rows[i]`` flips Bin(n, 1/n) of its n
+    entries, and flip j is at ``sites[j] = rows[lane[j]] * n + position``.
     ``lane`` is nondecreasing and the sites of one entry strictly ascend, so
     with distinct rows all sites strictly ascend. A row listed r times gets
     r independent mutations. Laid end to end, the m n bits flip as a
@@ -189,7 +183,7 @@ def _flip_sites(
     lane = flat // n
     # Entry i starts at i * n of the flat bits and at rows[i] * n of the strings.
     sites = flat + ((rows - np.arange(rows.size)) * n)[lane]
-    return np.bincount(lane, minlength=rows.size), lane, sites
+    return lane, sites
 
 
 def step_bitstring(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -202,7 +196,7 @@ def step_bitstring(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """
     if np.ndim(bits) != 1:
         raise DomainError(f"bits must be a 1-D vector, got shape {np.shape(bits)}")
-    _, _, sites = _flip_sites(check_n(bits.size), np.zeros(1, dtype=np.intp), rng)
+    _, sites = _flip_sites(check_n(bits.size), np.zeros(1, dtype=np.intp), rng)
     child = bits.copy()
     child[sites] ^= True
     return child if int(child.sum()) >= int(bits.sum()) else bits
@@ -213,35 +207,6 @@ def step_statechain(n: int, k: int, rng: np.random.Generator) -> int:
     a = int(rng.binomial(k, 1.0 / n))
     b = int(rng.binomial(n - k, 1.0 / n))
     return k - a + b if b <= a else k
-
-
-def _binomial_start(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """The zero counts of m unbiased bit strings, drawn as Bin(n, 1/2)."""
-    return rng.binomial(n, 0.5, size=m).astype(np.int64)
-
-
-# Uniform start bits are drawn per block of rows: bounds the float temporary
-# of the draw at 8 MB (one row when n > 2^20) whatever the chunk size.
-_START_BLOCK = 1 << 20
-
-
-def _uniform_start(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """The zero counts of m unbiased bit strings of length n, every bit drawn.
-
-    Each block of rows, ``_START_BLOCK`` entries (one row when
-    n > ``_START_BLOCK``), is drawn as floats, a bit being one when its
-    float is below 1/2, and only each row's zero count is kept. The
-    generator yields the same numbers in the same order either way, so the
-    counts equal those of one ``rng.random((m, n)) < 0.5``. A block's floats and bools,
-    9 bytes a bit, are checked against ``MEMORY_LIMIT`` before any is drawn.
-    """
-    rows = min(m, max(1, _START_BLOCK // n))
-    check_memory(9 * rows * n, f"a uniform start block of {rows} x {n} bits")
-    zc = np.empty(m, dtype=np.int64)
-    for lo in range(0, m, rows):
-        hi = min(m, lo + rows)
-        zc[lo:hi] = (rng.random((hi - lo, n)) >= 0.5).sum(axis=1)
-    return zc
 
 
 def _run_lanes(step, k: np.ndarray, max_iters: int) -> tuple[np.ndarray, int]:
@@ -305,7 +270,7 @@ def _zero_flip_round(
     wait = (rng.standard_exponential(zc.size) / (lam * zc)).astype(np.int64) + 1
     u = rng.random(zc.size) * -np.expm1(-lam * zc)
     first = np.minimum((-np.log1p(-u) / lam).astype(np.int64), zc - 1)
-    _, lane, sites = _flip_sites(n, idx, rng)
+    lane, sites = _flip_sites(n, idx, rng)
     rank = sites - (idx * n)[lane]
     later = rank > first[lane]
     lane, rank = lane[later], rank[later]
@@ -375,7 +340,6 @@ def run(config: SimConfig) -> tuple[RunStats, np.ndarray]:
     start = config.start
     reps = config.replicates
     max_iters = config.max_iters if config.max_iters is not None else default_max_iters(n)
-    uniform = _uniform_start if config.engine == ENGINE_BITSTRING else _binomial_start
     if config.engine == ENGINE_JUMP:
         step = partial(_jump_step, *_jump_tables(n, n if start == UNIFORM_START else start))
     else:
@@ -387,7 +351,7 @@ def run(config: SimConfig) -> tuple[RunStats, np.ndarray]:
         m = min(CHUNK_SIZE, reps - lo)
         rng = np.random.default_rng(stream)
         if start == UNIFORM_START:
-            k = uniform(m, n, rng)
+            k = rng.binomial(n, 0.5, size=m).astype(np.int64)
         else:
             k = np.full(m, start, dtype=np.int64)
         samples[lo : lo + m], cut = _run_lanes(partial(step, rng=rng), k, max_iters)

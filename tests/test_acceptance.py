@@ -32,7 +32,7 @@ from onemax_runtime.hitting import (
 )
 from onemax_runtime.simulate import (
     ENGINE_BITSTRING,
-    ENGINE_STATECHAIN,
+    ENGINE_JUMP,
     SimConfig,
     run,
 )
@@ -178,7 +178,7 @@ def test_criterion_08_expansion_error_decay():
 def test_criterion_09_monte_carlo_matches_exact():
     with _Budget(60.0) as b:
         target = float(runtime_profile(50, FLOAT, up_to=25).g[25])
-        for engine in (ENGINE_STATECHAIN, ENGINE_BITSTRING):
+        for engine in (ENGINE_BITSTRING, ENGINE_JUMP):
             config = SimConfig(
                 n=50, start=25, replicates=100_000, seed=20260814, engine=engine
             )

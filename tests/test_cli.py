@@ -251,14 +251,24 @@ def test_sim_default_engine_is_jump(capsys):
     assert default["engine"] == "jump"
     _, explicit, _ = run_cli(capsys, *argv, "--engine", "jump")
     assert explicit == out
-    code, out, _ = run_cli(capsys, *argv, "--engine", "statechain")
+    code, out, _ = run_cli(capsys, *argv, "--engine", "bitstring")
     assert code == 0
-    chain = json.loads(out)
-    assert chain["engine"] == "statechain"
-    assert chain["samples"] == 3000
-    assert abs(default["mean"] - chain["mean"]) <= 5 * math.hypot(
-        default["std_error"], chain["std_error"]
+    bits = json.loads(out)
+    assert bits["engine"] == "bitstring"
+    assert bits["samples"] == 3000
+    assert abs(default["mean"] - bits["mean"]) <= 5 * math.hypot(
+        default["std_error"], bits["std_error"]
     )
+
+
+def test_sim_engines_are_bitstring_and_jump(capsys):
+    argv = ("sim", "--n", "20", "--start", "fixed:10", "--reps", "30", "--seed", "4")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--engine", "statechain"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'bitstring', 'jump'" in captured.err
 
 
 def test_sim_samples_out(tmp_path, capsys):
@@ -342,7 +352,7 @@ def test_rational_capacity_is_usage_error(capsys):
     [
         ("runtime", "1000000000"),
         ("sim", "--n", "1000000000", "--reps", "10", "--seed", "0"),
-        ("sim", "--n", "1000000000", "--reps", "10", "--seed", "0", "--engine", "bitstring"),
+        ("drift", "1000000000"),
         ("sim", "--n", "10", "--reps", str(10**15), "--seed", "0"),
         ("bounds", "9000000"),
         ("bounds", "20000000"),

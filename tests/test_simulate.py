@@ -13,7 +13,6 @@ import scipy.stats
 from onemax_runtime import (
     ENGINE_BITSTRING,
     ENGINE_JUMP,
-    ENGINE_STATECHAIN,
     SimConfig,
     build_kernel,
     default_max_iters,
@@ -24,12 +23,10 @@ from onemax_runtime import (
 )
 from onemax_runtime.backends import CapacityError, DomainError, check_memory
 from onemax_runtime.simulate import (
-    _START_BLOCK,
     ENGINES,
     _draw_jumps,
     _flip_sites,
     _jump_tables,
-    _uniform_start,
     _zero_flip_round,
 )
 
@@ -79,16 +76,16 @@ def _flip_draws(draws: int, seed: int):
 
 def test_flip_sites_ascend_within_the_listed_strings():
     n, rows = _FLIP_N, _FLIP_ROWS
-    for c, lane, sites in _flip_draws(2000, 41):
-        assert c.shape == rows.shape
+    for lane, sites in _flip_draws(2000, 41):
         assert (np.diff(sites) > 0).all()
         assert (sites // n == rows[lane]).all()
-        assert (np.bincount(lane, minlength=rows.size) == c).all()
 
 
 def test_flip_counts_follow_the_binomial_law():
     n = _FLIP_N
-    counts = np.concatenate([c for c, _, _ in _flip_draws(20000, 42)])
+    counts = np.concatenate(
+        [np.bincount(lane, minlength=_FLIP_ROWS.size) for lane, _ in _flip_draws(20000, 42)]
+    )
     observed = np.bincount(counts, minlength=n + 1)
     expected = scipy.stats.binom.pmf(np.arange(n + 1), n, 1.0 / n) * counts.size
     keep = expected >= 10
@@ -101,7 +98,7 @@ def test_flip_positions_are_uniform_in_every_listed_string():
     """Flips over the (string, position) cells: the last bit of the last
     string, which the cut at m n decides, is as likely as any other."""
     n, rows = _FLIP_N, _FLIP_ROWS
-    cells = np.concatenate([lane * n + sites % n for _, lane, sites in _flip_draws(4000, 43)])
+    cells = np.concatenate([lane * n + sites % n for lane, sites in _flip_draws(4000, 43)])
     observed = np.bincount(cells, minlength=rows.size * n)
     assert observed.size == rows.size * n
     assert scipy.stats.chisquare(observed).pvalue > 1e-4
@@ -120,9 +117,9 @@ def test_flip_sites_top_up_a_short_batch():
 
     n, rows = _FLIP_N, _FLIP_ROWS
     rng = ZeroExponentials()
-    c, lane, sites = _flip_sites(n, rows, rng)
+    lane, sites = _flip_sites(n, rows, rng)
     assert rng.calls > 1
-    assert (c == n).all()
+    assert (np.bincount(lane, minlength=rows.size) == n).all()
     assert (lane == np.repeat(np.arange(rows.size), n)).all()
     assert (sites == (rows[:, None] * n + np.arange(n)).ravel()).all()
 
@@ -200,12 +197,12 @@ def test_bitstring_uniform_start_matches_binomial_mixture():
 
 
 def test_engines_agree_on_the_mean():
-    cfg_s = SimConfig(n=16, start=8, replicates=30000, seed=5, engine="statechain")
+    cfg_j = SimConfig(n=16, start=8, replicates=30000, seed=5, engine="jump")
     cfg_b = SimConfig(n=16, start=8, replicates=30000, seed=5, engine="bitstring")
-    ss, _ = run(cfg_s)
+    sj, _ = run(cfg_j)
     sb, _ = run(cfg_b)
-    joint = math.hypot(ss.std_error, sb.std_error)
-    assert abs(ss.mean - sb.mean) <= 5 * joint
+    joint = math.hypot(sj.std_error, sb.std_error)
+    assert abs(sj.mean - sb.mean) <= 5 * joint
 
 
 def test_truncation_is_recorded_not_raised():
@@ -248,12 +245,24 @@ def test_jump_uniform_start_matches_binomial_mixture():
     assert abs(stats.mean - mixture) <= 5 * stats.std_error
 
 
-def test_jump_agrees_with_statechain():
+def test_jump_agrees_with_bitstring():
     cfg = SimConfig(n=20, start="uniform", replicates=30000, seed=33, engine=ENGINE_JUMP)
     sj, _ = run(cfg)
-    ss, _ = run(dataclasses.replace(cfg, engine=ENGINE_STATECHAIN))
-    joint = math.hypot(sj.std_error, ss.std_error)
-    assert abs(sj.mean - ss.mean) <= 5 * joint
+    sb, _ = run(dataclasses.replace(cfg, engine=ENGINE_BITSTRING))
+    joint = math.hypot(sj.std_error, sb.std_error)
+    assert abs(sj.mean - sb.mean) <= 5 * joint
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_engines_draw_the_same_uniform_start(seed):
+    """Both engines draw a uniform start as one Bin(n, 1/2) call, the first
+    draw of a chunk's stream: at n = 2 the lanes that start at the optimum,
+    the only ones recorded at 0, are the same lanes."""
+    cfg = SimConfig(n=2, start="uniform", replicates=3 * 8192 + 17, seed=seed, max_iters=1)
+    _, jump = run(dataclasses.replace(cfg, engine=ENGINE_JUMP))
+    _, bits = run(dataclasses.replace(cfg, engine=ENGINE_BITSTRING))
+    assert 0 < int((jump == 0).sum()) < cfg.replicates
+    assert ((jump == 0) == (bits == 0)).all()
 
 
 def _hitting_law_pvalue(samples: np.ndarray, n: int, k: int) -> float:
@@ -285,7 +294,7 @@ def test_jump_hitting_time_law_matches_kernel():
     assert _hitting_law_pvalue(samples, n, k) > 1e-4
 
 
-@pytest.mark.parametrize("n, k, seed", [(6, 5, 36), (9, 7, 39), (12, 6, 40)])
+@pytest.mark.parametrize("n, k, seed", [(6, 5, 36), (6, 5, 38), (9, 7, 39), (12, 6, 40)])
 def test_bitstring_hitting_time_law_matches_kernel(n, k, seed):
     """The bitstring engine's T has the chain's law: a sampler that drew
     flip positions with replacement would move too little and fail here."""
@@ -294,32 +303,9 @@ def test_bitstring_hitting_time_law_matches_kernel(n, k, seed):
     assert _hitting_law_pvalue(samples, n, k) > 1e-4
 
 
-def test_statechain_hitting_time_law_matches_kernel():
-    """The zero-flip round, run on zero counts alone from a fixed start,
-    has the chain's law."""
-    n, k, reps = 6, 5, 200000
-    cfg = SimConfig(n=n, start=k, replicates=reps, seed=38, engine=ENGINE_STATECHAIN)
-    _, samples = run(cfg)
-    assert _hitting_law_pvalue(samples, n, k) > 1e-4
-
-
-@pytest.mark.parametrize("n", [3, 20, 64])
-def test_statechain_and_bitstring_samples_are_equal_at_fixed_starts(n):
-    """Both engines run the zero-flip round, and a fixed start draws
-    nothing, so their samples agree run for run; they differ only in how a
-    uniform start is drawn."""
-    for start in (1, n // 2, n):
-        for seed in (1, 2):
-            chain, bits = (
-                run(SimConfig(n=n, start=start, replicates=3000, seed=seed, engine=engine))[1]
-                for engine in (ENGINE_STATECHAIN, ENGINE_BITSTRING)
-            )
-            assert (chain == bits).all()
-
-
 def test_step_bitstring_runs_reach_the_optimum_in_the_exact_mean_time():
     """The literal algorithm over whole runs, a route that shares nothing
-    with the zero-flip round of the two per-mutation engines: repeated
+    with the zero-flip round of the bitstring engine: repeated
     ``step_bitstring`` calls from 4 zero bits of 8, z-tested against the
     exact g(4) with the sample standard deviation."""
     n, k, runs = 8, 4, 1000
@@ -363,14 +349,6 @@ def test_one_bitstring_round_has_the_law_of_the_steps_to_a_zero_flip(k):
     law = row / p_touch
     law[k] = 1.0 - row[:k].sum() / p_touch
     assert _chisquare_pvalue(np.bincount(zc, minlength=k + 1), law * m) > 1e-4
-
-
-def test_uniform_start_bits_are_drawn_in_blocks_of_the_one_shot_stream():
-    n = 2**18
-    m = 2 * (_START_BLOCK // n) + 3  # two full blocks and a partial one
-    blocked = _uniform_start(m, n, np.random.Generator(np.random.Philox(9)))
-    one_shot = np.random.Generator(np.random.Philox(9)).random((m, n)) < 0.5
-    assert (blocked == n - one_shot.sum(axis=1)).all()
 
 
 def test_jump_lookup_is_exact():
@@ -436,24 +414,6 @@ def test_jump_tables_count_the_band_and_the_cdf(monkeypatch):
     drift_module._float_band(10**5, range(states))
     with pytest.raises(CapacityError, match="jump tables"):
         _jump_tables(10**5, 10**5)
-
-
-def test_uniform_start_block_is_checked_before_it_is_drawn(monkeypatch):
-    """A limit that admits a start block's floats alone but not the floats
-    with their bools refuses a uniform-start bitstring run before either is
-    allocated."""
-    n, reps = 1000, 8192
-    backends = importlib.import_module("onemax_runtime.backends")
-    monkeypatch.setattr(backends, "MEMORY_LIMIT", 8 * (_START_BLOCK // n) * n)
-    cfg = SimConfig(n=n, start="uniform", replicates=reps, seed=0, engine=ENGINE_BITSTRING)
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapacityError, match="uniform start block"):
-            run(cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -539,6 +499,7 @@ def test_a_budget_only_cuts_runs_of_many_rounds(engine, n, start, budget):
         dict(n=10, start=5, replicates=10, seed=False),
         dict(n=10, start=5, replicates=10, seed=0, max_iters=2.5),
         dict(n=10, start=5, replicates=10, seed=0, max_iters=True),
+        dict(n=10, start=5, replicates=10, seed=0, engine="statechain"),
     ],
 )
 def test_config_validation(kwargs):
