@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .backends import DomainError, NumericError, check_n
-from .drift import _check_state, _normalized_drift_float
+from .backends import FLOAT, DomainError, NumericError, check_n
+from .drift import _check_state, _normalized_drift_column
 from .hitting import EULER_GAMMA, runtime_profile
 
 __all__ = [
@@ -343,8 +343,9 @@ def _check_grid(n_lo: int, n_hi: int) -> None:
 
 def _expansion_grid(n: int, k_hi: int):
     """Yield (k, exact delta*(k), ``evaluate_expansion(n, k)``) for
-    k = 1..k_hi, the exact column from one ``_normalized_drift_float`` call."""
-    column = _normalized_drift_float(n, range(1, k_hi + 1)).tolist()
+    k = 1..k_hi, the exact values a prefix of the float normalized-drift
+    column, the ``delta_star`` of ``build_drift_table(n)``."""
+    column = _normalized_drift_column(n, FLOAT)[:k_hi].tolist()
     for k, exact in enumerate(column, start=1):
         yield k, exact, evaluate_expansion(n, k)
 

@@ -81,7 +81,10 @@ The float normalized-drift column has its own, narrower cut: its terms decay
 like x^l / l! with x <= (n + 1)/n, and past the 25 of
 ``_normalized_drift_terms`` they add at most 2^-80 of the value. The sums
 take 32 columns, that width rounded up to whole blocks of the dot product
-(``_DOT_BLOCK``), and equal the full O(n) sums bit for bit.
+(``_DOT_BLOCK``), and equal the full O(n) sums bit for bit. Its kernel takes
+only state sets closed under the mirror k -> n + 1 - k, whose u row is k's v
+row, so one cumulative product serves a state and its mirror: the column
+0..n + 1, or one state read through its pair {k, n + 1 - k}.
 """
 
 from __future__ import annotations
@@ -133,27 +136,22 @@ def _check_state(n: int, k: int, hi: int, lo: int = 0) -> int:
 def _pow_bases(base: Scalar, exponents) -> np.ndarray:
     """``pow_base(base, m)`` for every m of an integer array, bit for bit.
 
-    Exponents up to 10**6 share the squarings base^(2^j): each
-    result multiplies in the ones of its set bits from the lowest up,
-    starting from 1.0, which are the operations ``pow_base`` does in the
-    same order (a clear bit's factor, base**0, is exact). A ``Fraction``
-    base gives exact powers, m = 0 included. Exponents above 10**6, where
-    ``pow_base`` switches to exp/log, take it one by one. The products run
-    ``_BLOCK`` exponents at a time, so their 2-D arrays stay small for any
-    number of exponents.
+    One loop over the bits of the largest exponent, up to 10**6: bit j
+    multiplies base^(2^j) into the results whose exponent has it set,
+    starting from 1.0, which are the multiplications ``pow_base`` does in
+    the same order. A ``Fraction`` base gives exact powers, m = 0 included,
+    on an object array. Exponents above 10**6, where ``pow_base`` switches
+    to exp/log, take it one by one.
     """
     m = np.asarray(exponents, dtype=np.int64)
     top = int(m.max(initial=0))
     if top > 10**6:
         return np.array([pow_base(base, e) for e in m.tolist()], dtype=float)
-    squares = [base]
-    for _ in range(1, top.bit_length()):
-        squares.append(squares[-1] * squares[-1])
     out = np.full(len(m), base**0)
-    for lo in range(0, len(m), _BLOCK):
-        bits = (m[lo : lo + _BLOCK, None] >> np.arange(len(squares))) & 1
-        factors = np.where(bits == 1, squares, base**0)
-        out[lo : lo + _BLOCK] = np.multiply.accumulate(factors, axis=1)[:, -1]
+    square = base
+    for j in range(top.bit_length()):
+        np.multiply(out, square, out=out, where=(m >> j) & 1 == 1)
+        square = square * square
     return out
 
 
@@ -233,16 +231,15 @@ def normalized_drift(n: int, k: int, backend: str = FLOAT) -> Scalar:
             a, b = prefix[min(l - 1, top)]
             total = total * n + comb(k, l) * (l * a - b)
         return Fraction(total, n ** (k + top))
-    return _normalized_drift_float(n, [k]).item(0)
+    pair = sorted({k, n + 1 - k})
+    return _normalized_drift_float(n, pair).item(pair.index(k))
 
 
-# States per block of the float band (also of ``_pow_bases`` and of eta in
-# ``bounds``): at the chain width the band's pmf arrays take about 0.1 MB.
+# States per block of the float band, of eta in ``bounds`` and of the
+# normalized drift (``_BLOCK // 2`` mirror pairs): at the chain width the
+# band's pmf arrays take about 0.1 MB, and the normalized drift's three
+# arrays of 512 rows at its 32-column width 0.39 MB, for any n.
 _BLOCK = 512
-
-# States per block of the vectorized normalized drift: its three arrays of
-# 512 rows at the 32-column width take 0.39 MB for any n.
-_DSTAR_BLOCK = 512
 
 # Terms that the dot products of the normalized drift add in vector lanes, a
 # whole block at a time; the terms past the last whole block are added one by
@@ -255,9 +252,12 @@ _DSTAR_BLOCK = 512
 _DOT_BLOCK = 32
 
 
-def _normalized_drift_float(n: int, states: Sequence[int]) -> np.ndarray:
-    """Float normalized drift of each state in ``states`` (all in 0..n + 1),
-    as a float64 array.
+def _normalized_drift_float(n: int, ks: Sequence[int]) -> np.ndarray:
+    """Float normalized drift of each state of ``ks``, as a float64 array.
+
+    ``ks`` is ascending and closed under the mirror k -> n + 1 - k, that is
+    ks[i] + ks[-1 - i] == n + 1: the column 0..n + 1, or one state's pair
+    {k, n + 1 - k}.
 
     With u_l = C(k, l) n^-l and v_j = C(m, j) n^-j, m = n + 1 - k, the value
     is sum_l u_l (l cv0[l-1] - cv1[l-1]) over the prefix sums cv0, cv1 of v_j
@@ -268,59 +268,44 @@ def _normalized_drift_float(n: int, states: Sequence[int]) -> np.ndarray:
     give: the terms cut are far below an ulp of every partial sum they would
     join, and the dot product adds the terms it keeps in the same order.
 
-    The v row of state k is 1 followed by the u row of its mirror n + 1 - k,
-    so one cumulative product per row serves both. Blocks take
-    ``_DSTAR_BLOCK // 2`` states from each end of ``states``. A ``range``
-    whose ends are mirrors, such as 0..n + 1, is closed under k -> n + 1 - k,
-    and so is each such block, whose rows then serve as their own mirrors; for
-    any other input a block forms its mirrors' rows too. Only the columns up
-    to the block's largest state are formed, so a single state below the cut
-    builds k columns, not the full width. Cumulative products and sums are
-    sequential along each row, so every prefix is the same for any number of
-    rows or columns. The final sum is one dot product per state, cut to the
-    state's own length: ``np.vecdot`` over the rows that span the block's
-    columns, ``np.dot`` on the shorter ones. Each step writes in place, into
-    three arrays of the first block's size that every block reuses.
+    The v row of state k is 1 followed by the u row of its mirror, so one
+    cumulative product per row serves both. A block takes ``_BLOCK // 2``
+    states from each end of ``ks``, which are each other's mirrors. Only the
+    columns up to the block's largest state are formed, so a pair below the
+    cut builds that many columns, not the full width. Cumulative products
+    and sums are sequential along each row, so every prefix is the same for
+    any number of rows or columns. The final sum is one dot product per
+    state, cut to the state's own length: ``np.vecdot`` over the rows that
+    span the block's columns, ``np.dot`` on the shorter ones.
     """
     width = -(-_normalized_drift_terms(n) // _DOT_BLOCK) * _DOT_BLOCK
-    closed = isinstance(states, range) and len(states) > 0 and states[0] + states[-1] == n + 1
-    ks = np.asarray(states, dtype=np.int64)
+    ks = np.asarray(ks, dtype=np.int64)
     out = np.empty(len(ks))
     size, mid = len(ks), (len(ks) + 1) // 2
-    buffers = None
-    for lo in range(0, mid, _DSTAR_BLOCK // 2):
-        hi = min(lo + _DSTAR_BLOCK // 2, mid)
+    for lo in range(0, mid, _BLOCK // 2):
+        hi = min(lo + _BLOCK // 2, mid)
         front, back = slice(lo, hi), slice(max(size - hi, hi), size - lo)
         block = np.concatenate((ks[front], ks[back]))
-        rows = block if closed else np.concatenate((block, n + 1 - block[::-1]))
-        cols = min(int(block.max()), width)
-        if buffers is None:
-            # The first block has the most rows, so its arrays serve every block.
-            buffers = np.empty((3, len(rows), width))
-        prods = buffers[0, : len(rows), :cols]
-        v, terms = buffers[1:, : len(block), :cols]
+        cols = min(int(block[-1]), width)
         i = np.arange(1.0, cols + 1)
-        np.subtract(rows[:, None], i, out=prods)
-        prods += 1.0
-        prods /= i * n
-        np.cumprod(prods, axis=1, out=prods)
-        # The mirror of row r sits at len(rows) - 1 - r.
-        u = prods[: len(block)]
+        u = np.subtract(block[:, None], i)
+        u += 1.0
+        u /= i * n
+        np.cumprod(u, axis=1, out=u)
+        # The mirror of row r is row len(block) - 1 - r; v_j is an exact
+        # (signed) zero for j > m, so the prefix sums stop at m.
+        v = np.empty_like(u)
         v[:, :1] = 1.0
-        # v_j is an exact (signed) zero for j > m, so the prefix sums stop at m.
-        v[:, 1:] = prods[::-1][: len(block), :-1]
+        v[:, 1:] = u[::-1, :-1]
         # terms = i cumsum(v) - cumsum(v (i - 1)), the second sum formed in v.
-        np.cumsum(v, axis=1, out=terms)
+        terms = np.cumsum(v, axis=1)
         terms *= i
         v *= i - 1.0
         np.cumsum(v, axis=1, out=v)
         terms -= v
         values = np.vecdot(u, terms)
-        if len(block) > 1:
-            # Rows with k < cols are shorter than the block; a lone state never is.
-            for r in np.flatnonzero(block < cols).tolist():
-                k = int(block[r])
-                values[r] = np.dot(u[r, :k], terms[r, :k])
+        for r in np.flatnonzero(block < cols).tolist():
+            values[r] = np.dot(u[r, : block[r]], terms[r, : block[r]])
         out[front] = values[: hi - lo]
         out[back] = values[hi - lo :]
     return out
@@ -708,8 +693,6 @@ def _normalized_drift_column(n: int, backend: str) -> np.ndarray:
     float64 array or an object array of Fractions."""
     if backend == RATIONAL:
         return np.array([normalized_drift(n, k, RATIONAL) for k in range(1, n + 2)], dtype=object)
-    # With state 0 the range is closed under k -> n + 1 - k, so every block
-    # shares its cumulative products between a state and its mirror.
     return _normalized_drift_float(n, range(n + 2))[1:]
 
 

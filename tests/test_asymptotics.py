@@ -13,6 +13,7 @@ from onemax_runtime import (
     asymptotic_et,
     asymptotic_q,
     bessel_i,
+    build_drift_table,
     constant_c0,
     constant_c1,
     evaluate_expansion,
@@ -178,6 +179,7 @@ def test_figure1_grid():
         assert len(row) == 13
         n, k, alpha, exact = row[0], row[1], row[2], row[3]
         assert alpha == k / n
+        assert exact == build_drift_table(n).delta_star[k]
         assert row[7] == abs(exact - row[4])
         assert row[9] == abs(exact - row[6])
 

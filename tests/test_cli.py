@@ -15,10 +15,9 @@ import pytest
 
 from onemax_runtime import backends
 from onemax_runtime import cli as cli_mod
-from onemax_runtime import expansion_delta_star, runtime_estimate
+from onemax_runtime import build_drift_table, expansion_delta_star, runtime_estimate
 from onemax_runtime.backends import NumericError
 from onemax_runtime.cli import main
-from onemax_runtime.drift import _normalized_drift_float
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -176,7 +175,7 @@ def test_asym_rows_match_the_per_state_expansion(order, eps, monkeypatch):
     for n in (8, 16, 50):
         est = runtime_estimate(n)
         k_hi = math.floor((1 - F(eps)) * n)
-        column = _normalized_drift_float(n, range(1, k_hi + 1)).tolist()
+        column = build_drift_table(n).delta_star[1 : k_hi + 1]
         for k, exact in enumerate(column, start=1):
             approx = expansion_delta_star(n, k, order=order, eps=F(eps))
             row = (n, k, k / n, exact, approx, abs(exact - approx), est.q_asym, est.et_asym)
@@ -532,3 +531,15 @@ def test_package_import_does_not_load_numpy_polynomial():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+def test_cli_import_loads_no_test_only_dependency():
+    """scipy, mpmath and sympy are installed for the tests only; the CLI's
+    cold start pays for none of them."""
+    proc = _run_python(
+        "-c",
+        "import sys; import onemax_runtime.cli; "
+        "print([m for m in ('scipy', 'mpmath', 'sympy') if m in sys.modules])",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

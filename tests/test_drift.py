@@ -21,6 +21,7 @@ from onemax_runtime import (
     transition_prob,
     transition_tail,
 )
+from onemax_runtime.asymptotics import _expansion_grid
 from onemax_runtime.backends import pow_base
 from reference_sums import float_kernel_row, plain_fraction_drift
 
@@ -161,22 +162,19 @@ def test_cut_normalized_drift_column_is_bit_identical_to_full_sums(n):
 @pytest.mark.parametrize("block", [512, 6])
 @pytest.mark.parametrize("n", [3, 64, 300])
 def test_normalized_drift_is_bit_identical_for_any_state_set(n, block, monkeypatch):
-    """Blocks closed under k -> n + 1 - k share their cumulative products,
-    other blocks form their mirrors' rows, and blocks below the cut form
-    fewer columns; none of it moves a value."""
-    monkeypatch.setattr(drift_module, "_DSTAR_BLOCK", block)
+    """The kernel takes mirror-closed state sets: the column, and each
+    state's pair {k, n + 1 - k}. Blocks of mirror pairs share their
+    cumulative products, and blocks below the cut form fewer columns; none
+    of it moves a value, whether the column, one state's pair or a grid
+    prefix reads it."""
+    monkeypatch.setattr(drift_module, "_BLOCK", block)
     full = [0.0] + [full_normalized_drift(n, k) for k in range(1, n + 2)]
-    for states in (
-        range(n + 2),
-        range(n + 1, -1, -1),
-        range(1, n + 1),
-        range(1, n // 3 + 1),
-        range(n // 2, n + 2),
-        [n + 1, 1, 2, n],
-        [2],
-    ):
-        got = drift_module._normalized_drift_float(n, states)
-        assert got.tolist() == [full[k] for k in states]
+    assert drift_module._normalized_drift_float(n, range(n + 2)).tolist() == full
+    # Every k, the self-mirror state (n + 1)/2 of odd n included.
+    assert [normalized_drift(n, k) for k in range(n + 2)] == full
+    for k_hi in (n // 3, 7 * n // 8, n):
+        exact = [row[1] for row in _expansion_grid(n, k_hi)]
+        assert exact == full[1 : k_hi + 1]
 
 
 @pytest.mark.parametrize("n", [64, 1000, 4095])
@@ -192,7 +190,7 @@ def test_normalized_drift_width_rule_omits_at_most_2_to_the_minus_80(n):
         terms = u * w
         full.append(float(np.dot(u, w)))
         assert terms[width:].sum() <= 2.0**-80 * full[-1], k
-    assert drift_module._normalized_drift_float(n, range(1, n + 2)).tolist() == full
+    assert drift_module._normalized_drift_float(n, range(n + 2))[1:].tolist() == full
 
 
 def test_kernel_rows_sum_to_one():
@@ -354,13 +352,11 @@ def test_chain_band_width_is_the_dropped_mass_rule():
     assert drift_module._band_width(8, 0) == 0
 
 
-def test_blocked_pmf_bases_equal_pow_base_bit_for_bit():
+def test_pmf_bases_equal_pow_base_bit_for_bit():
     base = 1.0 - 1.0 / 1500
-    step = drift_module._BLOCK
-    for lo in range(0, 10**6 + 1, step):
-        exponents = range(lo, min(lo + step, 10**6 + 1))
-        got = drift_module._pow_bases(base, np.array(exponents))
-        assert got.tolist() == [pow_base(base, m) for m in exponents]
+    exponents = range(10**6 + 1)
+    got = drift_module._pow_bases(base, np.array(exponents))
+    assert got.tolist() == [pow_base(base, m) for m in exponents]
     assert drift_module._pow_bases(base, np.array([7])).tolist() == [pow_base(base, 7)]
     big = [10**6 + 1, 3 * 10**6 + 7]
     assert drift_module._pow_bases(base, np.array(big)).tolist() == [pow_base(base, m) for m in big]
