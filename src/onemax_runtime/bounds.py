@@ -115,7 +115,6 @@ from .hitting import (
     CORRIDOR_C1,
     CORRIDOR_C2,
     _check_same_chain,
-    _harmonic_prefix,
     _hitting_times,
     _inverse_drift_prefix,
 )
@@ -418,7 +417,8 @@ def verify_inequalities(
     record("corridor-lower", half, half, "ge", c1_bound, g_obs)
     record("corridor-upper", half, half, "le", c2_bound, g_obs)
 
-    envelope = np.array(q[1:], dtype=float) / (e * n * _harmonic_prefix(n)[1:])
+    # H_1..H_n, summed in order as q is.
+    envelope = np.array(q[1:], dtype=float) / (e * n * np.cumsum(1.0 / ks[:-1]))
     record("q-harmonic-envelope", 1, n, "le", 1.0, envelope)
 
     return BoundReport(

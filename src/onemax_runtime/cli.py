@@ -165,17 +165,10 @@ def _write_out(chunks, out: str | None) -> None:
 def _cmd_drift(args) -> None:
     table = build_drift_table(args.n, args.backend)
     n = args.n
-    rows = []
-    for k in range(n + 1):
-        rows.append(
-            (
-                k,
-                table.delta[k],
-                table.delta_star[k],
-                k / (math.e * n),
-                k / n,
-            )
-        )
+    # A generator: each row is made as it is written out, none is held.
+    rows = (
+        (k, table.delta[k], table.delta_star[k], k / (math.e * n), k / n) for k in range(n + 1)
+    )
     _emit_table(("k", "delta", "delta_star", "lower_bound", "upper_bound"), rows, args)
 
 

@@ -71,11 +71,11 @@ sum does. The rare row it cannot certify, state 0 in practice, is summed
 by ``math.fsum``. The improvement probability s_k and the drift column are
 such sums.
 
-The underflow width (``_underflow_width``, about 160 columns for states up
-to n/2 and 180 up to n) keeps every entry that is not 0.0 in double
-precision. Only ``_row_sum`` reads it, that is the single-row
-``transition_prob`` and ``transition_tail``, whose contract is "every
-positive entry".
+Single rows, the ``transition_prob`` and ``transition_tail`` of one state
+(``_row_sum``), promise every positive entry, so they take the same rule at
+2^-1078 in place of 2^-60: every entry it drops rounds to 0.0 in double
+precision. That is at most 156 columns for states up to n/2 and 178 up
+to n.
 
 The float normalized-drift column has its own, narrower cut: its terms decay
 like x^l / l! with x <= (n + 1)/n, and past the 25 of
@@ -352,42 +352,27 @@ _PAIR_TERMS = 10
 
 
 @lru_cache(maxsize=256)
-def _band_width(n: int, max_state: int) -> int:
-    """Width D of the chain band: the smallest D, capped at max_state, with
-    e (max_state/n)^D / (D+1)! <= 2^-60.
+def _band_width(n: int, max_state: int, bits: int = 60) -> int:
+    """Width D of a float band: the smallest D, capped at max_state, with
+    e (max_state/n)^D / (D+1)! <= 2^-bits.
 
     A jump of d > D needs a >= D + 1 flipped zero-bits, so the mass a row
     drops is at most P[a >= D+1] <= (k/n)^(D+1) / (D+1)!, while the row
-    moves with s_k >= P[a = 1, b = 0] >= k / (e n). The rule keeps the
-    dropped mass of every row k <= max_state below 2^-60 s_k: D = 16 for
-    max_state <= n/2 and D = 20 for max_state <= n, at every n >= 64.
+    moves with s_k >= P[a = 1, b = 0] >= k / (e n). The chain width, at
+    bits = 60, keeps the dropped mass of every row k <= max_state below
+    2^-60 s_k: D = 16 for max_state <= n/2 and D = 20 for max_state <= n,
+    at every n >= 64. At bits = 1078 a row keeps every positive entry: the
+    pmf recurrence forms Bin(k, 1/n)(d) as (1-1/n)^k times a product below
+    (k/(n-1))^d / d!, which for d > D is below 2^-1078 whenever D + 1 < n
+    (at D = max_state nothing is dropped), a factor 8 under half the
+    smallest subnormal, so every entry past D rounds to 0.0.
     """
     if max_state == 0:
         return 0
     log_ratio = math.log(max_state / n)
-    floor = -60.0 * math.log(2.0)
+    floor = -bits * math.log(2.0)
     d = 0
     while d < max_state and 1.0 + d * log_ratio - math.lgamma(d + 2) > floor:
-        d += 1
-    return d
-
-
-@lru_cache(maxsize=256)
-def _underflow_width(n: int, max_state: int) -> int:
-    """Smallest D such that every p(k, k-d) with d > D, k <= max_state, is 0.0.
-
-    The pmf recurrence computes Bin(k, 1/n)(d) as (1-1/n)^k times a product
-    below (k/(n-1))^d / d!, and p(k, k-d) sums such terms of index >= d. Once
-    that bound drops below 2^-1078, a factor 8 under half the smallest
-    subnormal, the term and everything after it rounds to zero. About 160
-    columns for max_state <= n/2 and 180 for max_state <= n + 1.
-    """
-    if max_state == 0:
-        return 0
-    log_ratio = math.log(max_state / (n - 1))
-    floor = -1078.0 * math.log(2.0)
-    d = 1
-    while d < max_state and (d + 1) * log_ratio - math.lgamma(d + 2) > floor:
         d += 1
     return d
 
@@ -592,11 +577,12 @@ class _BandRows(Sequence):
 
 def _row_sum(n: int, k: int, backend: str, lo: int, hi: int | None = None) -> Scalar:
     """sum_{lo <= d < hi} p(k, k - d) over the full row of state k: a float
-    row takes the underflow width, not the chain width, so it keeps every
-    positive entry; a rational row is summed on its integer numerators."""
+    row is cut at ``_band_width(n, k, 1078)``, not the chain width, so it
+    keeps every positive entry; a rational row is summed on its integer
+    numerators."""
     if backend == RATIONAL:
         return Fraction(sum(_exact_numerators(n, [k])[0][lo:hi]), n**n)
-    return math.fsum(_float_band(n, [k], _underflow_width(n, k))[0][lo:hi].tolist())
+    return math.fsum(_float_band(n, [k], _band_width(n, k, 1078))[0][lo:hi].tolist())
 
 
 def transition_prob(n: int, k: int, j: int, backend: str = FLOAT) -> Scalar:
@@ -681,11 +667,20 @@ def build_drift_table(
     backend: str = FLOAT,
     rational_cap: int = DEFAULT_RATIONAL_CAP,
 ) -> DriftTable:
-    """Compute both drift columns for all states of one problem size."""
+    """Compute both drift columns for all states of one problem size.
+
+    The drift column is the first moment of the band of states 0..n, which
+    is dropped as soon as that column is summed: the band, the largest
+    array, is gone before the normalized drift and the tuples are built.
+    """
     check_n(n)
     check_backend(backend)
     check_rational_cap(n, backend, rational_cap)
-    return _drift_table(n, backend, _BANDS[backend](n, range(n + 1)))
+    delta = _band_drift(n, backend, _BANDS[backend](n, range(n + 1)))
+    delta_star = np.concatenate((delta[:1], _normalized_drift_column(n, backend)))
+    return DriftTable(
+        n=n, backend=backend, delta=tuple(delta.tolist()), delta_star=tuple(delta_star.tolist())
+    )
 
 
 def _normalized_drift_column(n: int, backend: str) -> np.ndarray:
@@ -694,16 +689,6 @@ def _normalized_drift_column(n: int, backend: str) -> np.ndarray:
     if backend == RATIONAL:
         return np.array([normalized_drift(n, k, RATIONAL) for k in range(1, n + 2)], dtype=object)
     return _normalized_drift_float(n, range(n + 2))[1:]
-
-
-def _drift_table(n: int, backend: str, band) -> DriftTable:
-    """Drift table whose drift column is the first moment of ``band``, a
-    ``_BANDS`` band of all states 0..n."""
-    delta = _band_drift(n, backend, band)
-    delta_star = np.concatenate((delta[:1], _normalized_drift_column(n, backend)))
-    return DriftTable(
-        n=n, backend=backend, delta=tuple(delta.tolist()), delta_star=tuple(delta_star.tolist())
-    )
 
 
 def build_kernel(

@@ -110,20 +110,6 @@ def harmonic(m: int) -> float:
     )
 
 
-def _harmonic_prefix(m: int) -> np.ndarray:
-    """H_0..H_m by one compensated running sum, each within an ulp or two,
-    as a float64 array."""
-    out = np.zeros(m + 1)
-    total = carry = 0.0
-    for i in range(1, m + 1):
-        term = 1.0 / i
-        step = total + term
-        carry += (total - step) + term  # exact: total >= term after i = 1
-        total = step
-        out[i] = total + carry
-    return out
-
-
 def _inverse_drift_prefix(delta) -> np.ndarray:
     """q(k) = sum_{j=1..k} 1/delta(j) for every k of a drift column, as an
     array of the column's scalars.

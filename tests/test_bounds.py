@@ -558,7 +558,7 @@ def test_each_call_builds_q_once(n, backend, monkeypatch):
     kern, table = build_kernel(n, backend), build_drift_table(n, backend)
     modules = (drift_mod, hitting_mod, bounds_mod)
     q_calls = count_calls(monkeypatch, "_inverse_drift_prefix", modules)
-    table_calls = count_calls(monkeypatch, "_drift_table", modules)
+    table_calls = count_calls(monkeypatch, "build_drift_table", modules)
     verify_inequalities(n, backend)
     assert (len(q_calls), len(table_calls)) == (1, 0)
     runtime_profile(n, backend)

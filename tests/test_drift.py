@@ -27,7 +27,7 @@ from reference_sums import float_kernel_row, plain_fraction_drift
 
 drift_module = importlib.import_module("onemax_runtime.drift")
 _float_band = drift_module._float_band
-_underflow_width = drift_module._underflow_width
+_band_width = drift_module._band_width
 
 
 def brute_kernel_row(n, k):
@@ -253,6 +253,10 @@ def test_table_shapes():
     assert kern.max_state == 5
     assert len(kern.rows) == 6
     assert len(kern.rows[5]) == 6
+    sliced = kern.rows[2:5]
+    assert len(sliced) == 3
+    for row, k in zip(sliced, range(2, 5)):
+        assert row.tolist() == kern.rows[k].tolist()
 
 
 def test_transition_tail_is_cumulative_row():
@@ -307,11 +311,10 @@ def test_normalized_drift_allows_n_plus_one():
 def test_band_matches_full_rows(n):
     """Band entries equal full rows to 1e-13 relative (absolutely below the
     smallest normal double), the chain band drops at most 2^-60 of a row's
-    move probability, and nothing outside the underflow-width band is
-    positive."""
+    move probability, and nothing past a single row's width
+    ``_band_width(n, k, 1078)`` is positive."""
     band = build_kernel(n).band
     width = band.shape[1] - 1
-    wide = _float_band(n, range(n + 1), _underflow_width(n, n)).shape[1] - 1
     tiny = np.finfo(float).tiny
     for k in range(1, n + 1):
         full = float_kernel_row(n, k)[::-1]  # full[d] = p(k, k - d)
@@ -320,7 +323,7 @@ def test_band_matches_full_rows(n):
         assert not band[k, d_max + 1 :].any()
         dropped = math.fsum(full[width + 1 :].tolist())
         assert dropped <= 2.0**-60 * math.fsum(full[1:].tolist())
-        assert not full[wide + 1 :].any()
+        assert not full[_band_width(n, k, 1078) + 1 :].any()
         assert band[k, 0] == pytest.approx(1.0 - math.fsum(full[1:].tolist()), abs=1e-15)
 
 
@@ -390,8 +393,33 @@ def test_exact_band_matches_float_band():
     width = band.shape[1] - 1
     as_float = np.array([[float(v) for v in row[: width + 1]] for row in exact])
     np.testing.assert_allclose(band, as_float, rtol=1e-13, atol=np.finfo(float).tiny)
-    wide = _float_band(n, range(n + 1), _underflow_width(n, n)).shape[1] - 1
-    assert all(float(v) == 0.0 for row in exact for v in row[wide + 1 :])
+    for k, row in enumerate(exact):
+        assert all(float(v) == 0.0 for v in row[_band_width(n, k, 1078) + 1 :])
+
+
+def single_row_states():
+    """(n, k) pairs: every state for n = 2..40, sampled states at larger n,
+    where the single-row width cuts the row."""
+    rng = np.random.default_rng(34)
+    for n in range(2, 41):
+        for k in range(n + 1):
+            yield n, k
+    for n in (1000, 4096, 10**5):
+        sampled = {0, 1, 2, 155, 156, 157, 177, 178, 179, n // 2, n // 2 + 1, n - 1, n}
+        sampled |= set(rng.integers(1, n + 1, size=12).tolist())
+        for k in sorted(sampled):
+            yield n, k
+
+
+def test_single_row_width_keeps_every_positive_entry():
+    """A row cut at ``_band_width(n, k, 1078)``, as ``transition_prob`` and
+    ``transition_tail`` read it, drops no positive entry of the full row
+    ``_float_band(n, [k], k)`` and equals its kept columns bit for bit."""
+    for n, k in single_row_states():
+        full = _float_band(n, [k], k)[0]
+        wide = _band_width(n, k, 1078)
+        assert not full[wide + 1 :].any(), (n, k)
+        assert _float_band(n, [k], wide)[0].tolist() == full[: wide + 1].tolist(), (n, k)
 
 
 def test_band_recurrence_matches_exact_hitting_time():

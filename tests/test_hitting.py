@@ -162,6 +162,9 @@ def test_harmonic_values():
         - 1.0 / (12.0 * 10**12)
     )
     assert abs(direct - asymptotic) < 1e-12
+    # Past 10**6 terms the asymptotic expansion answers.
+    m = 10**6 + 1
+    assert abs(harmonic(m) - math.fsum(1.0 / i for i in range(1, m + 1))) < 4e-15
     with pytest.raises(ValueError):
         harmonic(-1)
 
