@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .backends import FLOAT, DomainError, NumericError, check_n
-from .drift import _check_state, _normalized_drift_column
+from .backends import DomainError, NumericError, check_n
+from .drift import _check_state, _normalized_drift_float
 from .hitting import EULER_GAMMA, runtime_profile
 
 __all__ = [
@@ -345,7 +345,7 @@ def _expansion_grid(n: int, k_hi: int):
     """Yield (k, exact delta*(k), ``evaluate_expansion(n, k)``) for
     k = 1..k_hi, the exact values a prefix of the float normalized-drift
     column, the ``delta_star`` of ``build_drift_table(n)``."""
-    column = _normalized_drift_column(n, FLOAT)[:k_hi].tolist()
+    column = _normalized_drift_float(n, range(n + 2))[1 : k_hi + 1].tolist()
     for k, exact in enumerate(column, start=1):
         yield k, exact, evaluate_expansion(n, k)
 

@@ -98,8 +98,9 @@ def pow_base(base: float, m: int) -> float:
 
     Switches to exp(m * log(base)) for exponents above 10**6, where the
     accumulated rounding of repeated squaring would exceed the transcendental
-    route's error. Exponents in this package stay below n + 2, so the switch
-    is a guard rather than a hot path.
+    route's error. Above n = 10**6 the band's bases take it, one call per
+    exponent: 1.1 of 3.1-3.7 s of ``runtime_profile(2 * 10**6, up_to=10**6)``.
+    At base 1 - 1/n, n <= 8 * 10**6, it errs by up to 1.8e-10 relative.
     """
     if m < 0:
         raise ValueError(f"exponent must be nonnegative, got {m}")

@@ -58,9 +58,9 @@ and the running sums q and H. The check columns are numpy arrays:
 
 Both backends run one body. The backend is read only where the band, the
 drift columns, s_k, g and eta are built (``_BANDS``, ``_band_drift``,
-``_band_improvement``, ``_normalized_drift_column``, ``_hitting_times``,
-``_etas``); the scalar zero and one come from the drift column. The rest
-is the same code for floats and Fractions:
+``_band_improvement``, ``_NORMALIZED``, ``_hitting_times``, ``_etas``); the
+scalar zero and one come from the drift column. The rest is the same code
+for floats and Fractions:
 
 * the (1 + 1/n)^(k-1) envelopes come from one ``_pow_bases`` call, exact
   powers for a Fraction base; its last entry, (1 + 1/n)^n, is the upper
@@ -103,12 +103,12 @@ from .backends import (
 from .drift import (
     _BANDS,
     _BLOCK,
+    _NORMALIZED,
     DriftTable,
     TransitionKernel,
     _band_drift,
     _band_improvement,
     _check_state,
-    _normalized_drift_column,
     _pow_bases,
 )
 from .hitting import (
@@ -172,42 +172,42 @@ class BoundReport:
         raise KeyError(f"no check named {check_id!r}")
 
 
-def _exact_etas(n: int, nums: list[list[int]], delta, states) -> list[Fraction]:
+def _exact_etas(nums: list[list[int]], states) -> list[Fraction]:
     """eta(k) for each k of the ascending ``states`` from the integer
-    numerators P[k][d] of p(k, k - d) over N = n^n and the exact drift
-    column ``delta``.
+    numerators P[k][d] of p(k, k - d) over N = n^n.
 
     Swapping the sums gives eta(k) = sum_{i=1..k} T_k(k-i+1) / (N delta(i))
-    with the tail numerator T_k(m) = sum_{d>=m} P[k][d]. With
-    delta(i) = a_i / b_i and L_i = a_1 ... a_i, the sum times N L_k is the
-    integer E_k, which runs by Horner over i: E <- E a_i + T_k(k-i+1) b_i
-    L_{i-1}. Each eta(k) is one Fraction.
+    with the tail numerator T_k(m) = sum_{d>=m} P[k][d]. N delta(i) is the
+    band's drift numerator D_i = sum_d d P[i][d], so N cancels. With
+    L_i = D_1 ... D_i, the sum times L_k is the integer E_k, which runs by
+    Horner over i: E <- E D_i + T_k(k-i+1) L_(i-1). Each eta(k) is one
+    Fraction.
     """
-    scale = n**n
-    prods = [1]
-    for d in delta[1 : states[-1] + 1]:
-        prods.append(prods[-1] * d.numerator)
+    drifts, prods = [0], [1]
+    for row in nums[1 : states[-1] + 1]:
+        drifts.append(sum(d * x for d, x in enumerate(row)))
+        prods.append(prods[-1] * drifts[-1])
     out = []
     for k in states:
         row = nums[k]
         tail = acc = 0
         for i in range(1, k + 1):
             tail += row[k - i + 1]
-            acc = acc * delta[i].numerator + tail * delta[i].denominator * prods[i - 1]
-        out.append(Fraction(acc, scale * prods[k]))
+            acc = acc * drifts[i] + tail * prods[i - 1]
+        out.append(Fraction(acc, prods[k]))
     return out
 
 
-def _etas(n: int, backend: str, band, delta, q, states) -> np.ndarray:
+def _etas(backend: str, band, q, states) -> np.ndarray:
     """eta(k) for each k of the ascending ``states`` as an array, from a
-    ``_BANDS`` band, the drift column ``delta`` and its sums ``q``: an exact
-    eta(k) reads ``delta``, and a float eta(k) is
+    ``_BANDS`` band and the sums ``q`` of its drift column: an exact eta(k)
+    reads the band's drift numerators, and a float eta(k) is
     sum_d p(k, k - d) (q(k) - q(k - d)) over row k of the band, summed for
     a block of states as one 2-D product of band rows and drops with a row
     sum. Band entries past d = k are exact zeros, so the drops there, read
     at the clamped index 0, add nothing, and eta(0) is the empty sum 0."""
     if backend == RATIONAL:
-        return np.array(_exact_etas(n, band, delta, states), dtype=object)
+        return np.array(_exact_etas(band, states), dtype=object)
     d = np.arange(1, band.shape[1])
     out = np.empty(len(states))
     for lo in range(0, len(states), _BLOCK):
@@ -247,9 +247,8 @@ def eta_star(
     _check_state(kernel.n, k_hi, kernel.max_state, lo=k_lo)
     _check_same_chain(kernel, drift_table)
     states = range(k_lo, k_hi + 1)
-    delta = drift_table.delta[: k_hi + 1]
-    q = _inverse_drift_prefix(delta)
-    return _extremum(_etas(kernel.n, kernel.backend, kernel._chain, delta, q, states), mode)
+    q = _inverse_drift_prefix(drift_table.delta[: k_hi + 1])
+    return _extremum(_etas(kernel.backend, kernel._chain, q, states), mode)
 
 
 def _decide(
@@ -332,7 +331,7 @@ def verify_inequalities(
     # The drift column as an array: float64, or objects holding the Fractions.
     delta = _band_drift(n, backend, band)
     q = _inverse_drift_prefix(delta)
-    eta_vals = _etas(n, backend, band, delta, q, range(n + 1))
+    eta_vals = _etas(backend, band, q, range(n + 1))
     # g, eta and s_k have read the band, the largest array, so it goes before
     # the checks build theirs; each check's arrays go after its verdict.
     del band
@@ -351,7 +350,7 @@ def verify_inequalities(
     record("delta-diff-upper", 1, n, "le", 2.0 / (n - 1), diffs)
     del diffs
 
-    dstar = np.concatenate((delta[:1], _normalized_drift_column(n, backend)))
+    dstar = _NORMALIZED[backend](n, range(n + 2))
     sdiffs = np.diff(dstar)
     # delta*(1) - delta*(0) = 1/n.
     record("delta-star-diff-lower", 1, n + 1, "ge", one / n, sdiffs, [1])

@@ -13,8 +13,9 @@ Everything here is an explicit finite sum over mutation outcomes:
 * ``normalized_drift``: the same quantity with the mutation null factor
   (1 - 1/n)^n divided out and re-indexed, which is the form the asymptotic
   expansion targets; ``drift(n, k) == normalized_drift(n-1, k) * (1-1/n)**n``,
+  so the exact value is read from the band of n + 1 bits,
 * ``normalized_drift_gf``: an independent generating-function route to the
-  normalized drift, used to cross-check the double sum,
+  exact normalized drift, used to cross-check it,
 * ``transition_prob`` / ``build_kernel``: the accepted-step law p(k, j),
 * ``build_drift_table``: both drift columns of every state, the table the
   ``drift`` command prints and that ``hitting_profile``,
@@ -42,11 +43,11 @@ integer numerators a_i = C(k, i) (n-1)^(k-i) and b_l = C(n-k, l)
 and column 0 is the integer complement n^n minus the row's other numerators.
 Rational quantities are sums of such numerators over a denominator whose
 structure is known in advance (N for row sums, N times a running product of
-row sums or drift numerators for the recurrences in ``hitting`` and
-``bounds``), so the work is integer addition and multiplication, and each
-returned value is one ``Fraction``, reduced once. A rational
-``TransitionKernel`` holds these numerators; its ``band`` and ``rows`` are
-Fraction views of them, made when first read.
+row sums for the recurrence in ``hitting``, a running product of drift
+numerators for eta in ``bounds``), so the work is integer addition and
+multiplication, and each returned value is one ``Fraction``, reduced once.
+A rational ``TransitionKernel`` holds these numerators; its ``band`` and
+``rows`` are Fraction views of them, made when first read.
 
 The float band is cut. A jump of d needs at least d flipped zero-bits, so a
 row drops at most (k/n)^(D+1) / (D+1)! of mass past column D, while it moves
@@ -182,19 +183,15 @@ def _binom_pmfs(ms: np.ndarray, n: int, terms: int) -> np.ndarray:
 def drift(n: int, k: int, backend: str = FLOAT) -> Scalar:
     """Exact one-step drift E[k - next | state k] of the (1+1) EA on OneMax.
 
-    The first moment sum_d d p(k, k - d) of the chain band's row of state k:
-    the float row has the chain width for states up to n, the exact row is
-    the integer numerators over n^n, so the value equals
-    ``build_drift_table(n, backend).delta[k]`` exactly. Zero at k = 0.
+    The first moment sum_d d p(k, k - d) of the chain band's row of state k,
+    built with state n, which gives a float band the chain width for states
+    up to n, so the value equals ``build_drift_table(n, backend).delta[k]``
+    exactly. Zero at k = 0.
     """
     check_n(n)
     check_backend(backend)
     _check_state(n, k, n)
-    if backend == RATIONAL:
-        band = _exact_numerators(n, [k])
-    else:
-        band = _float_band(n, [k], _band_width(n, n))
-    return _band_drift(n, backend, band).item(0)
+    return _band_drift(n, backend, _BANDS[backend](n, [k, n])).item(0)
 
 
 def normalized_drift(n: int, k: int, backend: str = FLOAT) -> Scalar:
@@ -205,34 +202,14 @@ def normalized_drift(n: int, k: int, backend: str = FLOAT) -> Scalar:
         sum_{l=1..k} C(k, l) sum_{j=0..l-1} (l - j) C(n+1-k, j) n^-(j+l),
 
     with value 0 at k = 0, and related to the plain drift by
-    ``drift(n, k) == normalized_drift(n - 1, k) * (1 - 1/n)**n``.
+    ``drift(n, k) == normalized_drift(n - 1, k) * (1 - 1/n)**n``, which
+    the exact value reads backwards; k is read with its mirror n + 1 - k.
     """
     check_n(n)
     check_backend(backend)
     _check_state(n, k, n + 1)
-    if k == 0:
-        return Fraction(0) if backend == RATIONAL else 0.0
-    m = n + 1 - k
-    if backend == RATIONAL:
-        # Times n^(k+J), J = min(k-1, m), every term is an integer: with
-        # c_j = C(m, j) n^(J-j) and its prefix sums A_t, B_t of c_j and j c_j,
-        # the inner sum over j <= t = min(l-1, J) is l A_t - B_t, and the
-        # outer sum over l runs by Horner in n.
-        top = min(k - 1, m)
-        prefix = []
-        a = b = 0
-        for j in range(top + 1):
-            c = comb(m, j) * n ** (top - j)
-            a += c
-            b += j * c
-            prefix.append((a, b))
-        total = 0
-        for l in range(1, k + 1):
-            a, b = prefix[min(l - 1, top)]
-            total = total * n + comb(k, l) * (l * a - b)
-        return Fraction(total, n ** (k + top))
     pair = sorted({k, n + 1 - k})
-    return _normalized_drift_float(n, pair).item(pair.index(k))
+    return _NORMALIZED[backend](n, pair).item(pair.index(k))
 
 
 # States per block of the float band, of eta in ``bounds`` and of the
@@ -469,6 +446,20 @@ def _exact_numerators(n: int, states: Sequence[int]) -> list[list[int]]:
 _BANDS = {FLOAT: _float_band, RATIONAL: _exact_numerators}
 
 
+def _normalized_drift_exact(n: int, ks: Sequence[int]) -> np.ndarray:
+    """Exact normalized drift of each state of the ascending ``ks``, as an
+    object array of Fractions: by ``drift(n + 1, k) == normalized_drift(n,
+    k) * (n/(n + 1))**(n + 1)``, the first moment of the exact band of
+    n + 1 bits times ((n + 1)/n)^(n + 1)."""
+    band = _exact_numerators(n + 1, ks)
+    return _band_drift(n + 1, RATIONAL, band) * Fraction(n + 1, n) ** (n + 1)
+
+
+# The normalized drift per backend, of ascending states closed under the
+# mirror k -> n + 1 - k, state 0 included.
+_NORMALIZED = {FLOAT: _normalized_drift_float, RATIONAL: _normalized_drift_exact}
+
+
 # Rows per block of ``_row_fsums``: each block is copied with its columns
 # contiguous, 0.34 MB at 21 columns, so the band is never copied whole. A
 # row's sum does not depend on the block it is in.
@@ -662,6 +653,12 @@ class TransitionKernel:
         return _BandRows(self.band)
 
 
+# Bytes a state that ``build_drift_table`` holds, checked against MEMORY_LIMIT
+# before anything is built: the band, 21 columns, and the drift column. With
+# about 1 MB of row-sum scratch, tracemalloc measured 178.3 at n = 4*10^5.
+_TABLE_BYTES_PER_STATE = 176
+
+
 def build_drift_table(
     n: int,
     backend: str = FLOAT,
@@ -676,19 +673,12 @@ def build_drift_table(
     check_n(n)
     check_backend(backend)
     check_rational_cap(n, backend, rational_cap)
+    check_memory((n + 1) * _TABLE_BYTES_PER_STATE, f"the drift table at n = {n}")
     delta = _band_drift(n, backend, _BANDS[backend](n, range(n + 1)))
-    delta_star = np.concatenate((delta[:1], _normalized_drift_column(n, backend)))
+    delta_star = _NORMALIZED[backend](n, range(n + 2))
     return DriftTable(
         n=n, backend=backend, delta=tuple(delta.tolist()), delta_star=tuple(delta_star.tolist())
     )
-
-
-def _normalized_drift_column(n: int, backend: str) -> np.ndarray:
-    """The normalized drift of the states 1..n + 1 in one backend, as a
-    float64 array or an object array of Fractions."""
-    if backend == RATIONAL:
-        return np.array([normalized_drift(n, k, RATIONAL) for k in range(1, n + 2)], dtype=object)
-    return _normalized_drift_float(n, range(n + 2))[1:]
 
 
 def build_kernel(

@@ -1,6 +1,7 @@
 """Reference values for the tests, computed without the kernel band.
 
-``plain_fraction_drift`` sums in plain Fractions, independent of the package.
+``plain_fraction_drift`` and ``plain_fraction_normalized_drift`` sum in
+plain Fractions, independent of the package.
 ``float_kernel_row`` builds an untruncated float row from flip-count pmfs;
 it shares only the package's ``pow_base`` for (1 - 1/n)^m.
 """
@@ -23,6 +24,20 @@ def plain_fraction_drift(n, k):
             (l - j) * comb(k, l) * comb(n - k, j) * p ** (l + j) * (1 - p) ** (n - l - j)
             for l in range(1, k + 1)
             for j in range(min(l, n - k + 1))
+        ),
+        F(0),
+    )
+
+
+def plain_fraction_normalized_drift(n, k):
+    """Normalized drift of state k as the double sum over l = 1..k and
+    j < l of (l - j) C(k, l) C(n+1-k, j) n^-(j+l)."""
+    p = F(1, n)
+    return sum(
+        (
+            (l - j) * comb(k, l) * comb(n + 1 - k, j) * p ** (j + l)
+            for l in range(1, k + 1)
+            for j in range(l)
         ),
         F(0),
     )

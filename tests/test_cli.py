@@ -15,8 +15,13 @@ import pytest
 
 from onemax_runtime import backends
 from onemax_runtime import cli as cli_mod
-from onemax_runtime import build_drift_table, expansion_delta_star, runtime_estimate
-from onemax_runtime.backends import NumericError
+from onemax_runtime import (
+    build_drift_table,
+    expansion_delta_star,
+    runtime_estimate,
+    runtime_profile,
+)
+from onemax_runtime.backends import CapacityError, NumericError
 from onemax_runtime.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -388,6 +393,34 @@ def test_huge_requests_exit_2_before_allocating(capsys, argv):
     assert out == ""
     assert "GiB limit" in err
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "argv, call, states, band_columns",
+    [
+        (("drift", "100000"), lambda: build_drift_table(10**5), 10**5 + 1, 21),
+        (("runtime", "100000"), lambda: runtime_profile(10**5, up_to=5 * 10**4), 5 * 10**4 + 1, 17),
+    ],
+    ids=["drift", "runtime"],
+)
+def test_drift_and_runtime_count_the_columns_beside_the_band(
+    monkeypatch, capsys, argv, call, states, band_columns
+):
+    """A limit that admits the band with half a column more, but not the
+    columns the table or the profile holds beside it, refuses the request
+    before the band is built."""
+    monkeypatch.setattr(backends, "MEMORY_LIMIT", states * (band_columns * 8 + 4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="GiB limit"):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "GiB limit" in err
 
 
 @pytest.mark.parametrize(

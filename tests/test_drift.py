@@ -23,7 +23,7 @@ from onemax_runtime import (
 )
 from onemax_runtime.asymptotics import _expansion_grid
 from onemax_runtime.backends import pow_base
-from reference_sums import float_kernel_row, plain_fraction_drift
+from reference_sums import float_kernel_row, plain_fraction_drift, plain_fraction_normalized_drift
 
 drift_module = importlib.import_module("onemax_runtime.drift")
 _float_band = drift_module._float_band
@@ -88,11 +88,33 @@ def test_generating_function_route_matches_double_sum(n):
         assert normalized_drift_gf(n, k) == normalized_drift(n, k, "rational")
 
 
+@pytest.mark.parametrize("n", range(2, 17))
+def test_exact_normalized_drift_is_the_plain_double_sum(n):
+    """The exact normalized drift, read from the band of n + 1 bits, against
+    its defining double sum in plain Fractions, which shares no code with
+    the band or with the generating-function route."""
+    for k in range(n + 2):
+        assert normalized_drift(n, k, "rational") == plain_fraction_normalized_drift(n, k)
+
+
 @pytest.mark.parametrize("n", [3, 5, 9])
 def test_renormalization_identity(n):
     factor = F(n - 1, n) ** n
     for k in range(n + 1):
         assert drift(n, k, "rational") == normalized_drift(n - 1, k, "rational") * factor
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 64, 1000, 4096])
+def test_float_renormalization_identity(n):
+    """The float band's drift column against the float normalized-drift
+    kernel of n - 1 bits times (1 - 1/n)^n, to n 2^-53 relative at every
+    state (the largest measured is 0.8 n 2^-53, at n = 5)."""
+    delta = build_drift_table(n).delta
+    factor = (1 - 1 / n) ** n
+    dstar = build_drift_table(n - 1).delta_star
+    assert delta[0] == dstar[0] == 0.0
+    for k in range(1, n + 1):
+        assert abs(delta[k] - dstar[k] * factor) <= n * 2.0**-53 * delta[k], k
 
 
 @pytest.mark.parametrize("n", [2, 4, 7])
