@@ -96,7 +96,8 @@ def harmonic(m: int) -> float:
     """The m-th harmonic number, by direct compensated summation.
 
     Beyond 10**6 terms the asymptotic expansion takes over; its omitted term
-    is below 1/(252 m^6), far under double precision there.
+    is below 1/(252 m^6), far under double precision there. Library API only:
+    no code of the package calls it, and the tests check it directly.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise DomainError(f"harmonic number needs an integer m >= 0, got {m!r}")

@@ -10,10 +10,11 @@ Two engines produce the same law by two independent routes:
   rejected and changes nothing, and a round runs each lane to its next
   step that flips a zero bit. It draws the steps skipped plus that one as
   a Geometric(1 - (1 - 1/n)^zc) wait, the first flipped zero rank F given
-  that one is flipped, and the flips past F with ``_flip_sites``, which
-  lays the n ranks of all m running lanes end to end and draws the flipped
-  ones as partial sums of Geometric(1/n) gaps. A round costs O(1) work a
-  lane, about one flip, instead of O(n);
+  that one is flipped, and the flips past F with ``_flip_ranks``, which
+  lays the n ranks of all m running lanes end to end and draws the
+  (lane, rank) of each flip as partial sums of Geometric(1/n) gaps. One
+  signed count a lane decides the step. A round costs O(1) work a lane,
+  about one flip, instead of O(n);
 * ``jump`` (the default) runs once per accepted improvement. It uses the
   first-accepted-jump decomposition behind the hitting-time recurrence: from
   state k the chain waits a Geometric(s_k) number of steps, s_k the
@@ -35,12 +36,13 @@ is what the equivalence tests check. The literal algorithm stays in
 both against a kernel row, and whole runs of ``step_bitstring`` against
 the exact g.
 
-Every engine is one step function on the running lanes of a chunk, and one
-loop (``_run_lanes``) owns the rest: lanes that start at the optimum,
-the index of running lanes, the steps each lane has used and the truncation
-law. A run that has not hit the optimum when its time passes ``max_iters``
-is recorded at ``max_iters`` and counted in ``truncated``; a run that hits
-it at exactly ``max_iters`` steps is not. Truncation is data, not an
+Every engine is one step function ``step(k)`` of the zero counts k of the
+running lanes of a chunk, and one loop (``_run_lanes``) owns the rest:
+lanes that start at the optimum, the index of running lanes, the steps
+each lane has used and the truncation law. A run that has not hit the
+optimum when its time passes ``max_iters`` is recorded at ``max_iters``
+and counted in ``truncated``; a run that hits it at exactly ``max_iters``
+steps is not. Truncation is data, not an
 exception, but a nonzero count means the mean is biased low and the
 experiment should be redone with a larger budget. The default budget
 100 e n (log n + 1) makes truncation astronomically unlikely.
@@ -63,7 +65,7 @@ from functools import partial
 import numpy as np
 
 from .backends import FLOAT, DomainError, check_memory, check_n
-from .drift import _band_improvement, _band_width, _float_band
+from .drift import _band_improvement, _band_width, _check_state, _float_band
 
 __all__ = [
     "CHUNK_SIZE",
@@ -99,8 +101,9 @@ class SimConfig:
     ``start`` is either an integer number of zero bits (a deterministic
     start) or the string "uniform" for a uniformly random initial string.
     ``replicates``, ``seed`` and ``max_iters`` are Python integers (not
-    bools); ``max_iters`` of None means the default budget. Replicate counts
-    whose samples would exceed ``MEMORY_LIMIT`` raise ``CapacityError``.
+    bools); ``max_iters`` of None means the default budget, and samples are
+    int64, so a given one is below 2**63. Replicate counts whose samples
+    would exceed ``MEMORY_LIMIT`` raise ``CapacityError``.
     """
 
     n: int
@@ -133,8 +136,8 @@ class SimConfig:
             raise DomainError(f"seed must fit an unsigned 64-bit integer, got {self.seed}")
         if self.engine not in ENGINES:
             raise DomainError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise DomainError(f"max_iters must be positive, got {self.max_iters}")
+        if self.max_iters is not None and not 1 <= self.max_iters < 2**63:
+            raise DomainError(f"max_iters must be in [1, 2**63), got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -153,24 +156,21 @@ class RunStats:
     truncated: int
 
 
-def _flip_sites(
-    n: int, rows: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Standard bit mutation of the strings ``rows`` (nondecreasing) of a
-    flat array of length-n strings: bits, or the ranks of a lane.
+def _flip_ranks(n: int, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Standard bit mutation of m lanes of n ranks each: bits, or the ranks
+    of a zero count.
 
-    Returns ``(lane, sites)``: entry ``rows[i]`` flips Bin(n, 1/n) of its n
-    entries, and flip j is at ``sites[j] = rows[lane[j]] * n + position``.
-    ``lane`` is nondecreasing and the sites of one entry strictly ascend, so
-    with distinct rows all sites strictly ascend. A row listed r times gets
-    r independent mutations. Laid end to end, the m n bits flip as a
-    Bernoulli(1/n) sequence: at S_j - 1 for the partial sums S_j <= m n of
-    i.i.d. gaps floor(E s) + 1 ~ Geometric(1/n), E standard exponential and
-    s = -1 / log1p(-1/n): the waiting-time method (Devroye 1986, see README).
+    Returns ``(lane, rank)``: lane i flips Bin(n, 1/n) of its n ranks, and
+    flip j is rank ``rank[j]`` of lane ``lane[j]``. ``lane`` is nondecreasing
+    and the ranks of one lane strictly ascend. Laid end to end, the m n
+    ranks flip as a Bernoulli(1/n) sequence: at S_j - 1 for the partial sums
+    S_j <= m n of i.i.d. gaps floor(E s) + 1 ~ Geometric(1/n), E standard
+    exponential and s = -1 / log1p(-1/n): the waiting-time method (Devroye
+    1986, see README).
     """
-    total = rows.size * n
+    total = m * n
     scale = -1.0 / math.log1p(-1.0 / n)
-    batch = rows.size + 4 * math.isqrt(rows.size) + 8
+    batch = m + 4 * math.isqrt(m) + 8
 
     def gap_sums(start: int) -> np.ndarray:
         gaps = (rng.standard_exponential(batch) * scale).astype(np.int64)
@@ -179,31 +179,28 @@ def _flip_sites(
     ends = gap_sums(0)
     while ends[-1] < total:  # a shortfall past four standard deviations
         ends = np.concatenate((ends, gap_sums(ends[-1])))
-    flat = ends[: np.searchsorted(ends, total, side="right")] - 1
-    lane = flat // n
-    # Entry i starts at i * n of the flat bits and at rows[i] * n of the strings.
-    sites = flat + ((rows - np.arange(rows.size)) * n)[lane]
-    return lane, sites
+    return np.divmod(ends[: np.searchsorted(ends, total, side="right")] - 1, n)
 
 
 def step_bitstring(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One mutation-selection step on a bit vector of n >= 2 bits (True = one).
 
     Flips every bit independently with probability 1/n, the n bits drawn at
-    once by ``_flip_sites`` (which the rank round uses for the flips after
-    the first flipped zero rank), and returns the offspring iff
-    its one-count is at least the parent's, else the parent.
+    once as the ranks of one lane of ``_flip_ranks`` (which the rank round
+    uses for the flips after the first flipped zero rank), and returns the
+    offspring iff its one-count is at least the parent's, else the parent.
     """
     if np.ndim(bits) != 1:
         raise DomainError(f"bits must be a 1-D vector, got shape {np.shape(bits)}")
-    _, sites = _flip_sites(check_n(bits.size), np.zeros(1, dtype=np.intp), rng)
+    _, rank = _flip_ranks(check_n(bits.size), 1, rng)
     child = bits.copy()
-    child[sites] ^= True
+    child[rank] ^= True
     return child if int(child.sum()) >= int(bits.sum()) else bits
 
 
 def step_statechain(n: int, k: int, rng: np.random.Generator) -> int:
     """One step on the zero-count chain: sample both flip counts directly."""
+    _check_state(check_n(n), k, n)
     a = int(rng.binomial(k, 1.0 / n))
     b = int(rng.binomial(n - k, 1.0 / n))
     return k - a + b if b <= a else k
@@ -212,11 +209,11 @@ def step_statechain(n: int, k: int, rng: np.random.Generator) -> int:
 def _run_lanes(step, k: np.ndarray, max_iters: int) -> tuple[np.ndarray, int]:
     """Hitting times of lanes started with zero counts ``k``.
 
-    ``step(idx, k)`` moves the running lanes ``idx``, in states ``k``, once
-    and returns (steps taken, new states). A lane that starts at 0 is
-    recorded as 0. A lane whose time passes ``max_iters`` is recorded at
-    ``max_iters`` and counted in the returned truncation count; one that
-    reaches 0 at exactly ``max_iters`` is not.
+    ``step(k)`` moves the running lanes, in states ``k``, once and returns
+    (steps taken, new states); ``idx`` only places their times. A lane that
+    starts at 0 is recorded as 0. A lane whose time passes ``max_iters`` is
+    recorded at ``max_iters`` and counted in the returned truncation count;
+    one that reaches 0 at exactly ``max_iters`` is not.
 
     A lane past ``max_iters`` keeps stepping until it reaches 0 or every
     running lane is past it. The lanes a round draws for, and so every
@@ -230,7 +227,7 @@ def _run_lanes(step, k: np.ndarray, max_iters: int) -> tuple[np.ndarray, int]:
     t = np.zeros(idx.size, dtype=np.int64)
     truncated = 0
     while idx.size:
-        steps, k = step(idx, k)
+        steps, k = step(k)
         t += steps
         over = t > max_iters
         stop = k == 0
@@ -247,10 +244,10 @@ def _run_lanes(step, k: np.ndarray, max_iters: int) -> tuple[np.ndarray, int]:
 
 
 def _zero_flip_round(
-    n: int, idx: np.ndarray, zc: np.ndarray, rng: np.random.Generator
+    n: int, zc: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run lanes ``idx`` (ascending, zero counts ``zc`` >= 1) up to and
-    including their next step that flips a zero bit.
+    """Run lanes of zero counts ``zc`` >= 1 up to and including their next
+    step that flips a zero bit.
 
     Returns (steps taken, new zero counts). A step acts on a string through
     its zero count alone, so lane i is laid out by rank: ranks 0..zc[i] - 1
@@ -262,22 +259,22 @@ def _zero_flip_round(
     exponential. In that step the first flipped rank is the first success
     of Bernoulli(1/n) trials over the zero ranks given one below zc,
     F = floor(-log1p(-U p) / lam) for p = -expm1(-lam zc) and U uniform;
-    every rank past F flips with probability 1/n, drawn by ``_flip_sites``
+    every rank past F flips with probability 1/n, drawn by ``_flip_ranks``
     over all n ranks and kept above F. With a zero bits flipped (F among
-    them) and b one bits, the child is accepted iff b <= a.
+    them) and b one bits, the child is accepted iff b <= a. Over the flips
+    past F, net = b - (a - 1) counts +1 a one bit and -1 a zero bit, so the
+    new count zc - 1 + min(net, 1) is the child's iff net <= 1, else zc.
     """
     lam = -math.log1p(-1.0 / n)
     wait = (rng.standard_exponential(zc.size) / (lam * zc)).astype(np.int64) + 1
     u = rng.random(zc.size) * -np.expm1(-lam * zc)
     first = np.minimum((-np.log1p(-u) / lam).astype(np.int64), zc - 1)
-    lane, sites = _flip_sites(n, idx, rng)
-    rank = sites - (idx * n)[lane]
+    lane, rank = _flip_ranks(n, zc.size, rng)
     later = rank > first[lane]
     lane, rank = lane[later], rank[later]
-    one = rank >= zc[lane]
-    b = np.bincount(lane[one], minlength=zc.size)
-    a = np.bincount(lane[~one], minlength=zc.size) + 1
-    return wait, np.where(b <= a, zc - a + b, zc)
+    sign = np.where(rank >= zc[lane], 1.0, -1.0)
+    net = np.bincount(lane, sign, minlength=zc.size).astype(np.int64)
+    return wait, zc - 1 + np.minimum(net, 1)
 
 
 def _jump_tables(n: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -312,20 +309,19 @@ def _draw_jumps(cdf: np.ndarray, k: np.ndarray, u: np.ndarray) -> np.ndarray:
     no lane reads further along its row than the jump it draws.
     """
     d = np.ones_like(k)
-    live = np.flatnonzero(cdf[k, 0] < u)
+    live = np.flatnonzero(cdf[:, 0][k] < u)
     col = 1
     while live.size:
         d[live] += 1
-        live = live[cdf[k[live], col] < u[live]]
+        live = live[cdf[:, col][k[live]] < u[live]]
         col += 1
     return d
 
 
 def _jump_step(
-    rate: np.ndarray, cdf: np.ndarray, idx: np.ndarray, k: np.ndarray, rng: np.random.Generator
+    rate: np.ndarray, cdf: np.ndarray, k: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One jump of the lanes ``idx`` in states ``k``: (steps waited, new
-    states). A jump reads only the states, not which lanes they are."""
+    """One jump of the lanes in states ``k``: (steps waited, new states)."""
     wait = (rng.standard_exponential(k.size) * rate[k]).astype(np.int64) + 1
     return wait, k - _draw_jumps(cdf, k, rng.random(k.size))
 

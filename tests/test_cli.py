@@ -312,6 +312,16 @@ def test_sim_bad_start(capsys):
     assert "fixed:K" in err
 
 
+def test_sim_budget_past_int64_is_usage_error(capsys):
+    """Samples are int64, so a budget of 2**63 or more is refused, not
+    overflowed."""
+    argv = ("sim", "--n", "10", "--reps", "10", "--seed", "0", "--max-iters", str(10**30))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "max_iters" in err
+
+
 def test_sim_writes_json_only(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sim", "--n", "20", "--reps", "10", "--seed", "1", "--format", "csv"])

@@ -25,10 +25,11 @@ from onemax_runtime.backends import CapacityError, DomainError, check_memory
 from onemax_runtime.simulate import (
     ENGINES,
     _draw_jumps,
-    _flip_sites,
+    _flip_ranks,
     _jump_tables,
     _zero_flip_round,
 )
+from reference_sims import reference_run
 
 
 def test_default_budget_formula():
@@ -63,28 +64,33 @@ def test_step_bitstring_rejects_all_but_a_vector_of_two_or_more_bits(bits):
         step_bitstring(bits, np.random.default_rng(0))
 
 
-# Non-contiguous ascending strings of a flat array of 12 length-10 strings,
-# as the running lanes of a chunk are.
+@pytest.mark.parametrize("n, k", [(0, 0), (1, 0), (10, 11), (10, -1), (10, 2.5), (10, True)])
+def test_step_statechain_rejects_all_but_a_state_of_the_chain(n, k):
+    with pytest.raises(DomainError):
+        step_statechain(n, k, np.random.default_rng(0))
+
+
+# Five lanes of ten ranks each.
 _FLIP_N = 10
-_FLIP_ROWS = np.array([0, 2, 3, 7, 11])
+_FLIP_LANES = 5
 
 
 def _flip_draws(draws: int, seed: int):
     rng = np.random.Generator(np.random.Philox(seed))
-    return [_flip_sites(_FLIP_N, _FLIP_ROWS, rng) for _ in range(draws)]
+    return [_flip_ranks(_FLIP_N, _FLIP_LANES, rng) for _ in range(draws)]
 
 
-def test_flip_sites_ascend_within_the_listed_strings():
-    n, rows = _FLIP_N, _FLIP_ROWS
-    for lane, sites in _flip_draws(2000, 41):
-        assert (np.diff(sites) > 0).all()
-        assert (sites // n == rows[lane]).all()
+def test_flip_ranks_ascend_within_each_lane():
+    n = _FLIP_N
+    for lane, rank in _flip_draws(2000, 41):
+        assert ((0 <= rank) & (rank < n)).all()
+        assert (np.diff(lane * n + rank) > 0).all()
 
 
 def test_flip_counts_follow_the_binomial_law():
     n = _FLIP_N
     counts = np.concatenate(
-        [np.bincount(lane, minlength=_FLIP_ROWS.size) for lane, _ in _flip_draws(20000, 42)]
+        [np.bincount(lane, minlength=_FLIP_LANES) for lane, _ in _flip_draws(20000, 42)]
     )
     observed = np.bincount(counts, minlength=n + 1)
     expected = scipy.stats.binom.pmf(np.arange(n + 1), n, 1.0 / n) * counts.size
@@ -94,17 +100,17 @@ def test_flip_counts_follow_the_binomial_law():
     assert scipy.stats.chisquare(merged_obs, merged_exp).pvalue > 1e-4
 
 
-def test_flip_positions_are_uniform_in_every_listed_string():
-    """Flips over the (string, position) cells: the last bit of the last
-    string, which the cut at m n decides, is as likely as any other."""
-    n, rows = _FLIP_N, _FLIP_ROWS
-    cells = np.concatenate([lane * n + sites % n for lane, sites in _flip_draws(4000, 43)])
-    observed = np.bincount(cells, minlength=rows.size * n)
-    assert observed.size == rows.size * n
+def test_flip_ranks_are_uniform_in_every_lane():
+    """Flips over the (lane, rank) cells: the last rank of the last lane,
+    which the cut at m n decides, is as likely as any other."""
+    n, m = _FLIP_N, _FLIP_LANES
+    cells = np.concatenate([lane * n + rank for lane, rank in _flip_draws(4000, 43)])
+    observed = np.bincount(cells, minlength=m * n)
+    assert observed.size == m * n
     assert scipy.stats.chisquare(observed).pvalue > 1e-4
 
 
-def test_flip_sites_top_up_a_short_batch():
+def test_flip_ranks_top_up_a_short_batch():
     """Exponentials of 0 make every gap 1, so every bit flips and the first
     batch of gaps ends short of m n: the sampler must draw more."""
 
@@ -115,13 +121,12 @@ def test_flip_sites_top_up_a_short_batch():
             self.calls += 1
             return np.zeros(size)
 
-    n, rows = _FLIP_N, _FLIP_ROWS
+    n, m = _FLIP_N, _FLIP_LANES
     rng = ZeroExponentials()
-    lane, sites = _flip_sites(n, rows, rng)
+    lane, rank = _flip_ranks(n, m, rng)
     assert rng.calls > 1
-    assert (np.bincount(lane, minlength=rows.size) == n).all()
-    assert (lane == np.repeat(np.arange(rows.size), n)).all()
-    assert (sites == (rows[:, None] * n + np.arange(n)).ravel()).all()
+    assert (lane == np.repeat(np.arange(m), n)).all()
+    assert (rank == np.tile(np.arange(n), m)).all()
 
 
 def test_step_statechain_never_moves_up():
@@ -338,7 +343,7 @@ def test_one_bitstring_round_has_the_law_of_the_steps_to_a_zero_flip(k):
     chance that a step flips a zero bit, and then moves from k to j < k with
     probability p(k, j) / p_touch."""
     n, m = 8, 100000
-    wait, zc = _zero_flip_round(n, np.arange(m), np.full(m, k), np.random.default_rng(k))
+    wait, zc = _zero_flip_round(n, np.full(m, k), np.random.default_rng(k))
     p_touch = 1.0 - (1.0 - 1.0 / n) ** k
     waits = np.bincount(wait)[1:]
     w = np.arange(1, waits.size + 1)
@@ -500,9 +505,30 @@ def test_a_budget_only_cuts_runs_of_many_rounds(engine, n, start, budget):
         dict(n=10, start=5, replicates=10, seed=0, max_iters=2.5),
         dict(n=10, start=5, replicates=10, seed=0, max_iters=True),
         dict(n=10, start=5, replicates=10, seed=0, engine="statechain"),
+        dict(n=10, start=5, replicates=10, seed=0, max_iters=2**63),
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         SimConfig(**kwargs)
 
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_run_draws_the_samples_of_the_reference_steps(engine):
+    """``run`` equals, byte for byte, a run of the verbatim earlier steps in
+    ``reference_sims``: uniform and fixed starts, budgets that cut about
+    half the runs and one run of three chunks. A change to the draws
+    replaces this test."""
+    grid = [
+        (7, "uniform", 300, None),
+        (60, 30, 300, None),
+        (60, "uniform", 300, 550),
+        (200, 1, 300, 500),
+        (20, "uniform", 2 * 8192 + 17, None),
+    ]
+    for n, start, reps, budget in grid:
+        cfg = SimConfig(n, start, reps, seed=n, engine=engine, max_iters=budget)
+        stats, samples = run(cfg)
+        expected, truncated = reference_run(cfg)
+        assert samples.tobytes() == expected.tobytes()
+        assert stats.truncated == truncated
