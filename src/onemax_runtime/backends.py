@@ -39,8 +39,8 @@ BACKENDS = (FLOAT, RATIONAL)
 DEFAULT_RATIONAL_CAP = 64
 
 # Largest array, in bytes, that one request may allocate: 2 GiB. It admits
-# the float band of ``runtime 1000000`` (68 MB) and the jump tables of a
-# uniform-start ``sim --n 1000000`` (0.33 GB).
+# the float kernel band of all 10^6 + 1 states of n = 10^6 (0.17 GB) and the
+# jump tables of a uniform-start ``sim --n 1000000`` (0.33 GB).
 MEMORY_LIMIT = 2 * 1024**3
 
 Scalar = Union[float, Fraction]

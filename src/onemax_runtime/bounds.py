@@ -30,11 +30,12 @@ comes back. A check over a range of states hands it one value per state in
 both backends.
 
 The float suite works on whole arrays, a block of states at a time, with no
-per-state Python loop of its own. What it reads from ``drift`` and
-``hitting`` is computed there: the correctly rounded row sums of the drift
-and the improvement probability, the hitting recurrence (run only up to
-n/2, where g is checked, on the s_k the suite sums once for all states),
-and the running sums q and H. The check columns are numpy arrays:
+per-state Python loop of its own. It reads the chain in one pass of blocks
+(``hitting._chain``), which hands it each block's band rows, the correctly
+rounded row sums of the drift and the improvement probability s_k, and g,
+solved only up to n/2, where g is checked. From these the suite fills its
+columns of every state block by block: s_k, the drift, q, a running sum
+carried from block to block, and eta. The check columns are numpy arrays:
 
 * ``tail-factorial`` bounds R_l = P[the step from k drops at least l] l! /
   x^l, x = k/n, by 1 for l = 1..k, and R_(l+1) <= R_l for every l. With
@@ -54,13 +55,13 @@ and the running sums q and H. The check columns are numpy arrays:
   per k = 2..n, from the differences inv(k - 1) - inv(k) that
   ``inv-drift-diff-lower`` reads too;
 * eta(k) is one 2-D product of band rows and drops per block of states,
-  summed along the rows.
+  summed along the rows, in the pass.
 
-Both backends run one body. The backend is read only where the band, the
-drift columns, s_k, g and eta are built (``_BANDS``, ``_band_drift``,
-``_band_improvement``, ``_NORMALIZED``, ``_hitting_times``, ``_etas``); the
-scalar zero and one come from the drift column. The rest is the same code
-for floats and Fractions:
+Both backends run one body. The backend is read only where the chain, the
+normalized drift and eta are computed (``_chain``, ``_NORMALIZED``,
+``_etas``) and where the columns take their scalar type; the scalar zero
+and one come from the drift column. The rest is the same code for floats
+and Fractions:
 
 * the (1 + 1/n)^(k-1) envelopes come from one ``_pow_bases`` call, exact
   powers for a Fraction base; its last entry, (1 + 1/n)^n, is the upper
@@ -72,13 +73,11 @@ of its terms. The float ``tail-factorial`` values carry the rounding of
 s_k, whose band entries carry about n 2^-53 from the base 1 - 1/n: they
 are within 1e-14 relative of the exact ones at n <= 64 (4.0e-15 measured).
 
-So the float suite holds O(n) values and a few block-sized arrays. The
-band, its largest array at 168 bytes a state, is dropped once g, eta and
-s_k have read it, before the checks build their arrays, and each check's
-arrays are dropped after its verdict. Its peak stays under
-``_SUITE_BYTES_PER_STATE`` bytes a state, and ``verify_inequalities``
-refuses an n whose suite would exceed ``MEMORY_LIMIT`` before it builds
-anything.
+So the float suite holds O(n) values and a few block-sized arrays: the
+band, 168 bytes a state, is never held whole, and each check's arrays are
+dropped after its verdict. Its peak stays under ``_SUITE_BYTES_PER_STATE``
+bytes a state, and ``verify_inequalities`` refuses an n whose suite would
+exceed ``MEMORY_LIMIT`` before it builds anything.
 """
 
 from __future__ import annotations
@@ -101,21 +100,18 @@ from .backends import (
     check_rational_cap,
 )
 from .drift import (
-    _BANDS,
     _BLOCK,
     _NORMALIZED,
     DriftTable,
     TransitionKernel,
-    _band_drift,
-    _band_improvement,
     _check_state,
     _pow_bases,
 )
 from .hitting import (
     CORRIDOR_C1,
     CORRIDOR_C2,
+    _chain,
     _check_same_chain,
-    _hitting_times,
     _inverse_drift_prefix,
 )
 
@@ -128,8 +124,9 @@ __all__ = [
 ]
 
 # Memory the float suite may hold per state, checked against MEMORY_LIMIT:
-# its peak RSS above the interpreter's is 200-215 bytes a state from n = 10^5
-# to 10^6 (2-core x86_64 host), most of it the band.
+# its peak RSS above the interpreter's is 89-114 bytes a state from n = 10^5
+# to 10^6 (2-core x86_64 host), 197-204 when the band was held whole; the
+# value is kept from then, so the same n are admitted and refused.
 _SUITE_BYTES_PER_STATE = 250
 
 
@@ -199,21 +196,24 @@ def _exact_etas(nums: list[list[int]], states) -> list[Fraction]:
 
 
 def _etas(backend: str, band, q, states) -> np.ndarray:
-    """eta(k) for each k of the ascending ``states`` as an array, from a
-    ``_BANDS`` band and the sums ``q`` of its drift column: an exact eta(k)
-    reads the band's drift numerators, and a float eta(k) is
-    sum_d p(k, k - d) (q(k) - q(k - d)) over row k of the band, summed for
-    a block of states as one 2-D product of band rows and drops with a row
+    """eta(k) for each k of the range ``states`` as an array, from ``band``,
+    rows of the chain that end with that of states[-1] (a block, or a
+    kernel's first rows), and the sums ``q`` of its drift column, by state.
+    An exact eta(k) reads the drift numerators of every state before it, so
+    its rows start at state 0, and does not read q. A float eta(k) is
+    sum_d p(k, k - d) (q(k) - q(k - d)) over the row of k, summed for a
+    block of states as one 2-D product of band rows and drops with a row
     sum. Band entries past d = k are exact zeros, so the drops there, read
     at the clamped index 0, add nothing, and eta(0) is the empty sum 0."""
     if backend == RATIONAL:
         return np.array(_exact_etas(band, states), dtype=object)
+    rows = band[len(band) - len(states) :, 1:]
     d = np.arange(1, band.shape[1])
     out = np.empty(len(states))
     for lo in range(0, len(states), _BLOCK):
         ks = np.asarray(states[lo : lo + _BLOCK])[:, None]
         drops = q[ks] - q[np.maximum(ks - d, 0)]
-        out[lo : lo + len(ks)] = (band[ks[:, 0], 1:] * drops).sum(axis=1)
+        out[lo : lo + len(ks)] = (rows[lo : lo + len(ks)] * drops).sum(axis=1)
     return out
 
 
@@ -247,8 +247,8 @@ def eta_star(
     _check_state(kernel.n, k_hi, kernel.max_state, lo=k_lo)
     _check_same_chain(kernel, drift_table)
     states = range(k_lo, k_hi + 1)
-    q = _inverse_drift_prefix(drift_table.delta[: k_hi + 1])
-    return _extremum(_etas(kernel.backend, kernel._chain, q, states), mode)
+    q = _inverse_drift_prefix(drift_table.delta[: k_hi + 1]) if kernel.backend == FLOAT else None
+    return _extremum(_etas(kernel.backend, kernel._chain[: k_hi + 1], q, states), mode)
 
 
 def _decide(
@@ -321,20 +321,18 @@ def verify_inequalities(
     check_backend(backend)
     check_rational_cap(n, backend, rational_cap)
     check_memory(n * _SUITE_BYTES_PER_STATE, f"the inequality suite at n = {n}")
-    band = _BANDS[backend](n, range(n + 1))
     half = n // 2
-    improve = _band_improvement(n, backend, band)
-    # The checks read g at n/2 only, and the recurrence runs up in k, so it
-    # stops there. It runs before the drift column exists, so the solve's
-    # scratch does not add to the peak that q and eta set.
-    g_half = _hitting_times(n, backend, band[: half + 1], improve[: half + 1]).item(half)
-    # The drift column as an array: float64, or objects holding the Fractions.
-    delta = _band_drift(n, backend, band)
-    q = _inverse_drift_prefix(delta)
-    eta_vals = _etas(backend, band, q, range(n + 1))
-    # g, eta and s_k have read the band, the largest array, so it goes before
-    # the checks build theirs; each check's arrays go after its verdict.
-    del band
+    # Columns of every state, filled block by block: float64, or Fractions.
+    scalar = object if backend == RATIONAL else float
+    delta, improve, q, eta_vals = (np.empty(n + 1, dtype=scalar) for _ in range(4))
+    # The checks read g at n/2 only, so the pass solves g up to there.
+    for states, band, s_k, drifts, g in _chain(n, backend, n, half):
+        lo, hi = states.start, states.stop
+        delta[lo:hi], improve[lo:hi] = drifts, s_k
+        q[lo:hi] = _inverse_drift_prefix(drifts, q[lo - 1] if lo else None)
+        eta_vals[lo:hi] = _etas(backend, band, q, states)
+        if half in states:
+            g_half = g.item(half - lo)
     e = math.e
     zero = delta.item(0)
     one = zero + 1

@@ -54,9 +54,10 @@ row drops at most (k/n)^(D+1) / (D+1)! of mass past column D, while it moves
 with probability s_k >= k / (e n). The chain width D (``_band_width``) is the
 smallest that keeps this below 2^-60 s_k on every row: D = 16 for states up
 to n/2 and D = 20 up to n, at every n >= 64, so memory is O(n D) instead of
-O(n^2). The dropped mass stays in column 0, so rows still sum to one. The
-band is built in blocks of states from 2-D pmf arrays whose states run along
-the contiguous axis: each block takes its (1 - 1/n)^m bases from one
+O(n^2), and the chain computations of ``hitting._chain`` hold one block of
+it at a time. The dropped mass stays in column 0, so rows still sum to one.
+The band is built in blocks of states from 2-D pmf arrays whose states run
+along the contiguous axis: each block takes its (1 - 1/n)^m bases from one
 vectorised binary exponentiation, bit for bit the scalar ``pow_base``, then
 the ratio recurrence as a cumulative product down each state's column; each
 entry p(k, k-d) = sum_l pa[d+l] pb[l] adds its first 10 pair terms in
@@ -203,13 +204,13 @@ def normalized_drift(n: int, k: int, backend: str = FLOAT) -> Scalar:
 
     with value 0 at k = 0, and related to the plain drift by
     ``drift(n, k) == normalized_drift(n - 1, k) * (1 - 1/n)**n``, which
-    the exact value reads backwards; k is read with its mirror n + 1 - k.
+    the exact value reads backwards; the float one reads k with its mirror.
     """
     check_n(n)
     check_backend(backend)
     _check_state(n, k, n + 1)
-    pair = sorted({k, n + 1 - k})
-    return _NORMALIZED[backend](n, pair).item(pair.index(k))
+    ks = sorted({k, n + 1 - k}) if backend == FLOAT else [k]
+    return _NORMALIZED[backend](n, ks).item(ks.index(k))
 
 
 # States per block of the float band, of eta in ``bounds`` and of the
@@ -455,8 +456,8 @@ def _normalized_drift_exact(n: int, ks: Sequence[int]) -> np.ndarray:
     return _band_drift(n + 1, RATIONAL, band) * Fraction(n + 1, n) ** (n + 1)
 
 
-# The normalized drift per backend, of ascending states closed under the
-# mirror k -> n + 1 - k, state 0 included.
+# The normalized drift per backend, of ascending states: for the float
+# kernel, closed under the mirror k -> n + 1 - k.
 _NORMALIZED = {FLOAT: _normalized_drift_float, RATIONAL: _normalized_drift_exact}
 
 
@@ -654,8 +655,9 @@ class TransitionKernel:
 
 
 # Bytes a state that ``build_drift_table`` holds, checked against MEMORY_LIMIT
-# before anything is built: the band, 21 columns, and the drift column. With
-# about 1 MB of row-sum scratch, tracemalloc measured 178.3 at n = 4*10^5.
+# before anything is built: both drift columns and their tuples, beside one
+# block of the band; tracemalloc measured 88.0 at n = 4*10^5. The value is
+# kept from when the band was held whole, so the same n are admitted.
 _TABLE_BYTES_PER_STATE = 176
 
 
@@ -666,15 +668,17 @@ def build_drift_table(
 ) -> DriftTable:
     """Compute both drift columns for all states of one problem size.
 
-    The drift column is the first moment of the band of states 0..n, which
-    is dropped as soon as that column is summed: the band, the largest
-    array, is gone before the normalized drift and the tuples are built.
+    The drift column is the first moment of the band of states 0..n, summed
+    block by block in the pass over the chain, so no more than a block of
+    the band is ever held.
     """
+    from .hitting import _chain  # here, as ``hitting`` imports this module
+
     check_n(n)
     check_backend(backend)
     check_rational_cap(n, backend, rational_cap)
     check_memory((n + 1) * _TABLE_BYTES_PER_STATE, f"the drift table at n = {n}")
-    delta = _band_drift(n, backend, _BANDS[backend](n, range(n + 1)))
+    delta = np.concatenate([delta for *_, delta, _ in _chain(n, backend, n)])
     delta_star = _NORMALIZED[backend](n, range(n + 2))
     return DriftTable(
         n=n, backend=backend, delta=tuple(delta.tolist()), delta_star=tuple(delta_star.tolist())

@@ -8,18 +8,21 @@ recurrence
     g(k) = (1 + sum_{j=1..k-1} p(k, j) g(j)) / sum_{j=0..k-1} p(k, j),
 
 because the chain never moves up. Both backends solve it over the kernel
-band. The float backend takes s_k from the correctly rounded row sums of
-``drift`` and solves s_k g(k) - sum_d p(k, k - d) g(k - d) = 1 in blocks
-(``_band_solve``): runs of D states at once, D the band width, joined in
-order. Every term is nonnegative, so nothing cancels: against the exact
-solution of the same float band, g is within n units of 2^-53, relative, at
-every state for n <= 300 (a test checks it), and reads 43 units at n/2 for
-n = 10^6, far below the n 2^-53 every band entry carries from the base
-fl(1 - 1/n). The rational backend runs the recurrence on the band's integer
-numerators over n^n: g(k) = G_k / D_k, where D_k is the running product of
-the numerators of the row sums s_k and G_k is an integer, so each g(k) is
-one Fraction, reduced once. The companion
-quantity
+band, which one pass over the chain (``_chain``) builds, or reads from a
+kernel, a block of states at a time: g, s_k, the drift, q and eta are
+running reductions in ascending k, so no whole band is held. The float
+backend takes s_k from the correctly rounded row sums of ``drift`` and
+solves s_k g(k) - sum_d p(k, k - d) g(k - d) = 1 in runs of D states at
+once, D the band width (``_solve_runs``), joined in order. Every term is
+nonnegative, so nothing cancels: against the exact solution of the same
+float band, g is within n units of 2^-53, relative, at every state for
+n <= 300 (a test checks it), within 19 over the states of n = 700, and
+within 246 up to n/2 at n = 10^6 (43 at n/2, where a ``math.fsum`` per
+state read 930), far below the n 2^-53 every band entry carries from the
+base fl(1 - 1/n). The rational backend runs the recurrence on the band's
+integer numerators over n^n: g(k) = G_k / D_k, where D_k is the running
+product of the numerators of the row sums s_k and G_k is an integer, so
+each g(k) is one Fraction, reduced once. The companion quantity
 
     q(k) = sum_{j=1..k} 1 / delta(j)
 
@@ -39,6 +42,7 @@ sum therefore overestimates the true expectation by Theta(log n), never more.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,12 +60,14 @@ from .backends import (
     check_rational_cap,
 )
 from .drift import (
-    _BANDS,
     DriftTable,
     TransitionKernel,
     _band_drift,
     _band_improvement,
+    _band_width,
     _check_state,
+    _exact_numerators,
+    _float_band,
 )
 
 __all__ = [
@@ -112,70 +118,41 @@ def harmonic(m: int) -> float:
     )
 
 
-def _inverse_drift_prefix(delta) -> np.ndarray:
+def _inverse_drift_prefix(delta, before=None) -> np.ndarray:
     """q(k) = sum_{j=1..k} 1/delta(j) for every k of a drift column, as an
     array of the column's scalars.
 
     The running sum starts from delta(0), which is the zero of the column's
-    scalar type, and adds in order, so Fractions stay exact.
+    scalar type, or for a later block of a column from ``before``, q of the
+    state before it, and adds in order, so Fractions stay exact and blocks
+    end bit for bit where the whole column does.
     """
-    return np.cumsum(np.concatenate((delta[:1], 1 / np.asarray(delta[1:]))))
+    if before is None:
+        return np.cumsum(np.concatenate((delta[:1], 1 / np.asarray(delta[1:]))))
+    return np.cumsum(np.concatenate(([before], 1 / np.asarray(delta))))[1:]
 
 
-# States per span of ``_band_solve``: the working arrays of a span, about
-# 400 bytes a state at width 16, are made and freed one span at a time.
+# States per block of ``_chain``, cut to whole runs: a block's band rows (168
+# bytes a state) and the solver's arrays (about 400) live one at a time.
 _SPAN = 4096
 
 
-def _band_solve(
-    band: np.ndarray, diag: np.ndarray, rhs, out: np.ndarray | None = None
-) -> np.ndarray:
-    """x with x_0 = 0 and diag_k x_k - sum_{d=1..W} band[k, d] x_(k-d) = rhs_k
-    at every later state k of a float band of width W, as a float64 array.
-    ``rhs`` is a scalar or one value per state; states before 0 count as 0.
-    x is written to ``out`` if given, which may be ``diag`` itself: a span
-    reads its diag before its values are written.
-
-    States 1, 2, ... are cut into runs of W, and the runs into spans of about
-    ``_SPAN`` states, which ``_solve_runs`` solves one after the other: the
-    last W values of a span are the W values before the next.
-
-    With a nonnegative band, diag and rhs nothing cancels, and with diag the
-    band's row sums each value is a weighted mean of the W values before its
-    run plus its rhs part, so a rounding error is carried on but not grown.
-    Against the exact solution of the same float system, the hitting times
-    of ``_hitting_times`` read at most 19 units of 2^-53, relative, over
-    the states of n = 700, and 246 over the states up to n/2 of n = 10^6
-    (43 at n/2, where a ``math.fsum`` per state read 930).
-    """
-    states = len(band)
-    x = np.zeros(states) if out is None else out
-    x[:1] = 0.0
-    if states <= 1:
-        return x
-    width = band.shape[1] - 1
-    span = max(1, _SPAN // width) * width
-    before = np.zeros(width)
-    for lo in range(1, states, span):
-        hi = min(lo + span, states)
-        part = rhs[lo:hi] if np.ndim(rhs) else rhs
-        runs = _solve_runs(band[lo:hi], diag[lo:hi], part, before)
-        x[lo:hi] = runs.ravel()[: hi - lo]
-        before = runs[-1]
-    return x
-
-
 def _solve_runs(band: np.ndarray, diag: np.ndarray, rhs, before: np.ndarray) -> np.ndarray:
-    """The values of consecutive states of the ``_band_solve`` system, as
-    one row of W values per run of W states, from the W values ``before``
-    the first; a last run past the states is padded.
+    """x at consecutive states k of the system diag_k x_k - sum_{d=1..W}
+    band[k, d] x_(k-d) = rhs_k of a float band of width W, as one row of W
+    values per run of W states, from the W values ``before`` the first; a
+    last run past the states is padded. ``rhs`` is a scalar or one value per
+    state.
 
     Inside a run every x is an affine function a + H h of the W values h
     just before the run. For all runs at once, W steps build the coefficient
     rows (a, H) state by state: a step is one batched product of each run's
     band row with its last W coefficient rows, plus rhs, over diag. A run
     holds W states, so its values are the next run's h: a loop walks the
-    runs in order, one (W x (W + 1)) product each.
+    runs in order, one (W x (W + 1)) product each. With a nonnegative band,
+    diag and rhs nothing cancels, and with diag the band's row sums each
+    value is a weighted mean of the W values before its run plus its rhs
+    part, so a rounding error is carried on but not grown.
     """
     width = band.shape[1] - 1
     runs = -(-len(band) // width)
@@ -233,26 +210,43 @@ def _exact_hitting_times(n: int, nums: list[list[int]]) -> list[Fraction]:
     return g
 
 
-def _hitting_times(n: int, backend: str, band, improve: np.ndarray | None = None) -> np.ndarray:
-    """g over the states of a ``_BANDS`` band, as a float64 array or an
-    object array of Fractions. The float g is the blocked solve of
-    s_k g(k) - sum_d p(k, k - d) g(k - d) = 1 (``_band_solve``), whose s_k
-    is ``improve``, the band's ``_band_improvement`` of these states, when
-    the caller has it, and is left as it is. The rational g reads s_k from
-    the band's integer numerators and ignores ``improve``."""
+def _chain(n: int, backend: str, top: int, solve_to: int = -1, band=None) -> Iterator[tuple]:
+    """The chain of n bits over states 0..top in ascending blocks: for each,
+    its states (a range), its rows of a ``_BANDS`` band, their s_k and drift
+    and their g, solved over states 0..solve_to (empty past them).
+    ``band``, a kernel's band of states 0..top, is read in place of rows
+    built at the chain width of top.
+
+    The exact chain is one block: its g and eta read every earlier row.
+    Float block 0 holds state 0 and one span of ``_SPAN`` states cut to
+    whole runs of the band width W, and each later block one span, so each
+    starts a run. Band entries and row sums do not depend on the block a
+    row is in, and a run's values only on its rows and the W values before
+    it, which the pass carries on: every value is bit for bit the whole
+    band's.
+    """
     if backend == RATIONAL:
-        return np.array(_exact_hitting_times(n, band), dtype=object)
-    if improve is not None:
-        return _band_solve(band, improve, 1.0)
-    improve = _band_improvement(n, FLOAT, band)
-    # g takes the place of s_k, which is read span by span before it.
-    return _band_solve(band, improve, 1.0, out=improve)
-
-
-def _profile(n: int, backend: str, g: np.ndarray, q: np.ndarray) -> HittingProfile:
-    """The public profile of the hitting times ``g`` and the inverse-drift
-    sums ``q``, cut to the states of ``g``."""
-    return HittingProfile(n=n, backend=backend, g=tuple(g.tolist()), q=tuple(q[: len(g)].tolist()))
+        nums = _exact_numerators(n, range(top + 1)) if band is None else band
+        g = _exact_hitting_times(n, nums[: solve_to + 1])[: solve_to + 1]
+        improve, delta = _band_improvement(n, backend, nums), _band_drift(n, backend, nums)
+        yield range(top + 1), nums, improve, delta, np.array(g, dtype=object)
+        return
+    width = _band_width(n, top) if band is None else band.shape[1] - 1
+    span = _SPAN // width * width if width else 1
+    before = np.zeros(width)
+    lo = 0
+    for hi in [*range(1 + span, top + 1, span), top + 1]:
+        rows = _float_band(n, range(lo, hi), width) if band is None else band[lo:hi]
+        improve = _band_improvement(n, backend, rows)
+        g = np.zeros(max(min(hi, solve_to + 1) - lo, 0))
+        # State 0 is in no run: g(0) = 0.
+        first = 0 if lo else 1
+        if len(g) > first:
+            runs = _solve_runs(rows[first : len(g)], improve[first : len(g)], 1.0, before)
+            g[first:] = runs.ravel()[: len(g) - first]
+            before = runs[-1]
+        yield range(lo, hi), rows, improve, _band_drift(n, backend, rows), g
+        lo = hi
 
 
 def _check_same_chain(kernel: TransitionKernel, drift_table: DriftTable) -> None:
@@ -275,14 +269,17 @@ def hitting_profile(kernel: TransitionKernel, drift_table: DriftTable) -> Hittin
     denominators of the inverse-drift sums.
     """
     _check_same_chain(kernel, drift_table)
-    q = _inverse_drift_prefix(drift_table.delta[: kernel.max_state + 1])
-    g = _hitting_times(kernel.n, kernel.backend, kernel._chain)
-    return _profile(kernel.n, kernel.backend, g, q)
+    n, backend, top = kernel.n, kernel.backend, kernel.max_state
+    q = _inverse_drift_prefix(drift_table.delta[: top + 1])
+    g = np.concatenate([g for *_, g in _chain(n, backend, top, top, kernel._chain)])
+    return HittingProfile(n, backend, tuple(g.tolist()), tuple(q.tolist()))
 
 
 # Bytes a state that ``runtime_profile`` holds, checked against MEMORY_LIMIT
-# before anything is built: the band, at most 21 columns, and three columns
-# while q is summed. Up to n/2 (17 columns) tracemalloc measured 160.0.
+# before anything is built: the g, drift and q columns and the g and q
+# tuples, beside one block of the band. tracemalloc measured 96.0 over all
+# states of n = 10^5 and 2 10^5. The value is kept from when the whole band
+# was held, so the same n are admitted and refused.
 _PROFILE_BYTES_PER_STATE = 192
 
 
@@ -298,7 +295,8 @@ def runtime_profile(
     :func:`~onemax_runtime.drift.build_drift_table` with
     :func:`hitting_profile`, but stops at ``up_to`` (default n). The drift
     column is the first moment of the kernel band, so the float work is
-    O(up_to D) for the band width D.
+    O(up_to D) for the band width D, and the band is read one block at a
+    time.
     """
     check_n(n)
     check_backend(backend)
@@ -307,12 +305,10 @@ def runtime_profile(
         up_to = n
     _check_state(n, up_to, n)
     check_memory((up_to + 1) * _PROFILE_BYTES_PER_STATE, f"the hitting profile at n = {n}")
-    band = _BANDS[backend](n, range(up_to + 1))
-    q = _inverse_drift_prefix(_band_drift(n, backend, band))
-    g = _hitting_times(n, backend, band)
-    # The band is the largest array: it goes before the tuples are built.
-    del band
-    return _profile(n, backend, g, q)
+    blocks = _chain(n, backend, up_to, up_to)
+    g, delta = (np.concatenate(c) for c in zip(*((g, delta) for *_, delta, g in blocks)))
+    q = _inverse_drift_prefix(delta)
+    return HittingProfile(n, backend, tuple(g.tolist()), tuple(q.tolist()))
 
 
 def inverse_drift_sum(drift_table: DriftTable, k0: int) -> Scalar:

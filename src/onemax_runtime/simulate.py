@@ -190,8 +190,9 @@ def step_bitstring(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     uses for the flips after the first flipped zero rank), and returns the
     offspring iff its one-count is at least the parent's, else the parent.
     """
-    if np.ndim(bits) != 1:
-        raise DomainError(f"bits must be a 1-D vector, got shape {np.shape(bits)}")
+    if np.ndim(bits) != 1 or bits.dtype != bool:
+        shape, dtype = np.shape(bits), np.asarray(bits).dtype
+        raise DomainError(f"bits must be a 1-D vector of bools, got shape {shape}, {dtype}")
     _, rank = _flip_ranks(check_n(bits.size), 1, rng)
     child = bits.copy()
     child[rank] ^= True

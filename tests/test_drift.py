@@ -88,6 +88,22 @@ def test_generating_function_route_matches_double_sum(n):
         assert normalized_drift_gf(n, k) == normalized_drift(n, k, "rational")
 
 
+@pytest.mark.parametrize("n, k", [(9, 3), (9, 5), (40, 0), (40, 41)])
+def test_exact_normalized_drift_builds_the_row_of_its_state_alone(n, k, monkeypatch):
+    """Only the float kernel pairs a state with its mirror n + 1 - k; the
+    exact value reads one row of the band of n + 1 bits."""
+    seen = []
+    build = drift_module._exact_numerators
+
+    def spy(m, states):
+        seen.append(list(states))
+        return build(m, states)
+
+    monkeypatch.setattr(drift_module, "_exact_numerators", spy)
+    assert normalized_drift(n, k, "rational") == normalized_drift_gf(n, k)
+    assert seen == [[k]]
+
+
 @pytest.mark.parametrize("n", range(2, 17))
 def test_exact_normalized_drift_is_the_plain_double_sum(n):
     """The exact normalized drift, read from the band of n + 1 bits, against

@@ -22,10 +22,11 @@ from onemax_runtime import (
     inverse_drift_sum,
     runtime_profile,
     transition_prob,
+    verify_inequalities,
 )
 from onemax_runtime import hitting
 from onemax_runtime.backends import DomainError
-from onemax_runtime.drift import _band_improvement, _float_band
+from onemax_runtime.drift import _band_improvement, _band_width, _float_band
 
 
 def test_known_exact_values_n3():
@@ -263,9 +264,9 @@ def test_state_arguments_must_be_integers_in_range(call):
 
 
 def test_profile_to_half_of_a_hundred_thousand_peaks_under_10_4_mib():
-    """The band (6.5 MiB at 50001 states) is dropped before the g and q
-    tuples (3.1 MiB) are built, so the two are never held together: with
-    both, the traced peak was 10.7 MiB."""
+    """The pass over the chain holds one block of the band (6.5 MiB for all
+    50001 states) at a time, so the band and the g and q tuples (3.1 MiB)
+    are never held together: with both, the traced peak was 10.7 MiB."""
     tracemalloc.start()
     try:
         prof = runtime_profile(10**5, up_to=5 * 10**4)
@@ -277,8 +278,9 @@ def test_profile_to_half_of_a_hundred_thousand_peaks_under_10_4_mib():
 
 
 def exact_band_solve(band, diag, rhs):
-    """The ``_band_solve`` system solved in Fractions on the very floats of
-    its band, diag and rhs."""
+    """The system of ``_solve_runs`` over states 0..len(band) - 1, from
+    x_0 = 0, solved in Fractions on the very floats of its band, diag and
+    rhs."""
     width = band.shape[1] - 1
     x = [F(0)]
     for k in range(1, len(band)):
@@ -312,20 +314,35 @@ def test_float_g_is_within_n_ulps_of_the_exact_solve_of_its_band(n):
     assert_within_ulps(runtime_profile(n).g, float_system(n)[2], n)
 
 
-def test_band_solve_takes_a_per_state_right_hand_side():
+def test_solve_runs_takes_a_per_state_right_hand_side():
     n = 40
     band, diag, _ = float_system(n)
     rhs = np.sqrt(np.arange(n + 1.0)) + 1.0 / 3.0
-    got = hitting._band_solve(band, diag, rhs)
+    before = np.zeros(band.shape[1] - 1)
+    runs = hitting._solve_runs(band[1:], diag[1:], rhs[1:], before)
+    got = [0.0, *runs.ravel()[:n]]
     assert_within_ulps(got, exact_band_solve(band, diag, rhs), n)
 
 
-def test_band_solve_carries_values_across_spans(monkeypatch):
-    """Spans of two runs at n = 300: eight spans, the last one run long."""
-    n = 300
-    band, diag, exact = float_system(n)
-    monkeypatch.setattr(hitting, "_SPAN", 2 * (band.shape[1] - 1))
-    assert_within_ulps(hitting._band_solve(band, diag, 1.0), exact, n)
+@pytest.mark.parametrize("n", [300, 4097])
+def test_blocks_of_the_chain_do_not_change_values(n, monkeypatch):
+    """Blocks of two solver runs each, against the default of about 4096
+    states: every profile, table and suite value is the same, bit for
+    bit."""
+
+    def results():
+        kernel, table = build_kernel(n), build_drift_table(n)
+        return (
+            runtime_profile(n),
+            runtime_profile(n, up_to=n // 2),
+            hitting_profile(kernel, table),
+            table,
+            verify_inequalities(n),
+        )
+
+    default = results()
+    monkeypatch.setattr(hitting, "_SPAN", 2 * _band_width(n, n))
+    assert results() == default
 
 
 @pytest.mark.parametrize("up_to", [15, 4095, 4096, 4097, 8193, 9999])

@@ -56,8 +56,10 @@ def test_step_bitstring_never_loses_fitness():
         np.zeros((3, 4), dtype=bool),
         np.zeros((1, 8), dtype=bool),
         np.bool_(True),
+        np.array([0, 2, 1, 1, 0]),
+        np.array([0.0, 1.0, 1.0, 0.0, 1.0]),
     ],
-    ids=["empty", "one-bit", "2-D", "row-matrix", "0-D"],
+    ids=["empty", "one-bit", "2-D", "row-matrix", "0-D", "int", "float"],
 )
 def test_step_bitstring_rejects_all_but_a_vector_of_two_or_more_bits(bits):
     with pytest.raises(DomainError):
