@@ -31,10 +31,10 @@ both backends.
 
 The float suite works on whole arrays, a block of states at a time, with no
 per-state Python loop of its own. It reads the chain in one pass of blocks
-(``hitting._chain``), which hands it each block's band rows, the correctly
-rounded row sums of the drift and the improvement probability s_k, and g,
-solved only up to n/2, where g is checked. From these the suite fills its
-columns of every state block by block: s_k, the drift, q, a running sum
+(``hitting._chain``), which hands it each block's band rows, their
+correctly rounded sums s_k and g, solved only up to n/2, where g is
+checked. From these the suite fills its columns of every state block by
+block: s_k, the drift (``_band_drift`` of the rows), q, a running sum
 carried from block to block, and eta. The check columns are numpy arrays:
 
 * ``tail-factorial`` bounds R_l = P[the step from k drops at least l] l! /
@@ -57,11 +57,11 @@ carried from block to block, and eta. The check columns are numpy arrays:
 * eta(k) is one 2-D product of band rows and drops per block of states,
   summed along the rows, in the pass.
 
-Both backends run one body. The backend is read only where the chain, the
-normalized drift and eta are computed (``_chain``, ``_NORMALIZED``,
-``_etas``) and where the columns take their scalar type; the scalar zero
-and one come from the drift column. The rest is the same code for floats
-and Fractions:
+Both backends run one body. The backend is read only where the chain, its
+drift, the normalized drift and eta are computed (``_chain``,
+``_band_drift``, ``_NORMALIZED``, ``_etas``) and where the columns take
+their scalar type; the scalar zero and one come from the drift column. The
+rest is the same code for floats and Fractions:
 
 * the (1 + 1/n)^(k-1) envelopes come from one ``_pow_bases`` call, exact
   powers for a Fraction base; its last entry, (1 + 1/n)^n, is the upper
@@ -104,6 +104,7 @@ from .drift import (
     _NORMALIZED,
     DriftTable,
     TransitionKernel,
+    _band_drift,
     _check_state,
     _pow_bases,
 )
@@ -248,7 +249,7 @@ def eta_star(
     _check_same_chain(kernel, drift_table)
     states = range(k_lo, k_hi + 1)
     q = _inverse_drift_prefix(drift_table.delta[: k_hi + 1]) if kernel.backend == FLOAT else None
-    return _extremum(_etas(kernel.backend, kernel._chain[: k_hi + 1], q, states), mode)
+    return _extremum(_etas(kernel.backend, kernel._band[: k_hi + 1], q, states), mode)
 
 
 def _decide(
@@ -326,10 +327,10 @@ def verify_inequalities(
     scalar = object if backend == RATIONAL else float
     delta, improve, q, eta_vals = (np.empty(n + 1, dtype=scalar) for _ in range(4))
     # The checks read g at n/2 only, so the pass solves g up to there.
-    for states, band, s_k, drifts, g in _chain(n, backend, n, half):
+    for states, band, s_k, g in _chain(n, backend, n, half):
         lo, hi = states.start, states.stop
-        delta[lo:hi], improve[lo:hi] = drifts, s_k
-        q[lo:hi] = _inverse_drift_prefix(drifts, q[lo - 1] if lo else None)
+        delta[lo:hi], improve[lo:hi] = _band_drift(n, backend, band), s_k
+        q[lo:hi] = _inverse_drift_prefix(delta[lo:hi], q[lo - 1] if lo else None)
         eta_vals[lo:hi] = _etas(backend, band, q, states)
         if half in states:
             g_half = g.item(half - lo)

@@ -46,8 +46,8 @@ structure is known in advance (N for row sums, N times a running product of
 row sums for the recurrence in ``hitting``, a running product of drift
 numerators for eta in ``bounds``), so the work is integer addition and
 multiplication, and each returned value is one ``Fraction``, reduced once.
-A rational ``TransitionKernel`` holds these numerators; its ``band`` and
-``rows`` are Fraction views of them, made when first read.
+A rational ``TransitionKernel`` builds these numerators when first read; its
+``band`` and ``rows`` are Fraction views of them.
 
 The float band is cut. A jump of d needs at least d flipped zero-bits, so a
 row drops at most (k/n)^(D+1) / (D+1)! of mass past column D, while it moves
@@ -66,7 +66,7 @@ below 2^-66 of it. Band entries agree with full rows to 6.7e-16 relative
 (n = 1500 and 4096).
 
 Row sums of the float band are correctly rounded and equal ``math.fsum``
-bit for bit, but are taken over a block of rows at once (``_row_fsums``):
+bit for bit, but are taken over one block of rows at once (``_row_fsums``):
 a compensated sum carries the rounding error of every addition, and a
 bound on what it still misses certifies that the result rounds as the exact
 sum does. The rare row it cannot certify, state 0 in practice, is summed
@@ -93,7 +93,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
@@ -461,66 +461,58 @@ def _normalized_drift_exact(n: int, ks: Sequence[int]) -> np.ndarray:
 _NORMALIZED = {FLOAT: _normalized_drift_float, RATIONAL: _normalized_drift_exact}
 
 
-# Rows per block of ``_row_fsums``: each block is copied with its columns
-# contiguous, 0.34 MB at 21 columns, so the band is never copied whole. A
-# row's sum does not depend on the block it is in.
-_ROW_BLOCK = 2048
-
-
 def _row_fsums(x: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """``math.fsum`` of every row of x * weights (weights per column, default
     none), bit for bit, as a float64 array.
 
-    A block of rows is summed column by column over all its rows at once,
-    with error-free transformations (Ogita, Rump and Oishi, "Accurate sum
-    and dot product", SIAM J. Sci. Comput. 26(6), 2005): s <- fl(s + x_j),
-    and the exact error of each step, by TwoSum, is added into e. Then
-    (r, t) = TwoSum(s, e), so r + t = s + e exactly. For m nonnegative
-    terms, the exact sum S is r + t + rho, where rho is the rounding of the
-    float sum e: |rho| <= gamma_(m-1) m u S < 2 m^2 u^2 r (u = 2^-53). So r
-    is the correctly rounded sum, which is what ``math.fsum`` returns,
-    whenever t + rho stays inside half the gap to either neighbour of r:
-    spacing(r)/2 above, and below as well unless r is a power of two, where
-    the gap below is half as wide. A row this does not certify, near a tie
-    or summing to 0.0 (whose half gap rounds to 0), or a row with a negative
-    term, is summed by ``math.fsum``. A band has about one such row, its
-    state 0. An array with no columns sums to zeros.
+    The rows are summed column by column, all at once, on a copy of x with
+    its columns contiguous, so callers hand it a few rows or one block of
+    the pass over the chain (``hitting._chain``). It uses error-free
+    transformations (Ogita, Rump and Oishi, "Accurate sum and dot product",
+    SIAM J. Sci. Comput. 26(6), 2005): s <- fl(s + x_j), and the exact error
+    of each step, by TwoSum, is added into e. Then (r, t) = TwoSum(s, e), so
+    r + t = s + e exactly. For m nonnegative terms, the exact sum S is
+    r + t + rho, where rho is the rounding of the float sum e, and
+    |rho| <= gamma_(m-1) m u S < 2 m^2 u^2 r (u = 2^-53). So r is the correctly
+    rounded sum, which is what ``math.fsum`` returns, whenever t + rho stays
+    inside half the gap to either neighbour of r: spacing(r)/2 above, and
+    below as well unless r is a power of two, where the gap below is half as
+    wide. A row this does not certify, near a tie or summing to 0.0 (whose
+    half gap rounds to 0), or a row with a negative term, is summed by
+    ``math.fsum``. A band has about one such row, its state 0. An array with
+    no columns sums to zeros.
     """
     rows, m = x.shape
-    out = np.zeros(rows)
     if m == 0:
-        return out
+        return np.zeros(rows)
     # 2 m^2 u^2, and the smallest subnormal, which keeps the bound on rho an
     # upper bound where r * rel underflows.
     rel = 2.0 * m * m * 2.0**-106
     tiny = 2.0**-1074
-    for lo in range(0, rows, _ROW_BLOCK):
-        block = x[lo : lo + _ROW_BLOCK].T
-        cols = block * weights[:, None] if weights is not None else np.ascontiguousarray(block)
-        s = cols[0].copy()
-        e = np.zeros_like(s)
-        total, back, err = np.empty_like(s), np.empty_like(s), np.empty_like(s)
-        for term in cols[1:]:
-            # TwoSum: total + (s - (total - back)) + (term - back) = s + term.
-            np.add(s, term, out=total)
-            np.subtract(total, s, out=back)
-            np.subtract(total, back, out=err)
-            np.subtract(s, err, out=err)
-            np.subtract(term, back, out=back)
-            err += back
-            e += err
-            s, total = total, s
-        r = s + e
-        back = r - s
-        t = (s - (r - back)) + (e - back)
-        bound = r * rel + tiny
-        up = np.spacing(r) / 2
-        down = np.where(np.frexp(r)[0] == 0.5, up / 2, up)
-        ok = (t + bound < up) & (bound - t < down) & ~(cols < 0).any(axis=0)
-        for i in np.flatnonzero(~ok).tolist():
-            r[i] = math.fsum(cols[:, i].tolist())
-        out[lo : lo + len(r)] = r
-    return out
+    cols = x.T * weights[:, None] if weights is not None else np.ascontiguousarray(x.T)
+    s = cols[0].copy()
+    e = np.zeros_like(s)
+    total, back, err = np.empty_like(s), np.empty_like(s), np.empty_like(s)
+    for term in cols[1:]:
+        # TwoSum: total + (s - (total - back)) + (term - back) = s + term.
+        np.add(s, term, out=total)
+        np.subtract(total, s, out=back)
+        np.subtract(total, back, out=err)
+        np.subtract(s, err, out=err)
+        np.subtract(term, back, out=back)
+        err += back
+        e += err
+        s, total = total, s
+    r = s + e
+    back = r - s
+    t = (s - (r - back)) + (e - back)
+    bound = r * rel + tiny
+    up = np.spacing(r) / 2
+    down = np.where(np.frexp(r)[0] == 0.5, up / 2, up)
+    ok = (t + bound < up) & (bound - t < down) & ~(cols < 0).any(axis=0)
+    for i in np.flatnonzero(~ok).tolist():
+        r[i] = math.fsum(cols[:, i].tolist())
+    return r
 
 
 def _band_improvement(n: int, backend: str, band) -> np.ndarray:
@@ -624,28 +616,32 @@ class DriftTable:
 class TransitionKernel:
     """Accepted-step law rows p(k, .) for k = 0..max_state.
 
-    The kernel holds the band the chain computations read, as ``_BANDS``
-    builds it (see the module notes): the float band cut to the width D, or
-    the integer numerators over n^n at full width. ``band`` holds
-    band[k, d] = p(k, k - d) in the backend's scalars: the float band itself,
-    or a read-only array of Fractions made from the numerators when it is
-    first read. ``rows[k]`` is the read-only row p(k, 0..k), expanded from
-    ``band`` on access; it has length k + 1 and sums to one (exactly, for
-    Fractions). n, backend and max_state fix the band, so kernels compare
-    and hash by those three.
+    A kernel is its three numbers, which fix its rows, so kernels compare
+    and hash by them. Its band (see the module notes), the float band cut
+    to the width D or the integer numerators over n^n at full width, is
+    built by ``_BANDS`` when ``band``, ``rows``, ``eta`` or ``eta_star``
+    first reads it, and kept; a float band above ``MEMORY_LIMIT`` raises
+    ``CapacityError`` then, before it is allocated. ``band`` holds
+    band[k, d] = p(k, k - d) in the backend's scalars: the float band
+    itself, or read-only Fractions made from the numerators. ``rows[k]`` is
+    the read-only row p(k, 0..k) of length k + 1, expanded from ``band`` on
+    access; it sums to one (exactly, for Fractions).
     """
 
     n: int
     backend: str
     max_state: int
-    _chain: np.ndarray | list[list[int]] = field(repr=False, compare=False)
+
+    @cached_property
+    def _band(self) -> np.ndarray | list[list[int]]:
+        return _BANDS[self.backend](self.n, range(self.max_state + 1))
 
     @cached_property
     def band(self) -> np.ndarray:
         if self.backend == FLOAT:
-            return self._chain
+            return self._band
         scale = self.n**self.n
-        band = np.array([[Fraction(x, scale) for x in row] for row in self._chain], dtype=object)
+        band = np.array([[Fraction(x, scale) for x in row] for row in self._band], dtype=object)
         band.setflags(write=False)
         return band
 
@@ -678,7 +674,7 @@ def build_drift_table(
     check_backend(backend)
     check_rational_cap(n, backend, rational_cap)
     check_memory((n + 1) * _TABLE_BYTES_PER_STATE, f"the drift table at n = {n}")
-    delta = np.concatenate([delta for *_, delta, _ in _chain(n, backend, n)])
+    delta = np.concatenate([_band_drift(n, backend, rows) for _, rows, *_ in _chain(n, backend, n)])
     delta_star = _NORMALIZED[backend](n, range(n + 2))
     return DriftTable(
         n=n, backend=backend, delta=tuple(delta.tolist()), delta_star=tuple(delta_star.tolist())
@@ -691,12 +687,13 @@ def build_kernel(
     max_state: int | None = None,
     rational_cap: int = DEFAULT_RATIONAL_CAP,
 ) -> TransitionKernel:
-    """Compute kernel rows p(k, .) for k = 0..max_state (default n).
+    """The kernel of rows p(k, .) for k = 0..max_state (default n).
 
     The chain is non-increasing, so hitting times from a start state k0 only
-    need rows up to k0. The kernel keeps the band of those rows, so it is
-    O(max_state D) for the band width D: at most 20 in floats
-    (``_band_width``), max_state in exact arithmetic.
+    need rows up to k0. Nothing is built here: the band of those rows,
+    O(max_state D) for the band width D (at most 20 in floats, max_state in
+    exact arithmetic), is built when first read, which raises
+    ``CapacityError`` before allocating a float band above ``MEMORY_LIMIT``.
     """
     check_n(n)
     check_backend(backend)
@@ -704,4 +701,4 @@ def build_kernel(
     if max_state is None:
         max_state = n
     _check_state(n, max_state, n)
-    return TransitionKernel(n, backend, max_state, _BANDS[backend](n, range(max_state + 1)))
+    return TransitionKernel(n, backend, max_state)

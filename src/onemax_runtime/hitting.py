@@ -8,9 +8,9 @@ recurrence
     g(k) = (1 + sum_{j=1..k-1} p(k, j) g(j)) / sum_{j=0..k-1} p(k, j),
 
 because the chain never moves up. Both backends solve it over the kernel
-band, which one pass over the chain (``_chain``) builds, or reads from a
-kernel, a block of states at a time: g, s_k, the drift, q and eta are
-running reductions in ascending k, so no whole band is held. The float
+band, which one pass over the chain (``_chain``) builds a block of states
+at a time, for every reader of a whole chain: g, s_k, the drift, q and eta
+are running reductions in ascending k, so no whole band is held. The float
 backend takes s_k from the correctly rounded row sums of ``drift`` and
 solves s_k g(k) - sum_d p(k, k - d) g(k - d) = 1 in runs of D states at
 once, D the band width (``_solve_runs``), joined in order. Every term is
@@ -210,12 +210,11 @@ def _exact_hitting_times(n: int, nums: list[list[int]]) -> list[Fraction]:
     return g
 
 
-def _chain(n: int, backend: str, top: int, solve_to: int = -1, band=None) -> Iterator[tuple]:
+def _chain(n: int, backend: str, top: int, solve_to: int = -1) -> Iterator[tuple]:
     """The chain of n bits over states 0..top in ascending blocks: for each,
-    its states (a range), its rows of a ``_BANDS`` band, their s_k and drift
-    and their g, solved over states 0..solve_to (empty past them).
-    ``band``, a kernel's band of states 0..top, is read in place of rows
-    built at the chain width of top.
+    its states (a range), its rows of a ``_BANDS`` band at the chain width
+    of top, their s_k and their g, solved over states 0..solve_to (empty
+    past them); readers sum the drift of the rows (``_band_drift``).
 
     The exact chain is one block: its g and eta read every earlier row.
     Float block 0 holds state 0 and one span of ``_SPAN`` states cut to
@@ -226,17 +225,16 @@ def _chain(n: int, backend: str, top: int, solve_to: int = -1, band=None) -> Ite
     band's.
     """
     if backend == RATIONAL:
-        nums = _exact_numerators(n, range(top + 1)) if band is None else band
+        nums = _exact_numerators(n, range(top + 1))
         g = _exact_hitting_times(n, nums[: solve_to + 1])[: solve_to + 1]
-        improve, delta = _band_improvement(n, backend, nums), _band_drift(n, backend, nums)
-        yield range(top + 1), nums, improve, delta, np.array(g, dtype=object)
+        yield range(top + 1), nums, _band_improvement(n, backend, nums), np.array(g, dtype=object)
         return
-    width = _band_width(n, top) if band is None else band.shape[1] - 1
+    width = _band_width(n, top)
     span = _SPAN // width * width if width else 1
     before = np.zeros(width)
     lo = 0
     for hi in [*range(1 + span, top + 1, span), top + 1]:
-        rows = _float_band(n, range(lo, hi), width) if band is None else band[lo:hi]
+        rows = _float_band(n, range(lo, hi), width)
         improve = _band_improvement(n, backend, rows)
         g = np.zeros(max(min(hi, solve_to + 1) - lo, 0))
         # State 0 is in no run: g(0) = 0.
@@ -245,7 +243,7 @@ def _chain(n: int, backend: str, top: int, solve_to: int = -1, band=None) -> Ite
             runs = _solve_runs(rows[first : len(g)], improve[first : len(g)], 1.0, before)
             g[first:] = runs.ravel()[: len(g) - first]
             before = runs[-1]
-        yield range(lo, hi), rows, improve, _band_drift(n, backend, rows), g
+        yield range(lo, hi), rows, improve, g
         lo = hi
 
 
@@ -262,25 +260,26 @@ def _check_same_chain(kernel: TransitionKernel, drift_table: DriftTable) -> None
         )
 
 
+# Bytes a state that ``runtime_profile`` and ``hitting_profile`` hold, checked
+# against MEMORY_LIMIT before anything is built: g, drift and q columns and g
+# and q tuples beside one block of the band, 96.0 traced at n = 10^5 and 2 10^5.
+# Kept from when the whole band was held, so the same n are admitted.
+_PROFILE_BYTES_PER_STATE = 192
+
+
 def hitting_profile(kernel: TransitionKernel, drift_table: DriftTable) -> HittingProfile:
     """Solve the hitting-time recurrence over the kernel's rows.
 
-    The profile covers k = 0..kernel.max_state; the drift table supplies the
+    The profile covers k = 0..kernel.max_state, read in the pass over the
+    chain, so the kernel's band is not built; the drift table supplies the
     denominators of the inverse-drift sums.
     """
     _check_same_chain(kernel, drift_table)
     n, backend, top = kernel.n, kernel.backend, kernel.max_state
+    check_memory((top + 1) * _PROFILE_BYTES_PER_STATE, f"the hitting profile at n = {n}")
     q = _inverse_drift_prefix(drift_table.delta[: top + 1])
-    g = np.concatenate([g for *_, g in _chain(n, backend, top, top, kernel._chain)])
+    g = np.concatenate([g for *_, g in _chain(n, backend, top, top)])
     return HittingProfile(n, backend, tuple(g.tolist()), tuple(q.tolist()))
-
-
-# Bytes a state that ``runtime_profile`` holds, checked against MEMORY_LIMIT
-# before anything is built: the g, drift and q columns and the g and q
-# tuples, beside one block of the band. tracemalloc measured 96.0 over all
-# states of n = 10^5 and 2 10^5. The value is kept from when the whole band
-# was held, so the same n are admitted and refused.
-_PROFILE_BYTES_PER_STATE = 192
 
 
 def runtime_profile(
@@ -306,7 +305,8 @@ def runtime_profile(
     _check_state(n, up_to, n)
     check_memory((up_to + 1) * _PROFILE_BYTES_PER_STATE, f"the hitting profile at n = {n}")
     blocks = _chain(n, backend, up_to, up_to)
-    g, delta = (np.concatenate(c) for c in zip(*((g, delta) for *_, delta, g in blocks)))
+    pairs = ((g, _band_drift(n, backend, rows)) for _, rows, _, g in blocks)
+    g, delta = (np.concatenate(c) for c in zip(*pairs))
     q = _inverse_drift_prefix(delta)
     return HittingProfile(n, backend, tuple(g.tolist()), tuple(q.tolist()))
 

@@ -22,8 +22,8 @@ Two engines produce the same law by two independent routes:
   p(k, k - d) / s_k, so a run costs about k0 rounds instead of about
   e n ln n. The wait is floor(E r_k) + 1 for E standard exponential and
   r_k = -1 / log1p(-s_k), the inversion the bitstring gaps use too. Both
-  laws are read from the float kernel band (``drift._float_band``), whose
-  D = 20 columns for starts up to n leave out less than 2^-60 of each s_k.
+  laws are read from the float band of ``hitting._chain``, whose D = 20
+  columns for starts up to n leave out less than 2^-60 of each s_k.
   The jump is drawn by inverse transform on the table cdf[k, d - 1] =
   P[jump <= d | move from k], each row ending at exactly 1:
   d = 1 + #{d : cdf[k, d - 1] < u}, found by walking the row from d = 1, so
@@ -65,7 +65,8 @@ from functools import partial
 import numpy as np
 
 from .backends import FLOAT, DomainError, check_memory, check_n
-from .drift import _band_improvement, _band_width, _check_state, _float_band
+from .drift import _band_width, _check_state
+from .hitting import _chain
 
 __all__ = [
     "CHUNK_SIZE",
@@ -279,25 +280,25 @@ def _zero_flip_round(
 
 
 def _jump_tables(n: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """The jump chain of states 0..kmax, read from the float kernel band.
+    """The jump chain of states 0..kmax, read from the pass over the chain.
 
     Returns (rate, cdf): rate[k] = -1 / log1p(-s_k), so that floor(E
     rate[k]) + 1 ~ Geometric(s_k) for E standard exponential (rate[0] = 0:
     state 0 never moves), and cdf[k, d - 1] = P[jump <= d | move from k]
-    for d = 1..D, each row ending at exactly 1. The band and the cdf are
-    held at once, and both are checked against ``MEMORY_LIMIT`` before
-    either is allocated.
+    for d = 1..D, each row ending at exactly 1. They take 8 (D + 1) bytes a
+    state, checked against ``MEMORY_LIMIT`` before either is allocated; the
+    band is held one block at a time.
     """
-    states = range(kmax + 1)
-    nbytes = len(states) * (2 * _band_width(n, kmax) + 1) * 8
-    check_memory(nbytes, f"the jump tables of {len(states)} states")
-    band = _float_band(n, states)
-    cdf = np.cumsum(band[:, 1:], axis=1)
-    cdf[0] = 1.0  # state 0 never moves
-    cdf /= cdf[:, -1:].copy()  # dividing by a view of cdf would copy all of cdf
-    s = _band_improvement(n, FLOAT, band)
-    rate = np.zeros_like(s)
-    rate[1:] = -1.0 / np.log1p(-s[1:])
+    width = _band_width(n, kmax)
+    check_memory((kmax + 1) * (width + 1) * 8, f"the jump tables of {kmax + 1} states")
+    rate, cdf = np.zeros(kmax + 1), np.empty((kmax + 1, width))
+    for states, rows, s_k, _ in _chain(n, FLOAT, kmax):
+        lo, hi = states.start, states.stop
+        block = np.cumsum(rows[:, 1:], axis=1, out=cdf[lo:hi])
+        first = 0 if lo else 1  # state 0 never moves
+        block[:first] = 1.0
+        block /= block[:, -1:].copy()
+        rate[lo + first : hi] = -1.0 / np.log1p(-s_k[first:])
     return rate, cdf
 
 

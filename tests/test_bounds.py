@@ -3,7 +3,6 @@
 import importlib
 import math
 import operator
-import tracemalloc
 from fractions import Fraction as F
 from itertools import accumulate
 
@@ -26,6 +25,7 @@ from onemax_runtime import (
     verify_inequalities,
 )
 from onemax_runtime.backends import pow_base
+from conftest import traced_peak
 from reference_sums import float_kernel_row, plain_fraction_drift
 
 drift_mod = importlib.import_module("onemax_runtime.drift")
@@ -495,22 +495,13 @@ def test_float_eta_is_within_1e_15_of_the_compensated_row_sum(n):
     assert got[1] == math.fsum([band[1, 1] * q[1]])
 
 
-def traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_float_suite_memory_grows_by_under_400_bytes_per_state():
     """The suite holds O(n) values and arrays of a block's size, and drops
     each check's arrays after its verdict: from n = 10^4 to 2 10^4 its
     traced peak grows by under 400 bytes a state. Holding every check array
     to the end grew it by about 600."""
     small, large = 10_000, 20_000
-    growth = traced_peak(verify_inequalities, large) - traced_peak(verify_inequalities, small)
+    growth = traced_peak(verify_inequalities, large)[1] - traced_peak(verify_inequalities, small)[1]
     assert growth < 400 * (large - small)
 
 
@@ -520,18 +511,13 @@ def test_float_suite_never_holds_the_whole_band():
     by 85 bytes a state, under 120. Holding the whole band grew it by
     200."""
     small, large = 100_000, 200_000
-    growth = traced_peak(verify_inequalities, large) - traced_peak(verify_inequalities, small)
+    growth = traced_peak(verify_inequalities, large)[1] - traced_peak(verify_inequalities, small)[1]
     assert growth < 120 * (large - small)
 
 
 def test_float_suite_at_ten_thousand_stays_small():
     """The eta sums are built in blocks: no n x 180 array is held."""
-    tracemalloc.start()
-    try:
-        report = verify_inequalities(10_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(verify_inequalities, 10_000)
     assert peak < 40 * 2**20
     assert all(rec.passed for rec in report.checks if rec.applicable)
 

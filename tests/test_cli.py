@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from onemax_runtime import (
 )
 from onemax_runtime.backends import CapacityError, NumericError
 from onemax_runtime.cli import main
+from conftest import traced_peak
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -71,12 +71,8 @@ def test_drift_command_peaks_under_200_bytes_a_state():
     the band while the tuples were built, and every row until the write,
     peaked at about 258."""
     n = 100_000
-    tracemalloc.start()
-    try:
-        assert main(["drift", str(n), "--out", os.devnull]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(main, ["drift", str(n), "--out", os.devnull])
+    assert code == 0
     assert peak < 200 * n
 
 
@@ -206,12 +202,7 @@ def test_asym_rows_match_the_per_state_expansion(order, eps, monkeypatch):
 
 @pytest.mark.parametrize("eps", ["-20000", "2", "1", "0"])
 def test_asym_rejects_eps_outside_the_unit_interval_before_any_work(capsys, eps):
-    tracemalloc.start()
-    try:
-        code, out, err = run_cli(capsys, "asym", "50", f"--eps={eps}")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (code, out, err), peak = traced_peak(run_cli, capsys, "asym", "50", f"--eps={eps}")
     assert code == 2
     assert out == ""
     assert "outside (0, 1)" in err
@@ -393,12 +384,7 @@ def test_rational_capacity_is_usage_error(capsys):
 def test_huge_requests_exit_2_before_allocating(capsys, argv):
     """Above the memory limit a request fails as a usage error, at once: the
     peak of traced allocations (numpy's included) stays under 1 MB."""
-    tracemalloc.start()
-    try:
-        code, out, err = run_cli(capsys, *argv)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (code, out, err), peak = traced_peak(run_cli, capsys, *argv)
     assert code == 2
     assert out == ""
     assert "GiB limit" in err
@@ -420,14 +406,12 @@ def test_drift_and_runtime_count_the_columns_beside_the_band(
     columns the table or the profile holds beside it, refuses the request
     before the band is built."""
     monkeypatch.setattr(backends, "MEMORY_LIMIT", states * (band_columns * 8 + 4))
-    tracemalloc.start()
-    try:
+
+    def refused():
         with pytest.raises(CapacityError, match="GiB limit"):
             call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+
+    assert traced_peak(refused)[1] < 2**20
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert "GiB limit" in err

@@ -482,9 +482,14 @@ def fsum_rows(x):
     return [math.fsum(row) for row in x.tolist()]
 
 
-@pytest.mark.parametrize("n", [*range(2, 70), 1024, 1500, 4096, 12345])
+@pytest.mark.parametrize("n", [*range(2, 70), 1024, 1500, 4096, 12345, None])
 def test_row_fsums_equal_fsum_on_the_band_rows(n):
-    """The s_k rows and the drift rows of the n/2 and n bands, bit for bit."""
+    """The s_k rows and the drift rows of the n/2 and n bands, bit for bit;
+    for n of None, rows of random terms falling over 21 binades."""
+    if n is None:
+        rows = np.random.default_rng(3).random((50, 21)) * 2.0 ** -np.arange(21.0)
+        assert _row_fsums(rows).tolist() == fsum_rows(rows)
+        return
     for max_state in (n // 2, n):
         band = _float_band(n, range(max_state + 1))
         d = np.arange(band.shape[1], dtype=float)
@@ -534,19 +539,6 @@ def test_row_fsums_sum_negative_rows_by_fsum(monkeypatch):
     monkeypatch.setattr(math, "fsum", spy)
     assert _row_fsums(rows).tolist() == [1e-20, 0.875]
     assert fallbacks == [[1.0, -1.0, 1e-20]]
-
-
-def test_row_fsums_do_not_depend_on_the_block_size(monkeypatch):
-    n = 300
-    band = _float_band(n, range(n + 1))
-    d = np.arange(band.shape[1], dtype=float)
-    rows = np.random.default_rng(3).random((50, 21)) * 2.0 ** -np.arange(21.0)
-    cases = [(band[:, 1:], None), (band, d), (rows, None)]
-    expected = [_row_fsums(x, weights).tolist() for x, weights in cases]
-    monkeypatch.setattr(drift_module, "_ROW_BLOCK", 7)
-    got = [_row_fsums(x, weights).tolist() for x, weights in cases]
-    assert got == expected
-    assert expected[2] == fsum_rows(rows)
 
 
 def test_a_band_with_no_move_columns_sums_to_zeros():

@@ -1,7 +1,6 @@
 """Hitting-time recurrence, closed forms, inverse-drift sums."""
 
 import math
-import tracemalloc
 from fractions import Fraction as F
 from functools import cache
 
@@ -27,6 +26,8 @@ from onemax_runtime import (
 from onemax_runtime import hitting
 from onemax_runtime.backends import DomainError
 from onemax_runtime.drift import _band_improvement, _band_width, _float_band
+from onemax_runtime.simulate import _jump_tables
+from conftest import traced_peak
 
 
 def test_known_exact_values_n3():
@@ -226,17 +227,43 @@ def test_half_start_runtime_matches_40_digit_reference():
 
 
 def test_rational_chain_leaves_the_kernel_fraction_view_unbuilt():
-    """hitting_profile, eta and eta_star read the kernel's integer
-    numerators; its Fraction band and rows are made only when read."""
-    kern = build_kernel(12, "rational", max_state=8)
-    table = build_drift_table(12, "rational")
-    hitting_profile(kern, table)
-    eta(kern, table, 5)
-    eta_star(kern, table, 1, 8)
-    assert "band" not in vars(kern)
-    assert "rows" not in vars(kern)
-    assert kern.rows[8][8] == kern.band[8, 0]
-    assert "band" in vars(kern)
+    """A kernel of either backend is built holding nothing but its three
+    numbers, and hitting_profile reads the pass, not the kernel. eta and
+    eta_star read the kernel's float band or integer numerators, built once
+    and kept; ``band`` and ``rows`` are made only when read. Building the
+    float kernel of n = 10^5 traces 304 bytes (17.5 MB when it built the
+    band at once)."""
+    kern, peak = traced_peak(build_kernel, 10**5)
+    assert peak < 2**20
+    assert vars(kern) == {"n": 10**5, "backend": "float", "max_state": 10**5}
+    for backend in ("rational", "float"):
+        kern = build_kernel(12, backend, max_state=8)
+        table = build_drift_table(12, backend)
+        fields = {"n": 12, "backend": backend, "max_state": 8}
+        assert vars(kern) == fields
+        hitting_profile(kern, table)
+        assert vars(kern) == fields
+        eta(kern, table, 5)
+        eta_star(kern, table, 1, 8)
+        assert vars(kern).keys() == {*fields, "_band"}
+        assert kern.rows[8][8] == kern.band[8, 0]
+        assert "band" in vars(kern)
+        assert (kern.band is kern._band) == (backend == "float")
+
+
+def test_the_kernel_and_table_composition_never_holds_the_whole_band():
+    """hitting_profile reads the pass over the chain, not a kernel band, so
+    the composition with build_drift_table holds one block of the band at a
+    time: from n = 10^5 to 2 10^5 its traced peak grows by about 152 bytes a
+    state, under 200. Building the band for the kernel and again for the
+    table grew it by 320."""
+
+    def compose(n):
+        return hitting_profile(build_kernel(n), build_drift_table(n))
+
+    small, large = 100_000, 200_000
+    growth = traced_peak(compose, large)[1] - traced_peak(compose, small)[1]
+    assert growth < 200 * (large - small)
 
 
 _BAD_STATES = {
@@ -267,12 +294,7 @@ def test_profile_to_half_of_a_hundred_thousand_peaks_under_10_4_mib():
     """The pass over the chain holds one block of the band (6.5 MiB for all
     50001 states) at a time, so the band and the g and q tuples (3.1 MiB)
     are never held together: with both, the traced peak was 10.7 MiB."""
-    tracemalloc.start()
-    try:
-        prof = runtime_profile(10**5, up_to=5 * 10**4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    prof, peak = traced_peak(lambda: runtime_profile(10**5, up_to=5 * 10**4))
     assert peak < 10.4 * 2**20
     assert len(prof.g) == len(prof.q) == 5 * 10**4 + 1
 
@@ -327,17 +349,20 @@ def test_solve_runs_takes_a_per_state_right_hand_side():
 @pytest.mark.parametrize("n", [300, 4097])
 def test_blocks_of_the_chain_do_not_change_values(n, monkeypatch):
     """Blocks of two solver runs each, against the default of about 4096
-    states: every profile, table and suite value is the same, bit for
-    bit."""
+    states: every profile, table, suite and jump table value is the same,
+    bit for bit."""
 
     def results():
         kernel, table = build_kernel(n), build_drift_table(n)
+        rate, cdf = _jump_tables(n, n)
         return (
             runtime_profile(n),
             runtime_profile(n, up_to=n // 2),
             hitting_profile(kernel, table),
             table,
             verify_inequalities(n),
+            rate.tobytes(),
+            cdf.tobytes(),
         )
 
     default = results()

@@ -3,7 +3,6 @@
 import dataclasses
 import importlib
 import math
-import tracemalloc
 from math import comb
 
 import numpy as np
@@ -29,6 +28,7 @@ from onemax_runtime.simulate import (
     _jump_tables,
     _zero_flip_round,
 )
+from conftest import traced_peak
 from reference_sims import reference_run
 
 
@@ -378,8 +378,9 @@ def test_jump_lookup_is_exact():
 
 
 def test_memory_limit_admits_a_million(monkeypatch):
-    """The band of runtime 10**6 and of a uniform-start sim at n = 10**6 pass
-    the real check; the run stops there instead of building them."""
+    """The profile of runtime 10**6 and the jump tables of a uniform-start
+    sim at n = 10**6 pass the real check; each run then stops at the check
+    of its first block of the band instead of building it."""
 
     class Checked(Exception):
         pass
@@ -397,30 +398,32 @@ def test_memory_limit_admits_a_million(monkeypatch):
 
 
 def test_jump_tables_at_a_hundred_thousand_stay_small():
-    """The band and its cdf at n = 10**5, 21 and 20 columns wide, take about
-    33 MB; the build adds no table-sized temporaries."""
-    tracemalloc.start()
-    try:
-        _, cdf = _jump_tables(10**5, 10**5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    """The rate and the cdf at n = 10**5, 20 columns wide, take 16.8 MB; the
+    pass holds one block of the band beside them, so the traced peak is
+    about 18.4 MiB. Holding the whole band too peaked at 34.3 MiB."""
+    (_, cdf), peak = traced_peak(_jump_tables, 10**5, 10**5)
     assert cdf.shape == (10**5 + 1, 20)
     assert (cdf[:, -1] == 1.0).all()
-    assert peak < 64 * 2**20
+    assert peak < 24 * 2**20
 
 
-def test_jump_tables_count_the_band_and_the_cdf(monkeypatch):
-    """A limit that admits the band alone but not the band with its cdf
-    refuses the jump tables before either is built."""
-    states = 10**5 + 1
-    band_bytes = states * 21 * 8
+def test_jump_tables_count_the_rate_and_the_cdf(monkeypatch):
+    """The tables take 8 (D + 1) bytes a state: a limit one byte under that
+    refuses them before anything is built, and a limit equal to it admits
+    them."""
+    states, width = 10**5 + 1, 20
     backends = importlib.import_module("onemax_runtime.backends")
-    monkeypatch.setattr(backends, "MEMORY_LIMIT", band_bytes + states * 8)
-    drift_module = importlib.import_module("onemax_runtime.drift")
-    drift_module._float_band(10**5, range(states))
-    with pytest.raises(CapacityError, match="jump tables"):
-        _jump_tables(10**5, 10**5)
+    monkeypatch.setattr(backends, "MEMORY_LIMIT", states * (width + 1) * 8 - 1)
+
+    def refused():
+        with pytest.raises(CapacityError, match="jump tables"):
+            _jump_tables(10**5, 10**5)
+
+    assert traced_peak(refused)[1] < 2**20
+    monkeypatch.setattr(backends, "MEMORY_LIMIT", states * (width + 1) * 8)
+    rate, cdf = _jump_tables(10**5, 10**5)
+    assert rate.shape == (states,)
+    assert cdf.shape == (states, width)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
